@@ -5,6 +5,11 @@ group's parameter triple, a product of sine factors over positive roots,
 and factorial/Barnes-G closed forms on the unitary family. The package
 cross-validates all routes to tight numerical tolerance and exposes them
 through a library API and the `lievol` command-line tool.
+
+The names below are the surface the README and the CLI use, with the
+types and errors they take and return; everything else is reached through
+its module (`lievol.rootsys`, `lievol.vogel`, `lievol.quad`,
+`lievol.special`, `lievol.volume`).
 """
 
 from .errors import (
@@ -16,50 +21,11 @@ from .errors import (
     QuadratureError,
     UnsupportedGroupError,
 )
-from .quad import QuadResult, Tolerance, integrate_phi, integrate_semiinfinite
-from .rootsys import (
-    Family,
-    RootSystem,
-    SimpleLieType,
-    build_root_system,
-    exponents,
-    rho_pairings_killing,
-    sp,
-    spin,
-    su,
-)
-from .special import (
-    SpecialValue,
-    barnesG_integer_oracle,
-    euler_reflection_residual,
-    log_barnesG_integral,
-    log_gamma_malmsten,
-    phi_unitary_closed_form,
-)
-from .vogel import (
-    VogelPoint,
-    VogelTableRow,
-    dim_from_vogel,
-    in_divergence_set,
-    key_relation_residual,
-    sinh_product_excess,
-    spin_row_point,
-    table_rows,
-    vogel_point,
-)
-from .volume import (
-    LOG_VOLUME_BASE,
-    CheckItem,
-    VolumeReport,
-    cross_check,
-    default_groups,
-    implied_chevalley_covolume,
-    isomorphism_checks,
-    phi_kp,
-    run_check_suite,
-    volume_macdonald_sun,
-    volume_universal,
-)
+from .quad import QuadResult, Tolerance, integrate_phi
+from .rootsys import Family, SimpleLieType, default_groups, sp, spin, su
+from .special import SpecialValue, phi_unitary_closed_form
+from .vogel import VogelPoint, dim_from_vogel, vogel_point
+from .volume import LOG_VOLUME_BASE, CheckItem, VolumeReport, cross_check, run_check_suite
 
 __version__ = "0.1.0"
 
@@ -67,9 +33,7 @@ __all__ = [
     "__version__",
     "Family",
     "SimpleLieType",
-    "RootSystem",
     "VogelPoint",
-    "VogelTableRow",
     "Tolerance",
     "QuadResult",
     "SpecialValue",
@@ -82,33 +46,15 @@ __all__ = [
     "IntegrandEvaluationError",
     "QuadratureError",
     "InvariantViolationError",
-    "build_root_system",
-    "exponents",
-    "rho_pairings_killing",
     "su",
     "spin",
     "sp",
+    "default_groups",
     "vogel_point",
-    "spin_row_point",
-    "table_rows",
     "dim_from_vogel",
-    "in_divergence_set",
-    "sinh_product_excess",
-    "key_relation_residual",
-    "integrate_semiinfinite",
     "integrate_phi",
-    "log_gamma_malmsten",
-    "euler_reflection_residual",
-    "log_barnesG_integral",
-    "barnesG_integer_oracle",
     "phi_unitary_closed_form",
     "LOG_VOLUME_BASE",
-    "phi_kp",
-    "volume_universal",
-    "volume_macdonald_sun",
-    "implied_chevalley_covolume",
     "cross_check",
-    "isomorphism_checks",
-    "default_groups",
     "run_check_suite",
 ]

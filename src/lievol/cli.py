@@ -1,8 +1,9 @@
 """Command-line interface: volume reports, raw integral values, line scans,
 table reproduction, and the verification suite.
 
-Exit codes: 0 success, 1 numerical check failure, 2 usage error,
-3 divergence-domain refusal.
+Exit codes: 0 success, 1 numerical check failure or any other library
+error, 2 usage error (non-finite numbers and a malformed LIEVOL_TOL
+included), 3 divergence-domain refusal. `main` alone maps errors to codes.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import math
 import os
 import sys
 
-from . import quad, special, vogel, volume
+from . import quad, rootsys, special, vogel, volume
 from .errors import (
     DivergenceSetError,
+    LievolError,
     ParameterDomainError,
     UnsupportedGroupError,
 )
@@ -29,29 +31,29 @@ __all__ = ["main"]
 _GROUP_CHOICES = ("SU", "Spin", "Sp", "A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
 
 
-def _resolve_group(parser, group: str, n: int | None) -> SimpleLieType:
-    try:
-        if group in ("SU", "Spin", "Sp"):
-            if n is None:
-                parser.error(f"--group {group} requires --n")
-            return {"SU": su, "Spin": spin, "Sp": sp}[group](n)
-        fam = Family(group)
-        if fam in EXCEPTIONAL_RANK:
-            if n is not None and n != EXCEPTIONAL_RANK[fam]:
-                parser.error(f"{group} has fixed rank {EXCEPTIONAL_RANK[fam]}")
-            return SimpleLieType(fam, EXCEPTIONAL_RANK[fam])
+def _resolve_group(group: str, n: int | None) -> SimpleLieType:
+    if group in ("SU", "Spin", "Sp"):
         if n is None:
-            parser.error(f"--group {group} requires --n (the rank)")
-        return SimpleLieType(fam, n)
-    except UnsupportedGroupError as exc:
-        parser.error(str(exc))
+            raise UnsupportedGroupError(f"--group {group} requires --n")
+        return {"SU": su, "Spin": spin, "Sp": sp}[group](n)
+    fam = Family(group)
+    if fam in EXCEPTIONAL_RANK:
+        if n is not None and n != EXCEPTIONAL_RANK[fam]:
+            raise UnsupportedGroupError(f"{group} has fixed rank {EXCEPTIONAL_RANK[fam]}")
+        return SimpleLieType(fam, EXCEPTIONAL_RANK[fam])
+    if n is None:
+        raise UnsupportedGroupError(f"--group {group} requires --n (the rank)")
+    return SimpleLieType(fam, n)
 
 
 def _tolerance(args) -> Tolerance:
     rel = args.rel
     if rel is None:
         env = os.environ.get("LIEVOL_TOL")
-        rel = float(env) if env else Tolerance.rel
+        try:
+            rel = float(env) if env else Tolerance.rel
+        except ValueError:
+            raise ParameterDomainError(f"LIEVOL_TOL is not a number: {env!r}") from None
     abs_tol = args.abs if args.abs is not None else Tolerance.abs
     return Tolerance(rel=rel, abs=abs_tol)
 
@@ -110,9 +112,8 @@ def _print_report_text(r: VolumeReport) -> None:
         print(f"notes              {r.notes}")
 
 
-def cmd_volume(parser, args) -> int:
-    lie_type = _resolve_group(parser, args.group, args.n)
-    tol = _tolerance(args)
+def cmd_volume(args, tol: Tolerance) -> int:
+    lie_type = _resolve_group(args.group, args.n)
     report = volume.cross_check(lie_type, tol)
     if args.format == "json":
         print(json.dumps(report_to_dict(report)))
@@ -124,19 +125,9 @@ def cmd_volume(parser, args) -> int:
     return 0 if report.converged and report.agreed else 1
 
 
-def cmd_phi(parser, args) -> int:
-    try:
-        point = VogelPoint(args.alpha, args.beta, args.gamma)
-    except ParameterDomainError as exc:
-        parser.error(str(exc))
-    tol = _tolerance(args)
-    try:
-        qr = quad.integrate_phi(point, tol)
-    except DivergenceSetError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
-    except ParameterDomainError as exc:
-        parser.error(str(exc))
+def cmd_phi(args, tol: Tolerance) -> int:
+    point = VogelPoint(args.alpha, args.beta, args.gamma)
+    qr = quad.integrate_phi(point, tol)
     dim = vogel.dim_from_vogel(point)
     log_volume = dim * volume.LOG_VOLUME_BASE - qr.value
     if args.format == "json":
@@ -163,23 +154,22 @@ def cmd_phi(parser, args) -> int:
     return 0 if qr.converged else 1
 
 
-def cmd_scan(parser, args) -> int:
-    if args.step <= 0:
-        parser.error("--step must be positive")
-    tol = _tolerance(args)
+def cmd_scan(args, tol: Tolerance) -> int:
     alpha, beta = args.alpha, args.beta
+    if not all(map(math.isfinite, (args.start, args.stop, args.step, alpha, beta))):
+        raise ParameterDomainError("--from, --to, --step, --alpha and --beta must be finite")
+    if args.step <= 0:
+        raise ParameterDomainError("--step must be positive")
+    steps = (args.stop - args.start) / args.step
+    if not math.isfinite(steps):
+        raise ParameterDomainError("--from/--to range overflows at this --step")
     unitary = alpha + beta == 0.0
     print("gamma,phi,reference,residual")
-    count = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
+    count = int(math.floor(steps + 1e-9)) + 1
     for i in range(max(count, 0)):
         gamma = args.start + i * args.step
         try:
-            point = VogelPoint(alpha, beta, gamma)
-        except ParameterDomainError:
-            print(f"{gamma!r},,,undefined")
-            continue
-        try:
-            qr = quad.integrate_phi(point, tol)
+            qr = quad.integrate_phi(VogelPoint(alpha, beta, gamma), tol)
         except DivergenceSetError:
             print(f"{gamma!r},,,diverges")
             continue
@@ -194,10 +184,9 @@ def cmd_scan(parser, args) -> int:
     return 0
 
 
-def cmd_table(parser, args) -> int:
-    tol = _tolerance(args)
-    rows = vogel.table_rows(args.max_rank)
-    reports = [(volume.cross_check(row.lie_type, tol), row.point) for row in rows]
+def cmd_table(args, tol: Tolerance) -> int:
+    groups = rootsys.default_groups(args.max_rank)
+    reports = [(volume.cross_check(g, tol), vogel.vogel_point(g)) for g in groups]
     if args.format == "json":
         print(json.dumps([report_to_dict(r) for r, _ in reports]))
     elif args.format == "csv":
@@ -220,8 +209,7 @@ def cmd_table(parser, args) -> int:
     return 0 if ok else 1
 
 
-def cmd_check(parser, args) -> int:
-    tol = _tolerance(args)
+def cmd_check(args, tol: Tolerance) -> int:
     items = volume.run_check_suite(args.max_rank, tol)
     failed = 0
     for item in items:
@@ -289,12 +277,19 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every library error leaves through its exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](parser, args)
-    except UnsupportedGroupError as exc:
+        return _COMMANDS[args.command](args, _tolerance(args))
+    except DivergenceSetError as exc:
+        print(str(exc), file=sys.stderr)
+        return 3
+    except (ParameterDomainError, UnsupportedGroupError) as exc:
         parser.error(str(exc))
+    except LievolError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

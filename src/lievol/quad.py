@@ -42,10 +42,11 @@ class Tolerance:
     max_evaluations: int = 200_000
 
     def __post_init__(self):
-        if self.rel <= 0.0 or self.abs <= 0.0:
-            raise ValueError("tolerances must be positive")
+        # nan fails this test too; a nan or inf tolerance would let every route check pass
+        if not (0.0 < self.rel < math.inf and 0.0 < self.abs < math.inf):
+            raise ParameterDomainError("tolerances must be positive and finite")
         if self.max_evaluations <= 0:
-            raise ValueError("evaluation budget must be positive")
+            raise ParameterDomainError("evaluation budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -186,9 +187,7 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     small-x region cancellation-free, and the large-x region switches to a
     pure exponential form before either factor can overflow.
     """
-    slopes = tuple(
-        ((q - 2.0 * p.t) / (4.0 * p.t), q / (4.0 * p.t)) for q in p.params
-    )
+    slopes = vogel._ratio_slopes(p)
     k = vogel.dim_from_vogel(p)
     limit0 = vogel.small_x_quadratic_coeff(p)
 
@@ -198,9 +197,14 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
         ell = 0.0
         for a, b in slopes:
             ell += vogel.log_sinhc(a * x) - vogel.log_sinhc(b * x)
-        if ell > 45.0 and x > 45.0:
-            return k * math.exp(ell - x) / x
-        return k * math.expm1(ell) / (x * math.expm1(x))
+        try:
+            if ell > 45.0 and x > 45.0:
+                return k * math.exp(ell - x) / x
+            return k * math.expm1(ell) / (x * math.expm1(x))
+        except OverflowError:
+            # only at extreme parameters; _eval_panel turns the inf into an
+            # IntegrandEvaluationError that names the abscissa
+            return math.inf
 
     return f
 

@@ -23,6 +23,7 @@ __all__ = [
     "RootSystem",
     "build_root_system",
     "cartan_matrix",
+    "default_groups",
     "exponents",
     "minimal_pairing",
     "rho_pairings_killing",
@@ -44,12 +45,13 @@ class Family(enum.Enum):
     G2 = "G2"
 
 
+# in report order, which default_groups follows
 EXCEPTIONAL_RANK = {
+    Family.G2: 2,
+    Family.F4: 4,
     Family.E6: 6,
     Family.E7: 7,
     Family.E8: 8,
-    Family.F4: 4,
-    Family.G2: 2,
 }
 
 # Lowest rank admitted per classical family. D needs rank >= 4: D2 and D3
@@ -119,6 +121,16 @@ def sp(n: int) -> SimpleLieType:
     if n < 2 or n % 2:
         raise UnsupportedGroupError(f"Sp_n requires even n >= 2, got {n}")
     return SimpleLieType(Family.C, n // 2)
+
+
+def default_groups(max_rank: int = 8) -> list[SimpleLieType]:
+    """Classical families A, B, C, D from their rank floor up to max_rank, then
+    the exceptionals; the report order of `table` and `check`."""
+    groups = [
+        SimpleLieType(fam, r) for fam, floor in _RANK_FLOOR.items()
+        for r in range(floor, max_rank + 1)
+    ]
+    return groups + [SimpleLieType(fam, r) for fam, r in EXCEPTIONAL_RANK.items()]
 
 
 def cartan_matrix(lie_type: SimpleLieType) -> tuple[tuple[int, ...], ...]:

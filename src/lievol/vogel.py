@@ -16,10 +16,8 @@ from .rootsys import Family, SimpleLieType
 
 __all__ = [
     "VogelPoint",
-    "VogelTableRow",
     "vogel_point",
     "spin_row_point",
-    "table_rows",
     "dim_from_vogel",
     "in_divergence_set",
     "log_sinhc",
@@ -31,7 +29,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VogelPoint:
-    """A point of the parameter plane with nonzero coordinate sum t."""
+    """A point of the parameter plane: finite coordinates, nonzero sum t."""
 
     alpha: float
     beta: float
@@ -43,6 +41,8 @@ class VogelPoint:
         if t is None:
             t = self.alpha + self.beta + self.gamma
         t = float(t)
+        if not all(math.isfinite(q) for q in (self.alpha, self.beta, self.gamma, t)):
+            raise ParameterDomainError("alpha, beta, gamma and t must be finite")
         if t == 0.0:
             raise ParameterDomainError("alpha + beta + gamma must be nonzero")
         object.__setattr__(self, "t", t)
@@ -50,16 +50,6 @@ class VogelPoint:
     @property
     def params(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
-
-
-@dataclass(frozen=True)
-class VogelTableRow:
-    lie_type: SimpleLieType
-    point: VogelPoint
-
-    @property
-    def label(self) -> str:
-        return self.lie_type.compact_name
 
 
 _EXCEPTIONAL_POINTS = {
@@ -97,20 +87,6 @@ def spin_row_point(n: int) -> VogelPoint:
     if n < 5:
         raise ParameterDomainError(f"Spin row defined for n >= 5, got {n}")
     return VogelPoint(-2.0, 4.0, float(n - 4), t=float(n - 2))
-
-
-def table_rows(max_rank: int = 8) -> list[VogelTableRow]:
-    """All table rows with classical rank <= max_rank, in report order."""
-    groups: list[SimpleLieType] = []
-    groups += [SimpleLieType(Family.A, r) for r in range(1, max_rank + 1)]
-    groups += [SimpleLieType(Family.B, r) for r in range(2, max_rank + 1)]
-    groups += [SimpleLieType(Family.C, r) for r in range(1, max_rank + 1)]
-    groups += [SimpleLieType(Family.D, r) for r in range(4, max_rank + 1)]
-    groups += [
-        SimpleLieType(fam, rootsys.EXCEPTIONAL_RANK[fam])
-        for fam in (Family.G2, Family.F4, Family.E6, Family.E7, Family.E8)
-    ]
-    return [VogelTableRow(g, vogel_point(g)) for g in groups]
 
 
 def dim_from_vogel(p: VogelPoint) -> float:

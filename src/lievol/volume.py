@@ -9,7 +9,6 @@ representable in double precision.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,12 +23,9 @@ __all__ = [
     "VolumeReport",
     "CheckItem",
     "phi_kp",
-    "volume_universal",
     "volume_macdonald_sun",
-    "implied_chevalley_covolume",
     "cross_check",
     "isomorphism_checks",
-    "default_groups",
     "run_check_suite",
 ]
 
@@ -54,7 +50,6 @@ class VolumeReport:
     converged: bool
     agreed: bool
     notes: str
-    tolerance: Tolerance
 
 
 @dataclass(frozen=True)
@@ -104,33 +99,6 @@ def _checked_dim(rs: RootSystem, point: vogel.VogelPoint) -> int:
     return dim_roots
 
 
-def volume_universal(lie_type: SimpleLieType, tol: Tolerance | None = None) -> VolumeReport:
-    """Report for one group with the integral route as the headline value."""
-    tol = tol or Tolerance()
-    rs = rootsys.build_root_system(lie_type)
-    point = vogel.vogel_point(lie_type)
-    dim = _checked_dim(rs, point)
-    qr = quad.integrate_phi(point, tol)
-    pkp = phi_kp(rs)
-    log_volume = dim * LOG_VOLUME_BASE - qr.value
-    volume = math.exp(log_volume) if abs(log_volume) <= 700.0 else None
-    notes = _SPIN_NOTE if lie_type.family in (Family.B, Family.D) else ""
-    disc = abs(qr.value - pkp)
-    return VolumeReport(
-        group=lie_type.compact_name,
-        dim=dim,
-        phi_universal=qr.value,
-        phi_kp=pkp,
-        log_volume=log_volume,
-        volume=volume,
-        route_discrepancy=disc,
-        converged=qr.converged,
-        agreed=True,
-        notes=notes,
-        tolerance=tol,
-    )
-
-
 def volume_macdonald_sun(n: int) -> float:
     """ln Vol(SU_n) from the factorial closed form, n >= 2, in log space."""
     if n < 2:
@@ -145,66 +113,48 @@ def volume_macdonald_sun(n: int) -> float:
 
 
 def cross_check(lie_type: SimpleLieType, tol: Tolerance | None = None) -> VolumeReport:
-    """Run every applicable route and flag any pairwise disagreement.
+    """Report for one group: the integral route is the headline value, and
+    every applicable route is compared against it.
 
-    The agreement bound is 10 * tol.rel * max(1, |phi|); the factorial
-    closed form joins the comparison on the unitary family only.
+    The agreement bound is 10 * tol.rel * max(1, |phi_kp|); the factorial
+    closed form joins the comparison on the unitary family only. Any
+    disagreement, or an unconverged integral, clears `agreed` and is
+    described in `notes`.
     """
     tol = tol or Tolerance()
-    report = volume_universal(lie_type, tol)
-    bound = 10.0 * tol.rel * max(1.0, abs(report.phi_kp))
+    rs = rootsys.build_root_system(lie_type)
+    point = vogel.vogel_point(lie_type)
+    dim = _checked_dim(rs, point)
+    qr = quad.integrate_phi(point, tol)
+    pkp = phi_kp(rs)
+    disc = abs(qr.value - pkp)
+    bound = 10.0 * tol.rel * max(1.0, abs(pkp))
     failures = []
-    if report.route_discrepancy > bound:
-        failures.append(
-            f"universal vs product routes differ by {report.route_discrepancy:.3e}"
-        )
+    if disc > bound:
+        failures.append(f"universal vs product routes differ by {disc:.3e}")
     if lie_type.family is Family.A:
-        n = lie_type.rank + 1
-        phi_mac = report.dim * LOG_VOLUME_BASE - volume_macdonald_sun(n)
-        if abs(report.phi_universal - phi_mac) > bound:
-            failures.append(
-                f"universal vs factorial routes differ by "
-                f"{abs(report.phi_universal - phi_mac):.3e}"
-            )
-        if abs(report.phi_kp - phi_mac) > bound:
-            failures.append(
-                f"product vs factorial routes differ by "
-                f"{abs(report.phi_kp - phi_mac):.3e}"
-            )
-    if not report.converged:
+        phi_mac = dim * LOG_VOLUME_BASE - volume_macdonald_sun(lie_type.rank + 1)
+        for route, phi in (("universal", qr.value), ("product", pkp)):
+            if abs(phi - phi_mac) > bound:
+                failures.append(
+                    f"{route} vs factorial routes differ by {abs(phi - phi_mac):.3e}"
+                )
+    if not qr.converged:
         failures.append("quadrature did not converge")
-    if not failures:
-        return report
-    notes = "; ".join(([report.notes] if report.notes else []) + failures)
-    return dataclasses.replace(report, agreed=False, notes=notes)
-
-
-def implied_chevalley_covolume(lie_type: SimpleLieType, tol: Tolerance | None = None) -> float:
-    """log of the lattice covolume implied by the exponent-product formula.
-
-    Rearranges the classical rank-factor product: returns
-    log_volume - sum_i ln(2 pi^(m_i + 1) / m_i!). Reported for inspection
-    only; no lattice is constructed.
-    """
-    report = cross_check(lie_type, tol)
-    factor_logs = [
-        math.log(2.0) + (m + 1) * math.log(math.pi) - math.log(math.factorial(m))
-        for m in rootsys.exponents(lie_type)
-    ]
-    return report.log_volume - math.fsum(factor_logs)
-
-
-def default_groups(max_rank: int = 8) -> list[SimpleLieType]:
-    """Classical families A, B, C, D up to max_rank, then the exceptionals."""
-    groups = [SimpleLieType(Family.A, r) for r in range(1, max_rank + 1)]
-    groups += [SimpleLieType(Family.B, r) for r in range(2, max_rank + 1)]
-    groups += [SimpleLieType(Family.C, r) for r in range(1, max_rank + 1)]
-    groups += [SimpleLieType(Family.D, r) for r in range(4, max_rank + 1)]
-    groups += [
-        SimpleLieType(fam, rootsys.EXCEPTIONAL_RANK[fam])
-        for fam in (Family.G2, Family.F4, Family.E6, Family.E7, Family.E8)
-    ]
-    return groups
+    notes = [_SPIN_NOTE] if lie_type.family in (Family.B, Family.D) else []
+    log_volume = dim * LOG_VOLUME_BASE - qr.value
+    return VolumeReport(
+        group=lie_type.compact_name,
+        dim=dim,
+        phi_universal=qr.value,
+        phi_kp=pkp,
+        log_volume=log_volume,
+        volume=math.exp(log_volume) if abs(log_volume) <= 700.0 else None,
+        route_discrepancy=disc,
+        converged=qr.converged,
+        agreed=not failures,
+        notes="; ".join(notes + failures),
+    )
 
 
 def isomorphism_checks(tol: Tolerance | None = None) -> list[CheckItem]:
@@ -254,7 +204,7 @@ def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[Che
     tol = tol or Tolerance()
     items: list[CheckItem] = []
 
-    for lie_type in default_groups(max_rank):
+    for lie_type in rootsys.default_groups(max_rank):
         name = lie_type.compact_name
         rs = rootsys.build_root_system(lie_type)
 

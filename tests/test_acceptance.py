@@ -11,7 +11,7 @@ import pytest
 
 from lievol.errors import DivergenceSetError
 from lievol.quad import integrate_phi
-from lievol.rootsys import Family, SimpleLieType, build_root_system, sp, spin, su
+from lievol.rootsys import Family, SimpleLieType, build_root_system, default_groups, sp, spin, su
 from lievol.special import (
     barnesG_integer_oracle,
     log_barnesG_integral,
@@ -22,7 +22,6 @@ from lievol.vogel import (
     dim_from_vogel,
     key_relation_residual,
     spin_row_point,
-    table_rows,
     vogel_point,
 )
 from lievol.volume import LOG_VOLUME_BASE, cross_check, volume_macdonald_sun
@@ -150,10 +149,10 @@ def test_criterion_9_divergence_gate():
         except DivergenceSetError:
             refused += 1
     proceeded = 0
-    for row in table_rows(8):
-        if integrate_phi(row.point).converged:
+    for g in default_groups(8):
+        if integrate_phi(vogel_point(g)).converged:
             proceeded += 1
-    ok = refused == 2 and proceeded == len(table_rows(8))
+    ok = refused == 2 and proceeded == len(default_groups(8))
     assert report_line(9, "divergence gate", ok, f"{refused}/2 refused, {proceeded} rows proceed")
 
 

@@ -1,9 +1,13 @@
 """Command-line surface: formats, exit codes, round-trip stability."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lievol.cli import main
 from lievol.rootsys import Family
@@ -205,3 +209,56 @@ def test_rel_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)["converged"] is True
+
+
+def exit_code(argv):
+    """Exit code and stderr of one in-process run; any uncaught exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, env_tol, want",
+    [
+        ("volume --group SU --n 3 --rel nan", None, 2),
+        ("volume --group SU --n 3 --rel inf", None, 2),
+        ("phi --alpha nan --beta 2 --gamma 3", None, 2),
+        ("phi --alpha -2 --beta inf --gamma 3", None, 2),
+        ("scan --from 0.5 --to 2 --step nan", None, 2),
+        ("scan --from 0.5 --to 2 --step inf", None, 2),
+        ("scan --from 0.5 --to inf --step 0.5", None, 2),
+        ("scan --from=-1e308 --to 1e308 --step 1", None, 2),
+        ("volume --group SU --n 3", "abc", 2),
+        ("volume --group E8 --n 7", None, 2),
+        ("phi --alpha -2 --beta 2 --gamma 1e300", None, 1),
+        # math.exp overflow inside the integrand, found by the fuzz test below
+        ("phi --alpha 1770660 --beta 1770660 --gamma=-5.417501321893715e-10 --rel 1", None, 1),
+        ("phi --alpha 1 --beta 1 --gamma 1", None, 3),
+    ],
+)
+def test_bad_input_exit_codes(monkeypatch, argv, env_tol, want):
+    monkeypatch.delenv("LIEVOL_TOL", raising=False)
+    if env_tol is not None:
+        monkeypatch.setenv("LIEVOL_TOL", env_tol)
+    code, err = exit_code(argv.split())
+    assert code == want, err
+    assert "Traceback" not in err
+    assert err.count("\n") <= 2  # usage line and one message, or the message alone
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT)
+def test_phi_exit_code_contract_fuzz(alpha, beta, gamma, rel):
+    # --name=value, since argparse reads a bare -1e300 as an option
+    values = {"alpha": alpha, "beta": beta, "gamma": gamma, "rel": rel}
+    code, err = exit_code(["phi"] + [f"--{name}={v!r}" for name, v in values.items()])
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lievol.errors import ParameterDomainError
-from lievol.rootsys import Family, SimpleLieType, build_root_system, sp, spin, su
+from lievol.rootsys import Family, SimpleLieType, build_root_system, default_groups, sp, spin, su
 from lievol.vogel import (
     VogelPoint,
     dim_from_vogel,
@@ -17,7 +17,6 @@ from lievol.vogel import (
     sinh_product_excess,
     small_x_quadratic_coeff,
     spin_row_point,
-    table_rows,
     vogel_point,
 )
 
@@ -34,16 +33,16 @@ def test_table_rows_match_published_values():
         "E7": (-2.0, 8.0, 12.0, 18.0),
         "E8": (-2.0, 12.0, 20.0, 30.0),
     }
-    rows = {row.label: row.point for row in table_rows(8)}
+    rows = {g.compact_name: vogel_point(g) for g in default_groups(8)}
     for label, (a, b, g, t) in cases.items():
         p = rows[label]
         assert (p.alpha, p.beta, p.gamma, p.t) == (a, b, g, t), label
 
 
 def test_table_t_equals_dual_coxeter():
-    for row in table_rows(8):
-        rs = build_root_system(row.lie_type)
-        assert float(rs.dual_coxeter) == row.point.t, row.label
+    for g in default_groups(8):
+        rs = build_root_system(g)
+        assert float(rs.dual_coxeter) == vogel_point(g).t, g
 
 
 def test_spin_row_point_covers_n6():
@@ -93,8 +92,8 @@ def test_divergence_set_membership():
     assert in_divergence_set(VogelPoint(0.0, 1.0, 1.0))  # boundary included
     assert not in_divergence_set(VogelPoint(-2.0, 2.0, 5.0))
     assert not in_divergence_set(VogelPoint(2.0, -2.0, -5.0))  # same projective point
-    for row in table_rows(8):
-        assert not in_divergence_set(row.point), row.label
+    for g in default_groups(8):
+        assert not in_divergence_set(vogel_point(g)), g
 
 
 def test_excess_vanishing_point():
@@ -140,11 +139,11 @@ def test_excess_projective_invariance(x, lam):
 
 
 def test_excess_small_x_limit_matches_quadratic_coeff():
-    for row in table_rows(4):
-        p = row.point
+    for g in default_groups(4):
+        p = vogel_point(g)
         x = 1e-6
         got = sinh_product_excess(x, p) / (x * x)
-        assert got == pytest.approx(small_x_quadratic_coeff(p), rel=1e-9), row.label
+        assert got == pytest.approx(small_x_quadratic_coeff(p), rel=1e-9), g
 
 
 def test_excess_overflow_reports_threshold():
@@ -186,8 +185,8 @@ def test_key_relation_g2():
     assert abs(key_relation_residual(rs, 1.0)) < 1e-12
 
 
-@pytest.mark.parametrize("row", table_rows(8), ids=lambda r: r.label)
-def test_key_relation_all_rows(row):
-    rs = build_root_system(row.lie_type)
+@pytest.mark.parametrize("lie_type", default_groups(8), ids=str)
+def test_key_relation_all_rows(lie_type):
+    rs = build_root_system(lie_type)
     for x in (0.1, 1.0, 5.0):
         assert abs(key_relation_residual(rs, x)) <= 1e-9 * rs.dim

@@ -5,18 +5,15 @@ import math
 import pytest
 
 from lievol.quad import Tolerance
-from lievol.rootsys import Family, SimpleLieType, build_root_system, spin, su
+from lievol.rootsys import Family, SimpleLieType, build_root_system, default_groups, spin, su
 from lievol.vogel import VogelPoint, key_relation_residual, sinh_product_excess, vogel_point
 from lievol.volume import (
     LOG_VOLUME_BASE,
     cross_check,
-    default_groups,
-    implied_chevalley_covolume,
     isomorphism_checks,
     phi_kp,
     run_check_suite,
     volume_macdonald_sun,
-    volume_universal,
 )
 
 SU2_VOLUME = 32.0 * math.sqrt(2.0) * math.pi**2
@@ -39,7 +36,7 @@ def test_phi_kp_nonnegative():
 
 
 def test_su2_anchor_volume():
-    report = volume_universal(su(2))
+    report = cross_check(su(2))
     assert report.dim == 3
     assert report.volume == pytest.approx(SU2_VOLUME, rel=1e-9)
     assert report.log_volume == pytest.approx(
@@ -48,7 +45,7 @@ def test_su2_anchor_volume():
 
 
 def test_report_arithmetic_invariants():
-    report = volume_universal(SimpleLieType(Family.F4, 4))
+    report = cross_check(SimpleLieType(Family.F4, 4))
     assert report.log_volume == report.dim * LOG_VOLUME_BASE - report.phi_universal
     assert report.route_discrepancy == abs(report.phi_universal - report.phi_kp)
     assert report.converged
@@ -67,18 +64,8 @@ def test_macdonald_values():
 
 def test_macdonald_matches_universal():
     for n in range(2, 6):
-        report = volume_universal(su(n))
+        report = cross_check(su(n))
         assert abs(report.log_volume - volume_macdonald_sun(n)) <= 1e-8
-
-
-def test_implied_covolume_factors():
-    # single exponent m = 1: factor 2 pi^2; SU_3 adds 2 pi^3 / 2! = pi^3
-    r2 = cross_check(su(2))
-    got = implied_chevalley_covolume(su(2))
-    assert got == pytest.approx(r2.log_volume - math.log(2.0 * math.pi**2), rel=1e-10)
-    r3 = cross_check(su(3))
-    want = r3.log_volume - math.log(2.0 * math.pi**2) - math.log(math.pi**3)
-    assert implied_chevalley_covolume(su(3)) == pytest.approx(want, rel=1e-10)
 
 
 def test_implied_covolume_route_independent():
