@@ -2,7 +2,8 @@
 table reproduction, and the verification suite.
 
 Exit codes: 0 success, 1 numerical check failure or any other library
-error, 2 usage error (non-finite numbers and a malformed LIEVOL_TOL
+error, 2 usage error (non-finite numbers, a malformed LIEVOL_TOL, a relative
+tolerance outside (0, 1] and a scan over more than _MAX_SCAN_ROWS rows
 included), 3 divergence-domain refusal. `main` alone maps errors to codes.
 """
 
@@ -22,13 +23,16 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .quad import Tolerance
-from .rootsys import EXCEPTIONAL_RANK, Family, SimpleLieType, sp, spin, su
+from .rootsys import _RANK_FLOOR, EXCEPTIONAL_RANK, Family, SimpleLieType, sp, spin, su
 from .vogel import VogelPoint
 from .volume import VolumeReport
 
 __all__ = ["main"]
 
-_GROUP_CHOICES = ("SU", "Spin", "Sp", "A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
+_GROUP_CHOICES = ("SU", "Spin", "Sp") + tuple(f.value for f in (*_RANK_FLOOR, *EXCEPTIONAL_RANK))
+
+# Largest row count `scan` accepts; a longer grid is a usage error.
+_MAX_SCAN_ROWS = 100_000
 
 
 def _resolve_group(group: str, n: int | None) -> SimpleLieType:
@@ -37,13 +41,10 @@ def _resolve_group(group: str, n: int | None) -> SimpleLieType:
             raise UnsupportedGroupError(f"--group {group} requires --n")
         return {"SU": su, "Spin": spin, "Sp": sp}[group](n)
     fam = Family(group)
-    if fam in EXCEPTIONAL_RANK:
-        if n is not None and n != EXCEPTIONAL_RANK[fam]:
-            raise UnsupportedGroupError(f"{group} has fixed rank {EXCEPTIONAL_RANK[fam]}")
-        return SimpleLieType(fam, EXCEPTIONAL_RANK[fam])
-    if n is None:
+    rank = EXCEPTIONAL_RANK.get(fam) if n is None else n
+    if rank is None:
         raise UnsupportedGroupError(f"--group {group} requires --n (the rank)")
-    return SimpleLieType(fam, n)
+    return SimpleLieType(fam, rank)
 
 
 def _tolerance(args) -> Tolerance:
@@ -160,13 +161,14 @@ def cmd_scan(args, tol: Tolerance) -> int:
         raise ParameterDomainError("--from, --to, --step, --alpha and --beta must be finite")
     if args.step <= 0:
         raise ParameterDomainError("--step must be positive")
-    steps = (args.stop - args.start) / args.step
-    if not math.isfinite(steps):
-        raise ParameterDomainError("--from/--to range overflows at this --step")
+    # a reversed range, overflowing to -inf included, gives no rows
+    steps = max((args.stop - args.start) / args.step, -1.0)
+    if steps + 1e-9 >= _MAX_SCAN_ROWS:  # also a range that overflows to inf
+        raise ParameterDomainError(f"--from/--to/--step give more than {_MAX_SCAN_ROWS} rows")
     unitary = alpha + beta == 0.0
     print("gamma,phi,reference,residual")
     count = int(math.floor(steps + 1e-9)) + 1
-    for i in range(max(count, 0)):
+    for i in range(count):
         gamma = args.start + i * args.step
         try:
             qr = quad.integrate_phi(VogelPoint(alpha, beta, gamma), tol)

@@ -42,9 +42,10 @@ class Tolerance:
     max_evaluations: int = 200_000
 
     def __post_init__(self):
-        # nan fails this test too; a nan or inf tolerance would let every route check pass
-        if not (0.0 < self.rel < math.inf and 0.0 < self.abs < math.inf):
-            raise ParameterDomainError("tolerances must be positive and finite")
+        # nan fails this test too. A nan, inf or huge rel would let every route
+        # check pass: the agreement bound 10 * rel * |phi| overflows to inf.
+        if not (0.0 < self.rel <= 1.0 and 0.0 < self.abs < math.inf):
+            raise ParameterDomainError("rel must lie in (0, 1] and abs must be positive and finite")
         if self.max_evaluations <= 0:
             raise ParameterDomainError("evaluation budget must be positive")
 

@@ -4,9 +4,12 @@ Roots are stored in simple-root coordinates (simple roots = unit vectors).
 The invariant bilinear form is normalized so long roots have squared length
 2; the Gram matrix of the simple roots under this form is ``d_j * C[i][j]``
 with ``C`` the Cartan matrix and ``d_j`` half the squared length of the
-j-th simple root. All arithmetic here is exact (`fractions.Fraction`);
-floating point enters only in the downstream volume/quadrature modules, so
-the transcendental evaluation is the sole numerical error source.
+j-th simple root. The Weyl vector rho is the half sum of the positive roots,
+checked against (rho, a_i^vee) = 1, which gives (rho, a_i) = d_i: pairings
+(rho, mu) are d-weighted heights sum_i d_i mu_i (Humphreys, Lie Algebras, 10.2).
+All arithmetic here is exact (`fractions.Fraction`); floating point enters only
+in the downstream volume/quadrature modules, so the transcendental evaluation
+is the sole numerical error source.
 """
 
 from __future__ import annotations
@@ -206,8 +209,8 @@ class RootSystem:
     """Positive roots, Weyl vector, and form data for one simple type.
 
     positive_roots are integer coordinate vectors in the simple-root basis,
-    sorted by height; weyl_vector has exact rational coordinates solving
-    (rho, a_i^vee) = 1 for every simple root.
+    sorted by height; weyl_vector is their half sum, in exact rational
+    coordinates, and satisfies (rho, a_i^vee) = 1 for every simple root.
     """
 
     lie_type: SimpleLieType
@@ -254,29 +257,18 @@ def weyl_orbit_closure(seeds, cartan):
     return seen
 
 
-def _solve_rational(matrix, rhs):
-    """Exact Gaussian elimination for small square rational systems."""
-    n = len(rhs)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(row[n] for row in aug)
+def _weighted_height(d, mu) -> Fraction:
+    """(rho, mu) = sum_i d_i mu_i, since (rho, a_i) = d_i."""
+    return sum(di * m for di, m in zip(d, mu))
 
 
 def build_root_system(lie_type: SimpleLieType) -> RootSystem:
     """Construct the full root-system record for a supported simple type.
 
     Positive roots are the Weyl-orbit closure of the simple roots filtered
-    to nonnegative coordinates; the Weyl vector is solved exactly from its
-    defining pairings. Internal invariants (root count vs exponent sum,
-    half-sum identity, pairing bounds) are checked before returning.
+    to nonnegative coordinates; the Weyl vector is their half sum, checked
+    against (rho, a_i^vee) = 1, and pairings are d-weighted heights. Internal
+    invariants (root count, pairing bounds, highest root long) are checked.
     """
     rank = lie_type.rank
     cartan = cartan_matrix(lie_type)
@@ -307,29 +299,23 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
             f"{lie_type}: {len(positive)} positive roots but exponent sum {sum(exps)}"
         )
 
-    # (rho, a_i^vee) = 1 reads sum_k rho_k C[k][i] = 1: transpose system.
-    transpose = [[cartan[k][i] for k in range(rank)] for i in range(rank)]
-    rho = _solve_rational(transpose, [1] * rank)
-    half_sum = [Fraction(s, 2) for s in (sum(v[k] for v in positive) for k in range(rank))]
-    if list(rho) != half_sum:
+    # (rho, a_i^vee) = 1 reads sum_k rho_k C[k][i] = 1; C is invertible, so
+    # this holds for the half sum exactly when the half sum is the Weyl vector.
+    rho = tuple(Fraction(sum(v[k] for v in positive), 2) for k in range(rank))
+    if any(sum(rho[k] * cartan[k][i] for k in range(rank)) != 1 for i in range(rank)):
         raise InvariantViolationError(f"{lie_type}: Weyl vector != half sum of positive roots")
 
-    def pair(u, v):
-        return sum(u[i] * gram[i][j] * v[j] for i in range(rank) for j in range(rank))
-
     theta = positive[-1]
-    if pair(theta, theta) != 2:
-        raise InvariantViolationError(f"{lie_type}: highest root is not long")
-    h_vee_frac = pair(rho, theta) + 1
+    h_vee_frac = _weighted_height(d, theta) + 1
     if h_vee_frac.denominator != 1:
         raise InvariantViolationError(f"{lie_type}: non-integer dual Coxeter number")
     h_vee = int(h_vee_frac)
     for mu in positive:
-        p = pair(rho, mu)
+        p = _weighted_height(d, mu)
         if not 0 < p < h_vee:
             raise InvariantViolationError(f"{lie_type}: pairing {p} escapes (0, h_vee)")
 
-    return RootSystem(
+    rs = RootSystem(
         lie_type=lie_type,
         cartan_matrix=cartan,
         symmetrized_form=gram,
@@ -338,6 +324,10 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
         dual_coxeter=h_vee,
         exponents=exps,
     )
+    # h_vee = (rho, theta) + 1 above holds only for a long theta
+    if minimal_pairing(rs, theta, theta) != 2:
+        raise InvariantViolationError(f"{lie_type}: highest root is not long")
+    return rs
 
 
 def minimal_pairing(rs: RootSystem, u, v) -> Fraction:
@@ -354,5 +344,6 @@ def rho_pairings_killing(rs: RootSystem) -> tuple[Fraction, ...]:
     induced form on the dual Cartan subalgebra divides by 2 h_vee. Every value
     lies strictly inside (0, 1/2).
     """
+    d = _symmetrizer(rs.lie_type)
     scale = Fraction(1, 2 * rs.dual_coxeter)
-    return tuple(minimal_pairing(rs, rs.weyl_vector, mu) * scale for mu in rs.positive_roots)
+    return tuple(_weighted_height(d, mu) * scale for mu in rs.positive_roots)

@@ -234,6 +234,13 @@ def exit_code(argv):
         ("scan --from 0.5 --to inf --step 0.5", None, 2),
         ("scan --from=-1e308 --to 1e308 --step 1", None, 2),
         ("volume --group SU --n 3", "abc", 2),
+        # rel is capped at 1; a huge rel let the route agreement bound overflow to inf
+        ("volume --group SU --n 3 --rel 1e308", None, 2),
+        ("volume --group SU --n 3 --rel 2", None, 2),
+        ("volume --group SU --n 3", "1e308", 2),
+        ("scan --from 0 --to 1e300 --step 1", None, 2),
+        # a reversed range that overflows to -inf is empty, not an error
+        ("scan --from 1e308 --to=-1e308 --step 1", None, 0),
         ("volume --group E8 --n 7", None, 2),
         ("phi --alpha -2 --beta 2 --gamma 1e300", None, 1),
         # math.exp overflow inside the integrand, found by the fuzz test below
@@ -262,3 +269,26 @@ def test_phi_exit_code_contract_fuzz(alpha, beta, gamma, rel):
     code, err = exit_code(["phi"] + [f"--{name}={v!r}" for name, v in values.items()])
     assert code in (0, 1, 2, 3), err
     assert "Traceback" not in err
+
+
+# 0 < rel < 1e-12 is left out: with a tiny --abs, a rel near or below double
+# precision runs the quadrature to its 200,000-evaluation budget (several
+# seconds per example), which is slow but not a contract fault.
+# The second strategy of each pair keeps about half the examples in range.
+_FUZZ_REL = st.one_of(
+    _ANY_FLOAT.filter(lambda rel: not 0.0 < rel < 1e-12), st.floats(1e-12, 1.0)
+)
+_FUZZ_ABS = st.one_of(
+    _ANY_FLOAT, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FUZZ_REL, _FUZZ_ABS)
+def test_volume_exit_code_contract_fuzz(rel, abs_tol):
+    argv = ["volume", "--group", "SU", "--n", "3", "--format", "json"]
+    code, err = exit_code(argv + [f"--rel={rel!r}", f"--abs={abs_tol!r}"])
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    if not (0.0 < rel <= 1.0 and 0.0 < abs_tol < math.inf):
+        assert code == 2, err

@@ -136,6 +136,11 @@ def test_pairings_inside_open_interval(lie_type):
     # the highest root attains (h_vee - 1)/(2 h_vee)
     top = Fraction(rs.dual_coxeter - 1, 2 * rs.dual_coxeter)
     assert max(pairings) == top
+    # the weighted heights agree with the Gram-matrix contraction
+    assert pairings == tuple(
+        minimal_pairing(rs, rs.weyl_vector, mu) / (2 * rs.dual_coxeter)
+        for mu in rs.positive_roots
+    )
 
 
 def test_reflection_closure_idempotent():
