@@ -3,7 +3,7 @@ table reproduction, and the verification suite.
 
 Exit codes: 0 success, 1 numerical check failure or any other library
 error, 2 usage error (non-finite numbers, a malformed LIEVOL_TOL, a relative
-tolerance outside (0, 1] and a scan over more than _MAX_SCAN_ROWS rows
+tolerance outside [1e-15, 1] and a scan over more than _MAX_SCAN_ROWS rows
 included), 3 divergence-domain refusal. `main` alone maps errors to codes.
 """
 

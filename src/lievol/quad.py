@@ -33,6 +33,12 @@ __all__ = [
 ]
 
 
+# Smallest relative tolerance: a few ulps of 1.0. Below it the nested-rule
+# differences are rounding noise, the target is never met, and the engine
+# spends its whole evaluation budget before it reports no convergence.
+_MIN_REL = 1e-15
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Quadrature stopping targets. Defaults leave headroom below 1e-8 checks."""
@@ -44,8 +50,10 @@ class Tolerance:
     def __post_init__(self):
         # nan fails this test too. A nan, inf or huge rel would let every route
         # check pass: the agreement bound 10 * rel * |phi| overflows to inf.
-        if not (0.0 < self.rel <= 1.0 and 0.0 < self.abs < math.inf):
-            raise ParameterDomainError("rel must lie in (0, 1] and abs must be positive and finite")
+        if not (_MIN_REL <= self.rel <= 1.0 and 0.0 < self.abs < math.inf):
+            raise ParameterDomainError(
+                f"rel must lie in [{_MIN_REL:g}, 1] and abs must be positive and finite"
+            )
         if self.max_evaluations <= 0:
             raise ParameterDomainError("evaluation budget must be positive")
 

@@ -1,20 +1,27 @@
-"""Root systems of the compact simple types, in exact rational arithmetic.
+"""Root systems of the compact simple types, in exact integer arithmetic.
 
 Roots are stored in simple-root coordinates (simple roots = unit vectors).
 The invariant bilinear form is normalized so long roots have squared length
 2; the Gram matrix of the simple roots under this form is ``d_j * C[i][j]``
 with ``C`` the Cartan matrix and ``d_j`` half the squared length of the
-j-th simple root. The Weyl vector rho is the half sum of the positive roots,
+j-th simple root. Every d_j is an integer over the common denominator D
+(1; 2 for B, C, F4; 3 for G2). The positive roots are generated from the
+simple ones by the simple reflections that raise height, since s_i permutes
+the positive roots other than a_i. The Weyl vector rho is their half sum,
 checked against (rho, a_i^vee) = 1, which gives (rho, a_i) = d_i: pairings
-(rho, mu) are d-weighted heights sum_i d_i mu_i (Humphreys, Lie Algebras, 10.2).
-All arithmetic here is exact (`fractions.Fraction`); floating point enters only
-in the downstream volume/quadrature modules, so the transcendental evaluation
+(rho, mu) are d-weighted heights sum_i d_i mu_i (Humphreys, Lie Algebras,
+10.1-10.2). All of this runs on Python integers, and the record keeps the
+heights over the one denominator 2 D h_vee; `fractions.Fraction` appears
+only at the public edges (`symmetrized_form`, `weyl_vector`,
+`minimal_pairing`, `rho_pairings_killing`). Floating point enters only in
+the downstream volume/quadrature modules, so the transcendental evaluation
 is the sole numerical error source.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,19 +178,22 @@ def cartan_matrix(lie_type: SimpleLieType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-def _symmetrizer(lie_type: SimpleLieType) -> tuple[Fraction, ...]:
-    """d_i = (a_i, a_i)/2 for each simple root, long roots normalized to d = 1."""
+def _symmetrizer(lie_type: SimpleLieType) -> tuple[int, ...]:
+    """D * d_i for each simple root, d_i = (a_i, a_i)/2 with long roots at d = 1.
+
+    The common denominator D (1; 2 for B, C, F4; 3 for G2) is the largest
+    entry, the one of a long simple root.
+    """
     fam, r = lie_type.family, lie_type.rank
-    half = Fraction(1, 2)
     if fam is Family.B:
-        return tuple([Fraction(1)] * (r - 1) + [half])
+        return (2,) * (r - 1) + (1,)
     if fam is Family.C:
-        return tuple([half] * (r - 1) + [Fraction(1)])
+        return (1,) * (r - 1) + (2,)
     if fam is Family.F4:
-        return (Fraction(1), Fraction(1), half, half)
+        return (2, 2, 1, 1)
     if fam is Family.G2:
-        return (Fraction(1, 3), Fraction(1))
-    return tuple([Fraction(1)] * r)
+        return (1, 3)
+    return (1,) * r
 
 
 # Exponents m_1..m_r per family; sum equals the number of positive roots.
@@ -211,6 +221,10 @@ class RootSystem:
     positive_roots are integer coordinate vectors in the simple-root basis,
     sorted by height; weyl_vector is their half sum, in exact rational
     coordinates, and satisfies (rho, a_i^vee) = 1 for every simple root.
+    weighted_heights[k] / height_denominator is <rho, mu> under the
+    Cartan-Killing normalization for mu = positive_roots[k]: the numerators
+    are D-weighted heights sum_i D d_i mu_i, and the denominator is
+    2 D h_vee, with D the common denominator of the d_i.
     """
 
     lie_type: SimpleLieType
@@ -220,6 +234,8 @@ class RootSystem:
     weyl_vector: tuple[Fraction, ...]
     dual_coxeter: int
     exponents: tuple[int, ...]
+    weighted_heights: tuple[int, ...]
+    height_denominator: int
 
     @property
     def rank(self) -> int:
@@ -234,107 +250,135 @@ class RootSystem:
         return self.positive_roots[-1]
 
 
-def _reflect(root, cartan, i):
-    # s_i(mu) = mu - <mu, a_i^vee> a_i in simple-root coordinates
-    pairing = sum(root[k] * cartan[k][i] for k in range(len(root)))
-    out = list(root)
-    out[i] -= pairing
-    return tuple(out)
+def _positive_roots(lie_type, rows, limit):
+    """The positive roots, found by raising the simple roots with reflections.
 
-
-def weyl_orbit_closure(seeds, cartan):
-    """Breadth-first closure of `seeds` under all simple reflections."""
-    rank = len(cartan)
-    seen = set(seeds)
-    queue = list(seeds)
-    while queue:
-        v = queue.pop()
-        for i in range(rank):
-            w = _reflect(v, cartan, i)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
-def _weighted_height(d, mu) -> Fraction:
-    """(rho, mu) = sum_i d_i mu_i, since (rho, a_i) = d_i."""
-    return sum(di * m for di, m in zip(d, mu))
+    s_i permutes the positive roots other than a_i, and every non-simple
+    positive root has a simple reflection that lowers its height, so the
+    raising reflections s_i(beta) = beta - <beta, a_i^vee> a_i reach every
+    positive root from the simple ones. Each root keeps its nonzero pairings
+    <beta, a_j^vee>; raising by c a_i adds c C[i][j], so only the nonzero
+    entries rows[i] = ((j, C[i][j]), ...) of Cartan row i are touched.
+    A lowering reflection that leaves the positive roots means C is no
+    Cartan matrix. More than `limit` roots means C is not of finite type, or
+    the exponent table is wrong; the bound also ends a walk that would
+    otherwise never stop.
+    """
+    rank = len(rows)
+    simples = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    roots = list(simples)
+    pairings = [dict(row) for row in rows]
+    seen = set(roots)
+    for beta, pairing in zip(roots, pairings):  # both grow while they are walked
+        for i, p in pairing.items():
+            if p < 0:
+                up = beta[:i] + (beta[i] - p,) + beta[i + 1:]
+                if up in seen:
+                    continue
+                if len(roots) == limit:
+                    raise InvariantViolationError(
+                        f"{lie_type}: more than {limit} positive roots, the exponent sum"
+                    )
+                raised = dict(pairing)
+                for j, c in rows[i]:
+                    q = raised.pop(j, 0) - p * c
+                    if q:
+                        raised[j] = q
+                seen.add(up)
+                roots.append(up)
+                pairings.append(raised)
+            elif p > beta[i] and beta != simples[i]:
+                raise InvariantViolationError(
+                    f"{lie_type}: reflection {i} sends positive root {beta} negative"
+                )
+    return roots
 
 
 def build_root_system(lie_type: SimpleLieType) -> RootSystem:
     """Construct the full root-system record for a supported simple type.
 
-    Positive roots are the Weyl-orbit closure of the simple roots filtered
-    to nonnegative coordinates; the Weyl vector is their half sum, checked
-    against (rho, a_i^vee) = 1, and pairings are d-weighted heights. Internal
-    invariants (root count, pairing bounds, highest root long) are checked.
+    Positive roots come from raising reflections of the simple roots; the
+    Weyl vector is their half sum, checked against (rho, a_i^vee) = 1, and
+    pairings are D-weighted heights. Everything runs on integers;
+    `Fraction` appears only in the record's symmetrized form and Weyl
+    vector. Internal invariants (positive reflections, root count, pairing
+    bounds, highest root long) are checked at linear cost.
     """
     rank = lie_type.rank
     cartan = cartan_matrix(lie_type)
-    d = _symmetrizer(lie_type)
-    gram = tuple(
-        tuple(d[j] * cartan[i][j] for j in range(rank)) for i in range(rank)
-    )
-    # symmetry of the Gram matrix guards the (cartan, d) tables themselves
+    weights = _symmetrizer(lie_type)
+    denom = max(weights)
+    # D (a_i, a_j) = D d_j C[i][j]; its symmetry guards the (cartan, d) tables
+    gram = [[w * c for w, c in zip(weights, row)] for row in cartan]
     for i in range(rank):
-        for j in range(rank):
+        for j in range(i):
             if gram[i][j] != gram[j][i]:
                 raise InvariantViolationError(
                     f"symmetrized form asymmetric for {lie_type} at ({i},{j})"
                 )
 
-    simples = [tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)]
-    orbit = weyl_orbit_closure(simples, cartan)
-    positive = sorted(
-        (v for v in orbit if all(x >= 0 for x in v)),
-        key=lambda v: (sum(v), v),
-    )
-    if len(positive) * 2 != len(orbit):
-        raise InvariantViolationError(f"orbit of {lie_type} is not sign-symmetric")
-
     exps = exponents(lie_type)
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
+    positive = sorted(_positive_roots(lie_type, rows, sum(exps)), key=lambda v: (sum(v), v))
     if sum(exps) != len(positive):
         raise InvariantViolationError(
             f"{lie_type}: {len(positive)} positive roots but exponent sum {sum(exps)}"
         )
 
-    # (rho, a_i^vee) = 1 reads sum_k rho_k C[k][i] = 1; C is invertible, so
+    # (rho, a_i^vee) = 1 reads sum_k 2rho_k C[k][i] = 2; C is invertible, so
     # this holds for the half sum exactly when the half sum is the Weyl vector.
-    rho = tuple(Fraction(sum(v[k] for v in positive), 2) for k in range(rank))
-    if any(sum(rho[k] * cartan[k][i] for k in range(rank)) != 1 for i in range(rank)):
+    two_rho = [sum(coords) for coords in zip(*positive)]
+    two_rho_pairings = [0] * rank
+    for t, row in zip(two_rho, rows):
+        for i, c in row:
+            two_rho_pairings[i] += t * c
+    if two_rho_pairings != [2] * rank:
         raise InvariantViolationError(f"{lie_type}: Weyl vector != half sum of positive roots")
 
-    theta = positive[-1]
-    h_vee_frac = _weighted_height(d, theta) + 1
-    if h_vee_frac.denominator != 1:
+    # D (rho, mu) = sum_i D d_i mu_i, since (rho, a_i) = d_i
+    heights = [sum(map(operator.mul, weights, mu)) for mu in positive]
+    if heights[-1] % denom:
         raise InvariantViolationError(f"{lie_type}: non-integer dual Coxeter number")
-    h_vee = int(h_vee_frac)
-    for mu in positive:
-        p = _weighted_height(d, mu)
-        if not 0 < p < h_vee:
-            raise InvariantViolationError(f"{lie_type}: pairing {p} escapes (0, h_vee)")
+    h_vee = heights[-1] // denom + 1
+    for h in heights:
+        if not 0 < h < denom * h_vee:
+            raise InvariantViolationError(
+                f"{lie_type}: pairing {Fraction(h, denom)} escapes (0, h_vee)"
+            )
 
+    entries = {x: Fraction(x, denom) for x in {x for row in gram for x in row}}
     rs = RootSystem(
         lie_type=lie_type,
         cartan_matrix=cartan,
-        symmetrized_form=gram,
+        symmetrized_form=tuple(tuple(map(entries.__getitem__, row)) for row in gram),
         positive_roots=tuple(positive),
-        weyl_vector=rho,
+        weyl_vector=tuple(Fraction(t, 2) for t in two_rho),
         dual_coxeter=h_vee,
         exponents=exps,
+        weighted_heights=tuple(heights),
+        height_denominator=2 * denom * h_vee,
     )
     # h_vee = (rho, theta) + 1 above holds only for a long theta
+    theta = positive[-1]
     if minimal_pairing(rs, theta, theta) != 2:
         raise InvariantViolationError(f"{lie_type}: highest root is not long")
     return rs
 
 
 def minimal_pairing(rs: RootSystem, u, v) -> Fraction:
-    """(u, v) under the long-root-squared-length-2 normalization, exact."""
-    g = rs.symmetrized_form
-    n = rs.rank
-    return sum(Fraction(u[i]) * g[i][j] * v[j] for i in range(n) for j in range(n))
+    """(u, v) under the long-root-squared-length-2 normalization, exact.
+
+    (a_i, a_j) = d_j C[i][j] is summed over the nonzero coordinates and
+    Cartan entries only, in integers over the common denominator D when u
+    and v are integer vectors.
+    """
+    weights = _symmetrizer(rs.lie_type)
+    total = sum(
+        ui * c * weights[j] * v[j]
+        for ui, row in zip(u, rs.cartan_matrix) if ui
+        for j, c in enumerate(row) if c and v[j]
+    )
+    return Fraction(total, max(weights))
 
 
 def rho_pairings_killing(rs: RootSystem) -> tuple[Fraction, ...]:
@@ -344,6 +388,4 @@ def rho_pairings_killing(rs: RootSystem) -> tuple[Fraction, ...]:
     induced form on the dual Cartan subalgebra divides by 2 h_vee. Every value
     lies strictly inside (0, 1/2).
     """
-    d = _symmetrizer(rs.lie_type)
-    scale = Fraction(1, 2 * rs.dual_coxeter)
-    return tuple(_weighted_height(d, mu) * scale for mu in rs.positive_roots)
+    return tuple(Fraction(h, rs.height_denominator) for h in rs.weighted_heights)

@@ -177,7 +177,6 @@ def key_relation_residual(rs: "rootsys.RootSystem", x: float) -> float:
     consistently the table row and the root system describe one group.
     """
     point = vogel_point(rs.lie_type)
-    root_sum = math.fsum(
-        4.0 * math.sinh(float(q) * x) ** 2 for q in rootsys.rho_pairings_killing(rs)
-    )
+    den = rs.height_denominator
+    root_sum = math.fsum(4.0 * math.sinh(h / den * x) ** 2 for h in rs.weighted_heights)
     return root_sum - sinh_product_excess(x, point)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import quad, rootsys, special, vogel
 from .errors import InvariantViolationError
@@ -62,19 +61,21 @@ class CheckItem:
 def phi_kp(rs: RootSystem) -> float:
     """Minus the log of the product of sinc factors over positive roots.
 
-    Arguments are exact rationals in (0, 1); each sine is taken at the
-    reduced argument so factors near the upper end keep full precision.
-    Every factor is verified to lie in (0, 1] before its log is taken.
+    Each argument s = 2 <rho, mu> = h / m, with h the root's weighted height
+    and m = D h_vee, lies in (0, 1). Integer division rounds correctly, so
+    each float is the exact argument rounded once; each sine is taken at the
+    reduced argument min(h, m - h) / m so factors near the upper end keep
+    full precision. Every factor is verified to lie in (0, 1] before its log
+    is taken.
     """
+    m = rs.height_denominator // 2
     terms = []
-    for pairing in rootsys.rho_pairings_killing(rs):
-        s = 2 * pairing  # rational in (0, 1)
-        reduced = s if s <= Fraction(1, 2) else 1 - s
-        sin_val = math.sin(math.pi * float(reduced))
-        arg = math.pi * float(s)
+    for h in rs.weighted_heights:
+        sin_val = math.sin(math.pi * (min(h, m - h) / m))
+        arg = math.pi * (h / m)
         if not 0.0 < sin_val <= arg:
             raise InvariantViolationError(
-                f"sinc factor out of (0, 1] for pairing {pairing} of {rs.lie_type}"
+                f"sinc factor out of (0, 1] for argument {h}/{m} of {rs.lie_type}"
             )
         terms.append(math.log(arg) - math.log(sin_val))
     return math.fsum(terms)

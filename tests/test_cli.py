@@ -238,6 +238,9 @@ def exit_code(argv):
         ("volume --group SU --n 3 --rel 1e308", None, 2),
         ("volume --group SU --n 3 --rel 2", None, 2),
         ("volume --group SU --n 3", "1e308", 2),
+        # rel below double resolution ran the quadrature to its evaluation budget
+        ("volume --group SU --n 3 --rel 1e-16 --abs 1e-300", None, 2),
+        ("volume --group SU --n 3", "1e-16", 2),
         ("scan --from 0 --to 1e300 --step 1", None, 2),
         # a reversed range that overflows to -inf is empty, not an error
         ("scan --from 1e308 --to=-1e308 --step 1", None, 0),
@@ -271,16 +274,15 @@ def test_phi_exit_code_contract_fuzz(alpha, beta, gamma, rel):
     assert "Traceback" not in err
 
 
-# 0 < rel < 1e-12 is left out: with a tiny --abs, a rel near or below double
-# precision runs the quadrature to its 200,000-evaluation budget (several
-# seconds per example), which is slow but not a contract fault.
 # The second strategy of each pair keeps about half the examples in range.
-_FUZZ_REL = st.one_of(
-    _ANY_FLOAT.filter(lambda rel: not 0.0 < rel < 1e-12), st.floats(1e-12, 1.0)
-)
+_FUZZ_REL = st.one_of(_ANY_FLOAT, st.floats(1e-15, 1.0))
 _FUZZ_ABS = st.one_of(
     _ANY_FLOAT, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 )
+
+
+def _valid_tolerance(rel, abs_tol):
+    return 1e-15 <= rel <= 1.0 and 0.0 < abs_tol < math.inf
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,5 +292,16 @@ def test_volume_exit_code_contract_fuzz(rel, abs_tol):
     code, err = exit_code(argv + [f"--rel={rel!r}", f"--abs={abs_tol!r}"])
     assert code in (0, 1, 2, 3), err
     assert "Traceback" not in err
-    if not (0.0 < rel <= 1.0 and 0.0 < abs_tol < math.inf):
+    if not _valid_tolerance(rel, abs_tol):
+        assert code == 2, err
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["table", "check"]), st.integers(-2, 5), _FUZZ_REL, _FUZZ_ABS)
+def test_table_check_exit_code_contract_fuzz(command, max_rank, rel, abs_tol):
+    argv = [command, f"--max-rank={max_rank}", f"--rel={rel!r}", f"--abs={abs_tol!r}"]
+    code, err = exit_code(argv)
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    if not _valid_tolerance(rel, abs_tol):
         assert code == 2, err

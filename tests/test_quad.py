@@ -82,6 +82,9 @@ def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(rel=0.0)
     with pytest.raises(ValueError):
+        Tolerance(rel=1e-16)  # below double resolution
+    assert Tolerance(rel=1e-15).rel == 1e-15
+    with pytest.raises(ValueError):
         Tolerance(abs=-1.0)
     with pytest.raises(ValueError):
         integrate_semiinfinite(frullani, initial_scale=0.0)

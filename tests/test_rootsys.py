@@ -6,20 +6,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lievol.errors import UnsupportedGroupError
+from lievol import rootsys
+from lievol.errors import InvariantViolationError, UnsupportedGroupError
 from lievol.rootsys import (
     Family,
     SimpleLieType,
     build_root_system,
     cartan_matrix,
+    default_groups,
     exponents,
     minimal_pairing,
     rho_pairings_killing,
     sp,
     spin,
     su,
-    weyl_orbit_closure,
 )
+
+
+def _reflect(root, cartan, i):
+    # s_i(mu) = mu - <mu, a_i^vee> a_i in simple-root coordinates
+    pairing = sum(root[k] * cartan[k][i] for k in range(len(root)))
+    out = list(root)
+    out[i] -= pairing
+    return tuple(out)
+
+
+def weyl_orbit_closure(seeds, cartan):
+    """Breadth-first closure of `seeds` under all simple reflections: the
+    dense reference the positive-root generator is checked against."""
+    rank = len(cartan)
+    seen = set(seeds)
+    queue = list(seeds)
+    while queue:
+        v = queue.pop()
+        for i in range(rank):
+            w = _reflect(v, cartan, i)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
 
 ALL_SUPPORTED = (
     [SimpleLieType(Family.A, r) for r in range(1, 9)]
@@ -151,6 +177,67 @@ def test_reflection_closure_idempotent():
         }
         again = weyl_orbit_closure(full, rs.cartan_matrix)
         assert again == full
+
+
+@pytest.mark.parametrize("lie_type", default_groups(8), ids=str)
+def test_positive_roots_match_orbit_closure(lie_type):
+    rs = build_root_system(lie_type)
+    simples = [tuple(int(k == i) for k in range(rs.rank)) for i in range(rs.rank)]
+    orbit = weyl_orbit_closure(simples, rs.cartan_matrix)
+    assert len(orbit) == 2 * len(rs.positive_roots)
+    assert set(rs.positive_roots) == {v for v in orbit if min(v) >= 0}
+
+
+# Each injected fault below must trip its own InvariantViolationError in
+# build_root_system, at the message fragment given.
+
+
+def test_wrong_exponents_rejected(monkeypatch):
+    true_exponents = rootsys.exponents
+    monkeypatch.setattr(rootsys, "exponents", lambda t: true_exponents(t) + (1,))
+    with pytest.raises(InvariantViolationError, match="exponent sum 7"):
+        build_root_system(su(4))
+    monkeypatch.setattr(rootsys, "exponents", lambda t: true_exponents(t)[:-1])
+    with pytest.raises(InvariantViolationError, match="more than 3 positive roots"):
+        build_root_system(su(4))
+
+
+def test_asymmetric_symmetrizer_rejected(monkeypatch):
+    monkeypatch.setattr(rootsys, "_symmetrizer", lambda t: (1,) * t.rank)
+    with pytest.raises(InvariantViolationError, match="asymmetric"):
+        build_root_system(SimpleLieType(Family.G2, 2))
+
+
+@pytest.mark.parametrize(
+    "cartan, match",
+    [
+        # affine A2: a 3-cycle, infinitely many positive real roots
+        (((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), "more than 6 positive roots"),
+        # a positive off-diagonal entry: s_0 sends a_1 to a_1 - a_0
+        (((2, 1, 0), (1, 2, -1), (0, -1, 2)), "sends positive root"),
+    ],
+)
+def test_non_finite_cartan_matrix_rejected(monkeypatch, cartan, match):
+    monkeypatch.setattr(rootsys, "cartan_matrix", lambda t: cartan)
+    with pytest.raises(InvariantViolationError, match=match):
+        build_root_system(su(4))
+
+
+# B2 has 2 rho = (3, 4) and D = 2; each list keeps the root count 4, and all
+# but the first keep the half sum, so the later checks are reached.
+@pytest.mark.parametrize(
+    "roots, match",
+    [
+        ([(1, 0), (0, 1), (1, 1), (2, 2)], "half sum"),
+        ([(0, 1), (0, 1), (1, 1), (2, 1)], "non-integer dual Coxeter"),
+        ([(0, 0), (0, 0), (3, 0), (0, 4)], "escapes"),
+        ([(1, 0), (0, 2), (0, 2), (2, 0)], "not long"),
+    ],
+)
+def test_corrupted_roots_rejected(monkeypatch, roots, match):
+    monkeypatch.setattr(rootsys, "_positive_roots", lambda *args: list(roots))
+    with pytest.raises(InvariantViolationError, match=match):
+        build_root_system(spin(5))
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,21 @@
 """Volume reports: route agreement, closed forms, isomorphism checks."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from lievol.quad import Tolerance
-from lievol.rootsys import Family, SimpleLieType, build_root_system, default_groups, spin, su
+from lievol.rootsys import (
+    Family,
+    SimpleLieType,
+    build_root_system,
+    default_groups,
+    rho_pairings_killing,
+    sp,
+    spin,
+    su,
+)
 from lievol.vogel import VogelPoint, key_relation_residual, sinh_product_excess, vogel_point
 from lievol.volume import (
     LOG_VOLUME_BASE,
@@ -33,6 +43,32 @@ def test_phi_kp_su3_closed_form():
 def test_phi_kp_nonnegative():
     for lie_type in default_groups(4):
         assert phi_kp(build_root_system(lie_type)) >= 0.0
+
+
+def _phi_kp_from_fractions(rs):
+    # the product route on exact Fraction pairings, as it read before the
+    # record kept integer heights
+    terms = []
+    for pairing in rho_pairings_killing(rs):
+        s = 2 * pairing
+        reduced = s if s <= Fraction(1, 2) else 1 - s
+        sin_val = math.sin(math.pi * float(reduced))
+        terms.append(math.log(math.pi * float(s)) - math.log(sin_val))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("lie_type", default_groups(12), ids=str)
+def test_phi_kp_matches_fraction_reference(lie_type):
+    rs = build_root_system(lie_type)
+    assert phi_kp(rs) == _phi_kp_from_fractions(rs)
+
+
+@pytest.mark.parametrize("lie_type", [su(60), sp(60), spin(61)], ids=str)
+def test_large_rank_routes_agree(lie_type):
+    # SU_60 also runs the factorial route
+    report = cross_check(lie_type)
+    assert report.converged, report.notes
+    assert report.agreed, report.notes
 
 
 def test_su2_anchor_volume():
