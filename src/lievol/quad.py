@@ -3,9 +3,14 @@
 The engine integrates over (0, inf) by truncating at a cutoff X that is
 doubled until the newest block contributes less than the absolute
 tolerance, then globally refining the worst panels of a 7/15-point
-Gauss-Kronrod pair until the summed nested-rule differences meet the
-requested tolerance. Panel sums are accumulated with math.fsum in a fixed
-order, so results are deterministic.
+Gauss-Kronrod pair (Piessens et al., QUADPACK, 1983) until the summed
+nested-rule differences meet the requested tolerance. An integrand that
+decays only algebraically can pass the exact integral of its asymptotic
+form beyond X (`tail`): the doubling then stops once a block matches that
+form, and the tail closes the integral. The panel values and errors are
+kept as exact running sums (Shewchuk partials), so each step reads the
+correctly rounded totals without re-summing every panel; the result is a
+final math.fsum in a fixed order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -116,13 +121,39 @@ def _eval_panel(f, a, b):
     return h * kron, abs(h * (kron - gauss))
 
 
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add x to Shewchuk partials in place (the msum recipe). The partials are
+    nonoverlapping and sum exactly to every term added so far, so
+    math.fsum(partials) is the same correctly rounded float as math.fsum
+    over the terms themselves."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
 def integrate_semiinfinite(
     f: Callable[[float], float],
     tol: Tolerance | None = None,
     initial_scale: float = 8.0,
+    tail: Callable[[float], float] | None = None,
 ) -> QuadResult:
     """Integrate f over (0, inf); f must be finite with at worst a removable
     singularity at 0 (the caller supplies a limit-safe evaluator).
+
+    Without `tail` the cutoff X doubles until the newest block [X/2, X] is
+    below tol.abs, and the integral beyond X is taken as zero. `tail(X)`, if
+    given, is the exact integral from X to infinity of f's asymptotic form:
+    the doubling then stops once the block matches tail(X/2) - tail(X) to
+    within tol.abs, and tail(X) is added to the panel sum. That sum is the
+    value both in the refinement target and in the result.
 
     Returns an unconverged result (never raises) when the evaluation budget
     runs out; a converged result always has error_estimate within the
@@ -134,6 +165,9 @@ def integrate_semiinfinite(
 
     counter = itertools.count()
     panels: list[tuple[float, int, float, float, float, float]] = []
+    # running exact sums of the panel values and errors (the tail included)
+    value_parts: list[float] = []
+    err_parts: list[float] = []
     evals = 0
     budget_ok = True
 
@@ -142,7 +176,9 @@ def integrate_semiinfinite(
         val, err = _eval_panel(f, a, b)
         evals += 15
         heapq.heappush(panels, (-err, next(counter), a, b, val, err))
-        return val, err
+        _add_exact(value_parts, val)
+        _add_exact(err_parts, err)
+        return val
 
     push(0.0, initial_scale)
     cutoff = initial_scale
@@ -150,36 +186,37 @@ def integrate_semiinfinite(
         if evals + 15 > tol.max_evaluations:
             budget_ok = False
             break
-        block_val, _ = push(cutoff, 2.0 * cutoff)
+        block_val = push(cutoff, 2.0 * cutoff)
+        if tail is not None:
+            block_val -= tail(cutoff) - tail(2.0 * cutoff)
         cutoff *= 2.0
         if abs(block_val) < tol.abs:
             break
+    tail_terms = [] if tail is None else [tail(cutoff)]
+    for t in tail_terms:
+        _add_exact(value_parts, t)
 
-    def totals():
-        return (
-            math.fsum(p[4] for p in panels),
-            math.fsum(p[5] for p in panels),
-        )
-
-    value, err_total = totals()
+    value, err_total = math.fsum(value_parts), math.fsum(err_parts)
     refinable = True
     while budget_ok and refinable and err_total > max(tol.abs, tol.rel * abs(value)):
         if evals + 30 > tol.max_evaluations:
             budget_ok = False
             break
         item = heapq.heappop(panels)
-        _, _, a, b, _, _ = item
+        _, _, a, b, val, err = item
         if b - a <= 1e-14 * max(1.0, abs(a)):
             heapq.heappush(panels, item)  # cannot split further
             refinable = False
             break
+        _add_exact(value_parts, -val)
+        _add_exact(err_parts, -err)
         m = 0.5 * (a + b)
         push(a, m)
         push(m, b)
-        value, err_total = totals()
+        value, err_total = math.fsum(value_parts), math.fsum(err_parts)
 
     ordered = sorted(panels, key=lambda p: p[2])
-    value = math.fsum(p[4] for p in ordered)
+    value = math.fsum([p[4] for p in ordered] + tail_terms)
     err_total = math.fsum(p[5] for p in ordered)
     converged = (
         budget_ok
@@ -211,8 +248,12 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
                 return k * math.exp(ell - x) / x
             return k * math.expm1(ell) / (x * math.expm1(x))
         except OverflowError:
-            # only at extreme parameters; _eval_panel turns the inf into an
-            # IntegrandEvaluationError that names the abscissa
+            # expm1(x) overflows far out in the tail, where e^{-x} is the
+            # whole denominator; any other overflow is at extreme parameters,
+            # and _eval_panel turns the inf into an IntegrandEvaluationError
+            # that names the abscissa
+            if ell <= 45.0:
+                return k * math.expm1(ell) * math.exp(-x) / x
             return math.inf
 
     return f

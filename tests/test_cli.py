@@ -261,6 +261,23 @@ def test_bad_input_exit_codes(monkeypatch, argv, env_tol, want):
     assert err.count("\n") <= 2  # usage line and one message, or the message alone
 
 
+@pytest.mark.parametrize("abs_tol", ["1e-300", "5e-324"])
+def test_tiny_abs_gives_default_phi(capsys, abs_tol):
+    # the tail doubling reaches x = 768, where expm1(x) overflows
+    argv = ("phi", "--alpha", "-2", "--beta", "2", "--gamma", "0.5", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, tiny, _ = run_cli(capsys, *argv, "--abs", abs_tol)
+    assert code == 0
+    assert json.loads(tiny)["phi"] == json.loads(out)["phi"]
+
+
+def test_check_passes_at_tiny_abs(capsys):
+    code, out, _ = run_cli(capsys, "check", "--max-rank", "5", "--rel", "1e-15", "--abs", "5e-324")
+    assert code == 0
+    assert out.splitlines()[-1] == "79/79 checks passed"
+
+
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 
@@ -304,4 +321,30 @@ def test_table_check_exit_code_contract_fuzz(command, max_rank, rel, abs_tol):
     assert code in (0, 1, 2, 3), err
     assert "Traceback" not in err
     if not _valid_tolerance(rel, abs_tol):
+        assert code == 2, err
+
+
+# Half the examples are drawn wholly in range: a few rows from both sides
+# of 0, on the unitary line or off it.
+_SCAN_IN_RANGE = st.tuples(
+    st.floats(-2.0, 4.0),
+    st.floats(-2.0, 4.0),
+    st.floats(1.0, 4.0),
+    st.sampled_from([-2.0, 2.0, 4.0]),
+    st.sampled_from([-2.0, 2.0, 4.0]),
+    st.floats(1e-15, 1.0),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+_SCAN_ANY = st.tuples(*[_ANY_FLOAT] * 5, _FUZZ_REL, _FUZZ_ABS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_SCAN_IN_RANGE, _SCAN_ANY))
+def test_scan_exit_code_contract_fuzz(values):
+    names = ("from", "to", "step", "alpha", "beta", "rel", "abs")
+    code, err = exit_code(["scan"] + [f"--{name}={v!r}" for name, v in zip(names, values)])
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    *bounds, rel, abs_tol = values
+    if not (all(map(math.isfinite, bounds)) and _valid_tolerance(rel, abs_tol)):
         assert code == 2, err

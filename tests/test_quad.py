@@ -78,6 +78,52 @@ def test_result_metadata():
     assert res.evaluations % 15 == 0
 
 
+def test_algebraic_tail_closed_form():
+    # 1/(1+y)^2 decays algebraically; its tail beyond X is exactly 1/(1+X)
+    f = lambda y: 1.0 / (1.0 + y) ** 2
+    for tol in (Tolerance(), Tolerance(rel=1e-12, abs=1e-14)):
+        closed = integrate_semiinfinite(f, tol, tail=lambda x: 1.0 / (1.0 + x))
+        doubled = integrate_semiinfinite(f, tol)
+        assert closed.converged
+        assert abs(closed.value - 1.0) <= max(closed.error_estimate, 1e-15)
+        assert closed.tail_cutoff == 16.0  # the first block already matches
+        assert doubled.tail_cutoff > 1e11
+        assert 3 * closed.evaluations < doubled.evaluations
+
+
+# Pinned from the engine that re-summed every panel with fsum on each step:
+# (value.hex(), error_estimate.hex(), converged, evaluations, tail_cutoff).
+# Running sums and the optional tail must leave a tail-less call bit-identical.
+def _sqrt_exp(x):
+    return math.sqrt(x) * math.exp(-x)
+
+
+_PINNED = [
+    (lambda: integrate_phi(VogelPoint(-2.0, 2.0, 4.5)),
+     ("0x1.90a52e8ddbcecp+1", "0x1.e9d0527ec7597p-34", True, 135, 288.0)),
+    (lambda: integrate_phi(VogelPoint(-2.0, 4.0, 1.7), Tolerance(rel=1e-13, abs=1e-15)),
+     ("0x1.12ece2f2e1154p+1", "0x1.217148db4e10ap-44", True, 285, 236.8)),
+    (lambda: integrate_semiinfinite(frullani),
+     ("0x1.62e42fefa39eep-1", "0x1.6bfaa417e581ap-36", True, 120, 64.0)),
+    (lambda: integrate_semiinfinite(
+        lambda x: 1.0 / (1.0 + x) ** 2, Tolerance(rel=1e-12, abs=1e-14)),
+     ("0x1.fffffffffffc0p-1", "0x1.0c73aa1bab071p-40", True, 1035, 2.0**47)),
+    # the sqrt kink at 0 needs many splits: the first budget runs out
+    (lambda: integrate_semiinfinite(_sqrt_exp, Tolerance(1e-15, 1e-300, max_evaluations=600)),
+     ("0x1.c5bf891bbfdd7p-1", "0x1.f78f79dc13effp-31", False, 585, 2048.0)),
+    (lambda: integrate_semiinfinite(_sqrt_exp, Tolerance(1e-15, 1e-300, max_evaluations=2000)),
+     ("0x1.c5bf891b4ef6bp-1", "0x1.c09b04fe39e89p-51", True, 1485, 2048.0)),
+]
+
+
+@pytest.mark.parametrize("call, want", _PINNED)
+def test_tailless_results_bit_identical(call, want):
+    res = call()
+    got = (res.value.hex(), res.error_estimate.hex(), res.converged, res.evaluations,
+           res.tail_cutoff)
+    assert got == want
+
+
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(rel=0.0)
@@ -159,6 +205,14 @@ def test_integrand_branch_continuity():
     lo = f(math.nextafter(x_switch, 0.0))
     hi = f(math.nextafter(x_switch, math.inf))
     assert hi == pytest.approx(lo, rel=1e-12)
+
+
+def test_integrand_far_tail_underflows_to_zero():
+    # expm1(x) overflows past x ~ 709.8; the integrand is then ~e^{-x} and
+    # must come back finite, not as an inf that stops the quadrature
+    f = phi_integrand(VogelPoint(-2.0, 2.0, 0.5))
+    assert f(768.0) == 0.0
+    assert math.isfinite(f(700.0))
 
 
 def test_integrand_limit_value():

