@@ -18,10 +18,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from . import vogel
+from ._record import Record
 from .errors import (
     DivergenceSetError,
     IntegrandEvaluationError,
@@ -44,8 +44,7 @@ __all__ = [
 _MIN_REL = 1e-15
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(Record):
     """Quadrature stopping targets. Defaults leave headroom below 1e-8 checks."""
 
     rel: float = 1e-10
@@ -63,8 +62,7 @@ class Tolerance:
             raise ParameterDomainError("evaluation budget must be positive")
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(Record):
     value: float
     error_estimate: float
     converged: bool

@@ -11,20 +11,20 @@ the positive roots other than a_i. The Weyl vector rho is their half sum,
 checked against (rho, a_i^vee) = 1, which gives (rho, a_i) = d_i: pairings
 (rho, mu) are d-weighted heights sum_i d_i mu_i (Humphreys, Lie Algebras,
 10.1-10.2). All of this runs on Python integers, and the record keeps the
-heights over the one denominator 2 D h_vee; `fractions.Fraction` appears
-only at the public edges (`symmetrized_form`, `weyl_vector`,
-`minimal_pairing`, `rho_pairings_killing`). Floating point enters only in
-the downstream volume/quadrature modules, so the transcendental evaluation
-is the sole numerical error source.
+heights over the one denominator 2 D h_vee. `fractions.Fraction` is
+imported only by the two exact helpers, `rho_pairings_killing` and
+`minimal_pairing` (for a pairing that is not an integer), which no command
+calls, so a run never loads it. Floating point enters only in the
+downstream volume/quadrature modules, so the transcendental evaluation is
+the sole numerical error source.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 
+from ._record import Record
 from .errors import InvariantViolationError, UnsupportedGroupError
 
 __all__ = [
@@ -70,8 +70,7 @@ EXCEPTIONAL_RANK = {
 _RANK_FLOOR = {Family.A: 1, Family.B: 2, Family.C: 1, Family.D: 4}
 
 
-@dataclass(frozen=True)
-class SimpleLieType:
+class SimpleLieType(Record):
     """A compact simple group named by Cartan family and rank."""
 
     family: Family
@@ -214,13 +213,12 @@ def exponents(lie_type: SimpleLieType) -> tuple[int, ...]:
     }[fam]
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """Positive roots, Weyl vector, and form data for one simple type.
+class RootSystem(Record):
+    """Positive roots and pairing data for one simple type, all integers.
 
     positive_roots are integer coordinate vectors in the simple-root basis,
-    sorted by height; weyl_vector is their half sum, in exact rational
-    coordinates, and satisfies (rho, a_i^vee) = 1 for every simple root.
+    sorted by height; their half sum is the Weyl vector rho, checked
+    against (rho, a_i^vee) = 1 when the record is built.
     weighted_heights[k] / height_denominator is <rho, mu> under the
     Cartan-Killing normalization for mu = positive_roots[k]: the numerators
     are D-weighted heights sum_i D d_i mu_i, and the denominator is
@@ -229,9 +227,7 @@ class RootSystem:
 
     lie_type: SimpleLieType
     cartan_matrix: tuple[tuple[int, ...], ...]
-    symmetrized_form: tuple[tuple[Fraction, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
-    weyl_vector: tuple[Fraction, ...]
     dual_coxeter: int
     exponents: tuple[int, ...]
     weighted_heights: tuple[int, ...]
@@ -299,10 +295,10 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
 
     Positive roots come from raising reflections of the simple roots; the
     Weyl vector is their half sum, checked against (rho, a_i^vee) = 1, and
-    pairings are D-weighted heights. Everything runs on integers;
-    `Fraction` appears only in the record's symmetrized form and Weyl
-    vector. Internal invariants (positive reflections, root count, pairing
-    bounds, highest root long) are checked at linear cost.
+    pairings are D-weighted heights. Everything runs on integers, and the
+    record holds only integers. Internal invariants (positive reflections,
+    root count, pairing bounds, highest root long) are checked at linear
+    cost.
     """
     rank = lie_type.rank
     cartan = cartan_matrix(lie_type)
@@ -342,17 +338,16 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
     h_vee = heights[-1] // denom + 1
     for h in heights:
         if not 0 < h < denom * h_vee:
+            from fractions import Fraction
+
             raise InvariantViolationError(
                 f"{lie_type}: pairing {Fraction(h, denom)} escapes (0, h_vee)"
             )
 
-    entries = {x: Fraction(x, denom) for x in {x for row in gram for x in row}}
     rs = RootSystem(
         lie_type=lie_type,
         cartan_matrix=cartan,
-        symmetrized_form=tuple(tuple(map(entries.__getitem__, row)) for row in gram),
         positive_roots=tuple(positive),
-        weyl_vector=tuple(Fraction(t, 2) for t in two_rho),
         dual_coxeter=h_vee,
         exponents=exps,
         weighted_heights=tuple(heights),
@@ -365,20 +360,27 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
     return rs
 
 
-def minimal_pairing(rs: RootSystem, u, v) -> Fraction:
+def minimal_pairing(rs: RootSystem, u, v) -> int | Fraction:
     """(u, v) under the long-root-squared-length-2 normalization, exact.
 
     (a_i, a_j) = d_j C[i][j] is summed over the nonzero coordinates and
     Cartan entries only, in integers over the common denominator D when u
-    and v are integer vectors.
+    and v are integer vectors (rational coordinates give a Fraction sum).
+    An integral pairing, such as (theta, theta) = 2, is returned as an int;
+    only a non-integral one is built as a Fraction.
     """
     weights = _symmetrizer(rs.lie_type)
+    denom = max(weights)
     total = sum(
         ui * c * weights[j] * v[j]
         for ui, row in zip(u, rs.cartan_matrix) if ui
         for j, c in enumerate(row) if c and v[j]
     )
-    return Fraction(total, max(weights))
+    if total % denom == 0:
+        return total // denom
+    from fractions import Fraction
+
+    return Fraction(total, denom)
 
 
 def rho_pairings_killing(rs: RootSystem) -> tuple[Fraction, ...]:
@@ -388,4 +390,6 @@ def rho_pairings_killing(rs: RootSystem) -> tuple[Fraction, ...]:
     induced form on the dual Cartan subalgebra divides by 2 h_vee. Every value
     lies strictly inside (0, 1/2).
     """
+    from fractions import Fraction
+
     return tuple(Fraction(h, rs.height_denominator) for h in rs.weighted_heights)

@@ -11,9 +11,8 @@ agreement is a genuine check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
+from ._record import Record
 from .errors import ParameterDomainError, QuadratureError
 from .quad import Tolerance, integrate_semiinfinite
 
@@ -39,8 +38,7 @@ _ZETA_PRIME_MINUS_ONE = -0.16542114370045094
 _TIGHT = Tolerance(rel=1e-12, abs=1e-14, max_evaluations=400_000)
 
 
-@dataclass(frozen=True)
-class SpecialValue:
+class SpecialValue(Record):
     value: float
     method: str  # "integral" | "oracle" | "closed_form"
     error_estimate: float
@@ -112,28 +110,21 @@ def euler_reflection_residual(x: float) -> float:
 # B1 = +1/2, the square S = (sum c_k y^k)^2 is formed by exact convolution
 # once at import; per call the e^{-(z+1)y} factor is folded in numerically.
 
+# B_k as (numerator, denominator)
 _BERNOULLI_PLUS = (
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(1, 6),
-    Fraction(0),
-    Fraction(-1, 30),
-    Fraction(0),
-    Fraction(1, 42),
-    Fraction(0),
-    Fraction(-1, 30),
-    Fraction(0),
-    Fraction(5, 66),
-    Fraction(0),
-    Fraction(-691, 2730),
-    Fraction(0),
-    Fraction(7, 6),
+    (1, 1), (1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1),
+    (-1, 30), (0, 1), (5, 66), (0, 1), (-691, 2730), (0, 1), (7, 6),
 )
-# _C[i] is the coefficient of y^(i-1) in 1/(1 - e^{-y})
-_C = tuple(b / math.factorial(k) for k, b in enumerate(_BERNOULLI_PLUS))
-# _S[m] is the coefficient of y^(m-2) in 1/(1 - e^{-y})^2
+# _C[i] / _C_DENOM is the coefficient of y^(i-1) in 1/(1 - e^{-y}), that is
+# B_i / i!, over one common denominator so the convolution runs in integers
+_C_DENOM = math.lcm(*(d * math.factorial(k) for k, (_, d) in enumerate(_BERNOULLI_PLUS)))
+_C = tuple(
+    n * (_C_DENOM // (d * math.factorial(k))) for k, (n, d) in enumerate(_BERNOULLI_PLUS)
+)
+# _S[m] is the coefficient of y^(m-2) in 1/(1 - e^{-y})^2; int / int rounds
+# the exact quotient once, as float(Fraction) does
 _S = tuple(
-    float(sum(_C[i] * _C[m - i] for i in range(m + 1)))
+    sum(_C[i] * _C[m - i] for i in range(m + 1)) / _C_DENOM**2
     for m in range(len(_C))
 )
 _SERIES_ORDER = 10  # bracket coefficients kept through y^(order-1)

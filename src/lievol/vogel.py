@@ -8,9 +8,9 @@ normalization, where t = alpha + beta + gamma equals the dual Coxeter number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import rootsys
+from ._record import Record
 from .errors import ParameterDomainError
 from .rootsys import Family, SimpleLieType
 
@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VogelPoint:
+class VogelPoint(Record):
     """A point of the parameter plane: finite coordinates, nonzero sum t."""
 
     alpha: float

@@ -10,9 +10,9 @@ representable in double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import quad, rootsys, special, vogel
+from ._record import Record
 from .errors import InvariantViolationError
 from .quad import Tolerance
 from .rootsys import Family, RootSystem, SimpleLieType
@@ -37,8 +37,7 @@ _EXCEPTIONAL_DIM = {Family.G2: 14, Family.F4: 52, Family.E6: 78, Family.E7: 133,
 _SPIN_NOTE = "double cover of SO_n; volume is twice the SO_n volume"
 
 
-@dataclass(frozen=True)
-class VolumeReport:
+class VolumeReport(Record):
     group: str
     dim: int
     phi_universal: float
@@ -51,8 +50,7 @@ class VolumeReport:
     notes: str
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(Record):
     name: str
     passed: bool
     detail: str

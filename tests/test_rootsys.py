@@ -47,6 +47,33 @@ def weyl_orbit_closure(seeds, cartan):
     return seen
 
 
+def weyl_vector(rs):
+    """rho in simple-root coordinates, solved exactly from its definition
+    (rho, a_i^vee) = sum_k rho_k C[k][i] = 1: the dense reference the half
+    sum of the positive roots is checked against."""
+    n = rs.rank
+    rows = [[Fraction(rs.cartan_matrix[k][i]) for k in range(n)] + [Fraction(1)]
+            for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return tuple(rows[i][n] / rows[i][i] for i in range(n))
+
+
+def symmetrized_form(rs):
+    """Gram matrix (a_i, a_j) = d_j C[i][j] of the simple roots, long roots at
+    squared length 2, in exact rationals."""
+    weights = rootsys._symmetrizer(rs.lie_type)
+    denom = max(weights)
+    return tuple(
+        tuple(Fraction(w * c, denom) for w, c in zip(weights, row)) for row in rs.cartan_matrix
+    )
+
+
 ALL_SUPPORTED = (
     [SimpleLieType(Family.A, r) for r in range(1, 9)]
     + [SimpleLieType(Family.B, r) for r in range(2, 9)]
@@ -66,8 +93,8 @@ def test_a1_by_hand():
     # single positive root, rho = alpha/2, (rho, alpha) = 1, h_vee = 2
     rs = build_root_system(su(2))
     assert rs.positive_roots == ((1,),)
-    assert rs.weyl_vector == (Fraction(1, 2),)
-    assert minimal_pairing(rs, rs.weyl_vector, (1,)) == 1
+    assert weyl_vector(rs) == (Fraction(1, 2),)
+    assert minimal_pairing(rs, weyl_vector(rs), (1,)) == 1
     assert rs.dual_coxeter == 2
     assert rs.dim == 3
     assert rho_pairings_killing(rs) == (Fraction(1, 4),)
@@ -142,15 +169,17 @@ def test_structural_invariants(lie_type):
         assert unit in rs.positive_roots
     assert all(all(c >= 0 for c in mu) for mu in rs.positive_roots)
     # definition of the Weyl vector
+    rho = weyl_vector(rs)
+    form = symmetrized_form(rs)
     for i in range(rs.rank):
         unit = tuple(1 if k == i else 0 for k in range(rs.rank))
-        d_i = rs.symmetrized_form[i][i] / 2
-        assert minimal_pairing(rs, rs.weyl_vector, unit) == d_i
+        d_i = form[i][i] / 2
+        assert minimal_pairing(rs, rho, unit) == d_i
     # half-sum identity
     half_sum = [
         Fraction(sum(mu[k] for mu in rs.positive_roots), 2) for k in range(rs.rank)
     ]
-    assert list(rs.weyl_vector) == half_sum
+    assert list(rho) == half_sum
 
 
 @pytest.mark.parametrize("lie_type", ALL_SUPPORTED, ids=lambda t: t.compact_name)
@@ -163,8 +192,9 @@ def test_pairings_inside_open_interval(lie_type):
     top = Fraction(rs.dual_coxeter - 1, 2 * rs.dual_coxeter)
     assert max(pairings) == top
     # the weighted heights agree with the Gram-matrix contraction
+    rho = weyl_vector(rs)
     assert pairings == tuple(
-        minimal_pairing(rs, rs.weyl_vector, mu) / (2 * rs.dual_coxeter)
+        Fraction(minimal_pairing(rs, rho, mu), 2 * rs.dual_coxeter)
         for mu in rs.positive_roots
     )
 
@@ -279,7 +309,7 @@ def test_cartan_matrix_shapes():
 @given(st.sampled_from(ALL_SUPPORTED))
 def test_gram_matrix_properties(lie_type):
     rs = build_root_system(lie_type)
-    g = rs.symmetrized_form
+    g = symmetrized_form(rs)
     n = rs.rank
     assert all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
     # long-root normalization: every diagonal entry is 2, 1, or 2/3

@@ -1,6 +1,7 @@
 """Special-function routes: Malmsten log-Gamma, Barnes-G, factorial oracle."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -99,6 +100,19 @@ def test_barnes_recurrence_through_malmsten():
         lhs = log_barnesG_integral(z + 1.0).value - log_barnesG_integral(z).value
         rhs = log_gamma_malmsten(z).value
         assert lhs == pytest.approx(rhs, abs=1e-8), z
+
+
+def test_bernoulli_square_pinned_to_exact_convolution():
+    # B_k from sum_{j<=m} C(m+1, j) B_j = 0 (so B_1 = -1/2), then B_1 = +1/2;
+    # the square of 1/(1 - e^{-y}) = sum_k B_k y^(k-1) / k! by Fraction
+    # convolution, rounded once per coefficient
+    bern = [Fraction(1)]
+    for m in range(1, 15):
+        bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    bern[1] = -bern[1]
+    c = [b / math.factorial(k) for k, b in enumerate(bern)]
+    want = [float(sum(c[i] * c[m - i] for i in range(m + 1))) for m in range(len(c))]
+    assert [x.hex() for x in special._S] == [x.hex() for x in want]
 
 
 def test_barnes_integrand_branch_continuity():
