@@ -179,7 +179,10 @@ def cmd_scan(args, tol: Tolerance) -> int:
             print(f"{gamma!r},,,undefined")
             continue
         if unitary and gamma > 0.0:
-            ref = special.phi_unitary_closed_form(gamma, tol).value
+            # (alpha, -alpha, gamma) is (-2, 2, z) rescaled, alpha and beta swapped
+            # if alpha > 0; on the default line |alpha| / 2 = 1 and z = gamma
+            z = gamma / (0.5 * abs(alpha))
+            ref = special.phi_unitary_closed_form(z, tol).value
             print(f"{gamma!r},{qr.value!r},{ref!r},{abs(qr.value - ref)!r}")
         else:
             print(f"{gamma!r},{qr.value!r},,")

@@ -8,9 +8,11 @@ nested-rule differences meet the requested tolerance. An integrand that
 decays only algebraically can pass the exact integral of its asymptotic
 form beyond X (`tail`): the doubling then stops once a block matches that
 form, and the tail closes the integral. The panel values and errors are
-kept as exact running sums (Shewchuk partials), so each step reads the
-correctly rounded totals without re-summing every panel; the result is a
-final math.fsum in a fixed order, so results are deterministic.
+kept as exact running sums (Shewchuk partials, Adaptive precision
+floating-point arithmetic, 1997). The partials are exact, so the totals
+read from them are correctly rounded whatever the order of the panels;
+each step and the result read them without re-summing any panel, and
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -163,11 +165,11 @@ def integrate_semiinfinite(
 
     counter = itertools.count()
     panels: list[tuple[float, int, float, float, float, float]] = []
-    # running exact sums of the panel values and errors (the tail included)
+    # exact running sums of the panel values and errors (the tail included);
+    # math.fsum of them is the correctly rounded total, so they are the result
     value_parts: list[float] = []
     err_parts: list[float] = []
     evals = 0
-    budget_ok = True
 
     def push(a, b):
         nonlocal evals
@@ -180,32 +182,26 @@ def integrate_semiinfinite(
 
     push(0.0, initial_scale)
     cutoff = initial_scale
-    while True:
-        if evals + 15 > tol.max_evaluations:
-            budget_ok = False
-            break
+    # the cutoff doubles until a block is negligible or the budget runs out
+    while within_budget := evals + 15 <= tol.max_evaluations:
         block_val = push(cutoff, 2.0 * cutoff)
         if tail is not None:
             block_val -= tail(cutoff) - tail(2.0 * cutoff)
         cutoff *= 2.0
         if abs(block_val) < tol.abs:
             break
-    tail_terms = [] if tail is None else [tail(cutoff)]
-    for t in tail_terms:
-        _add_exact(value_parts, t)
+    if tail is not None:
+        _add_exact(value_parts, tail(cutoff))
 
     value, err_total = math.fsum(value_parts), math.fsum(err_parts)
-    refinable = True
-    while budget_ok and refinable and err_total > max(tol.abs, tol.rel * abs(value)):
-        if evals + 30 > tol.max_evaluations:
-            budget_ok = False
-            break
-        item = heapq.heappop(panels)
-        _, _, a, b, val, err = item
+    while (
+        within_budget
+        and err_total > max(tol.abs, tol.rel * abs(value))
+        and evals + 30 <= tol.max_evaluations
+    ):
+        _, _, a, b, val, err = heapq.heappop(panels)
         if b - a <= 1e-14 * max(1.0, abs(a)):
-            heapq.heappush(panels, item)  # cannot split further
-            refinable = False
-            break
+            break  # cannot split further
         _add_exact(value_parts, -val)
         _add_exact(err_parts, -err)
         m = 0.5 * (a + b)
@@ -213,14 +209,7 @@ def integrate_semiinfinite(
         push(m, b)
         value, err_total = math.fsum(value_parts), math.fsum(err_parts)
 
-    ordered = sorted(panels, key=lambda p: p[2])
-    value = math.fsum([p[4] for p in ordered] + tail_terms)
-    err_total = math.fsum(p[5] for p in ordered)
-    converged = (
-        budget_ok
-        and refinable
-        and err_total <= max(tol.abs, tol.rel * abs(value))
-    )
+    converged = within_budget and err_total <= max(tol.abs, tol.rel * abs(value))
     return QuadResult(value, err_total, converged, evals, cutoff)
 
 

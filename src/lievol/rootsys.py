@@ -11,12 +11,13 @@ the positive roots other than a_i. The Weyl vector rho is their half sum,
 checked against (rho, a_i^vee) = 1, which gives (rho, a_i) = d_i: pairings
 (rho, mu) are d-weighted heights sum_i d_i mu_i (Humphreys, Lie Algebras,
 10.1-10.2). All of this runs on Python integers, and the record keeps the
-heights over the one denominator 2 D h_vee. `fractions.Fraction` is
-imported only by the two exact helpers, `rho_pairings_killing` and
-`minimal_pairing` (for a pairing that is not an integer), which no command
-calls, so a run never loads it. Floating point enters only in the
-downstream volume/quadrature modules, so the transcendental evaluation is
-the sole numerical error source.
+heights over the one denominator 2 D h_vee. Two exact helpers stay:
+`minimal_pairing`, which every build calls once to check that the highest
+root is long, and `rho_pairings_killing`, which no command calls.
+`fractions.Fraction` is imported only for a pairing that is not an
+integer, never on that check, so a run never loads it. Floating point
+enters only in the downstream volume/quadrature modules, so the
+transcendental evaluation is the sole numerical error source.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Route 1 integrates the universal parameter integral, route 2 takes the
 product of sine factors over positive roots, and on the unitary family the
-Macdonald factorial formula gives a third closed form. All volume
-arithmetic stays in log space; the raw volume is attached only when it is
-representable in double precision.
+Macdonald factorial formula, the unitary-line closed form at an integer
+point, gives a third. All volume arithmetic stays in log space; the raw
+volume is attached only when it is representable in double precision.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "phi_kp",
     "volume_macdonald_sun",
     "cross_check",
-    "isomorphism_checks",
     "run_check_suite",
 ]
 
@@ -80,6 +79,8 @@ def phi_kp(rs: RootSystem) -> float:
 
 
 def _checked_dim(rs: RootSystem, point: vogel.VogelPoint) -> int:
+    """The dimension, once the root system and the parameter point agree on it
+    and on the dual Coxeter number; the one structural check of a group."""
     dim_roots = rs.dim
     dim_formula = vogel.dim_from_vogel(point)
     if abs(dim_formula - round(dim_formula)) > 1e-12 * max(1.0, abs(dim_formula)):
@@ -95,20 +96,19 @@ def _checked_dim(rs: RootSystem, point: vogel.VogelPoint) -> int:
         raise InvariantViolationError(
             f"{rs.lie_type}: dim {dim_roots}, expected {expected}"
         )
+    if float(rs.dual_coxeter) != point.t:
+        raise InvariantViolationError(
+            f"{rs.lie_type}: h_vee {rs.dual_coxeter} != table t {point.t!r}"
+        )
     return dim_roots
 
 
 def volume_macdonald_sun(n: int) -> float:
-    """ln Vol(SU_n) from the factorial closed form, n >= 2, in log space."""
+    """ln Vol(SU_n), n >= 2: the factorial closed form read as a log volume,
+    dim ln(2 sqrt(2) pi) - phi at the unitary-line point z = n."""
     if n < 2:
         raise rootsys.UnsupportedGroupError(f"SU_n closed form requires n >= 2, got {n}")
-    n2 = n * n
-    return (
-        0.5 * (n2 - 1) * math.log(2.0)
-        + 0.5 * n2 * math.log(float(n))
-        + 0.5 * (n2 + n - 2) * math.log(2.0 * math.pi)
-        - special.barnesG_integer_oracle(n).value
-    )
+    return (n * n - 1) * LOG_VOLUME_BASE - special.phi_unitary_closed_form(n).value
 
 
 def cross_check(lie_type: SimpleLieType, tol: Tolerance | None = None) -> VolumeReport:
@@ -120,8 +120,11 @@ def cross_check(lie_type: SimpleLieType, tol: Tolerance | None = None) -> Volume
     disagreement, or an unconverged integral, clears `agreed` and is
     described in `notes`.
     """
-    tol = tol or Tolerance()
-    rs = rootsys.build_root_system(lie_type)
+    return _report(rootsys.build_root_system(lie_type), tol or Tolerance())
+
+
+def _report(rs: RootSystem, tol: Tolerance) -> VolumeReport:
+    lie_type = rs.lie_type
     point = vogel.vogel_point(lie_type)
     dim = _checked_dim(rs, point)
     qr = quad.integrate_phi(point, tol)
@@ -132,7 +135,7 @@ def cross_check(lie_type: SimpleLieType, tol: Tolerance | None = None) -> Volume
     if disc > bound:
         failures.append(f"universal vs product routes differ by {disc:.3e}")
     if lie_type.family is Family.A:
-        phi_mac = dim * LOG_VOLUME_BASE - volume_macdonald_sun(lie_type.rank + 1)
+        phi_mac = special.phi_unitary_closed_form(lie_type.rank + 1).value
         for route, phi in (("universal", qr.value), ("product", pkp)):
             if abs(phi - phi_mac) > bound:
                 failures.append(
@@ -156,35 +159,6 @@ def cross_check(lie_type: SimpleLieType, tol: Tolerance | None = None) -> Volume
     )
 
 
-def isomorphism_checks(tol: Tolerance | None = None) -> list[CheckItem]:
-    """Spot checks that coincident low-rank presentations share a volume.
-
-    Sp_2 is the C-family presentation of SU_2; the Spin_6 table row shares
-    its parameter point with SU_4 up to permutation, so its universal-route
-    volume must match the full SU_4 report even though the D3 root system
-    itself is not constructed.
-    """
-    tol = tol or Tolerance()
-    items = []
-
-    lv_su2 = cross_check(rootsys.su(2), tol).log_volume
-    lv_sp2 = cross_check(rootsys.sp(2), tol).log_volume
-    diff = abs(lv_su2 - lv_sp2)
-    items.append(
-        CheckItem("iso Sp_2 = SU_2", diff <= 1e-8, f"|log-volume diff| = {diff:.3e}")
-    )
-
-    lv_su4 = cross_check(rootsys.su(4), tol).log_volume
-    point = vogel.spin_row_point(6)
-    dim = round(vogel.dim_from_vogel(point))
-    lv_spin6 = dim * LOG_VOLUME_BASE - quad.integrate_phi(point, tol).value
-    diff = abs(lv_su4 - lv_spin6)
-    items.append(
-        CheckItem("iso Spin_6 = SU_4", diff <= 1e-8, f"|log-volume diff| = {diff:.3e}")
-    )
-    return items
-
-
 _KEY_RELATION_XS = (0.1, 1.0, 5.0)
 _UNITARY_ZS = (0.5, 1.0, 2.0, 3.0, 5.5, 9.0)
 
@@ -199,35 +173,55 @@ def _guarded(name: str, fn) -> CheckItem:
 
 
 def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[CheckItem]:
-    """Full verification battery used by the command-line `check` command."""
+    """Full verification battery used by the command-line `check` command.
+
+    Each group's root system and report are made once, on first use, and
+    shared by every item that reads them, the isomorphism items included.
+    An error is kept like a value, so each item that needs the failed step
+    reports it.
+    """
     tol = tol or Tolerance()
     items: list[CheckItem] = []
+    made = {}  # (kind, lie_type) -> the value, or the error that making it raised
+
+    def once(kind, lie_type, make):
+        key = (kind, lie_type)
+        if key not in made:
+            try:
+                made[key] = make(lie_type)
+            except Exception as exc:  # noqa: BLE001
+                made[key] = exc
+        if isinstance(made[key], Exception):
+            raise made[key]
+        return made[key]
+
+    def root_system(lie_type):
+        return once("root system", lie_type, rootsys.build_root_system)
+
+    def report(lie_type):
+        return once("report", lie_type, lambda t: _report(root_system(t), tol))
 
     for lie_type in rootsys.default_groups(max_rank):
         name = lie_type.compact_name
-        rs = rootsys.build_root_system(lie_type)
 
-        def structural(rs=rs, lie_type=lie_type):
-            point = vogel.vogel_point(lie_type)
-            ok = (
-                sum(rs.exponents) == len(rs.positive_roots)
-                and rs.dim == round(vogel.dim_from_vogel(point))
-                and float(rs.dual_coxeter) == point.t
-            )
-            return ok, f"dim={rs.dim}, h_vee={rs.dual_coxeter}"
+        def structural(lie_type=lie_type):
+            rs = root_system(lie_type)
+            _checked_dim(rs, vogel.vogel_point(lie_type))
+            return True, f"dim={rs.dim}, h_vee={rs.dual_coxeter}"
 
         def routes(lie_type=lie_type):
-            report = cross_check(lie_type, tol)
+            r = report(lie_type)
             ok = (
-                report.agreed
-                and report.converged
-                and report.phi_universal >= 0.0
-                and report.phi_kp >= 0.0
-                and report.route_discrepancy <= 1e-8 * max(1.0, abs(report.phi_kp))
+                r.agreed
+                and r.converged
+                and r.phi_universal >= 0.0
+                and r.phi_kp >= 0.0
+                and r.route_discrepancy <= 1e-8 * max(1.0, abs(r.phi_kp))
             )
-            return ok, f"|phi_universal - phi_kp| = {report.route_discrepancy:.3e}"
+            return ok, f"|phi_universal - phi_kp| = {r.route_discrepancy:.3e}"
 
-        def key_relation(rs=rs):
+        def key_relation(lie_type=lie_type):
+            rs = root_system(lie_type)
             worst = max(abs(vogel.key_relation_residual(rs, x)) for x in _KEY_RELATION_XS)
             return worst <= 1e-9 * rs.dim, f"max residual = {worst:.3e}"
 
@@ -253,5 +247,20 @@ def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[Che
 
         items.append(_guarded(f"unitary line identity z={z}", unitary))
 
-    items.extend(isomorphism_checks(tol))
+    # Sp_2 is the C-family presentation of SU_2. The Spin_6 table row shares
+    # its parameter point with SU_4 up to permutation, so its universal-route
+    # volume must match the SU_4 report although D3 itself is not built.
+    def iso_sp2():
+        diff = abs(report(rootsys.su(2)).log_volume - report(rootsys.sp(2)).log_volume)
+        return diff <= 1e-8, f"|log-volume diff| = {diff:.3e}"
+
+    def iso_spin6():
+        point = vogel.spin_row_point(6)
+        dim = round(vogel.dim_from_vogel(point))
+        lv_spin6 = dim * LOG_VOLUME_BASE - quad.integrate_phi(point, tol).value
+        diff = abs(report(rootsys.su(4)).log_volume - lv_spin6)
+        return diff <= 1e-8, f"|log-volume diff| = {diff:.3e}"
+
+    items.append(_guarded("iso Sp_2 = SU_2", iso_sp2))
+    items.append(_guarded("iso Spin_6 = SU_4", iso_spin6))
     return items

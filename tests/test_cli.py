@@ -71,6 +71,36 @@ def test_volume_text_format(capsys):
     assert "double cover" in out
 
 
+def test_volume_csv_row_matches_table(capsys):
+    code, out, _ = run_cli(capsys, "volume", "--group", "SU", "--n", "3", "--format", "csv")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    code, table, _ = run_cli(capsys, "table", "--max-rank", "2", "--format", "csv")
+    assert code == 0
+    lines = table.strip().splitlines()
+    assert lines[0] == header
+    assert [line for line in lines if line.startswith("SU_3,")] == [row]
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [("SU", "--group SU requires --n"), ("A", "--group A requires --n (the rank)")],
+)
+def test_volume_classical_group_needs_n(capsys, group, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["volume", "--group", group])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_volume_text_outside_double_range(capsys):
+    code, out, _ = run_cli(capsys, "volume", "--group", "SU", "--n", "26")
+    assert code == 0
+    lines = out.splitlines()
+    assert float(lines[4].split()[-1]) == pytest.approx(1360.7, abs=0.05)
+    assert lines[5] == "volume             (outside double range)"
+
+
 def test_phi_value(capsys):
     code, out, _ = run_cli(capsys, "phi", "--alpha", "-2", "--beta", "2", "--gamma", "2")
     assert code == 0
@@ -111,6 +141,18 @@ def test_scan_unitary_line(capsys):
     for line in lines[1:]:
         residual = float(line.split(",")[3])
         assert residual <= 1e-7
+
+
+@pytest.mark.parametrize("alpha, beta", [("-1", "1"), ("-4", "4"), ("4", "-4")])
+def test_scan_rescaled_unitary_line(capsys, alpha, beta):
+    # (alpha, -alpha, gamma) is the unitary point (-2, 2, 2 gamma / |alpha|)
+    argv = ("scan", "--from", "1.5", "--to", "3", "--step", "1.5")
+    code, out, _ = run_cli(capsys, *argv, f"--alpha={alpha}", f"--beta={beta}")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert float(row[3]) <= 1e-9, row
 
 
 def test_scan_crossing_divergence_region(capsys):

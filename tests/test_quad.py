@@ -10,6 +10,7 @@ from lievol.errors import (
     ParameterDomainError,
 )
 from lievol.quad import QuadResult, Tolerance, integrate_phi, integrate_semiinfinite, phi_integrand
+from lievol.special import _TIGHT, _barnes_integrand
 from lievol.vogel import VogelPoint, vogel_point
 from lievol.rootsys import default_groups, su
 
@@ -91,11 +92,19 @@ def test_algebraic_tail_closed_form():
         assert 3 * closed.evaluations < doubled.evaluations
 
 
-# Pinned from the engine that re-summed every panel with fsum on each step:
 # (value.hex(), error_estimate.hex(), converged, evaluations, tail_cutoff).
-# Running sums and the optional tail must leave a tail-less call bit-identical.
+# The first six rows are pinned from the engine that re-summed every panel
+# with fsum on each step, the last four from the engine that re-summed the
+# panels once more, in order, at the end. Running sums, the optional tail
+# and reading the result off the running sums must leave every row
+# bit-identical.
 def _sqrt_exp(x):
     return math.sqrt(x) * math.exp(-x)
+
+
+def _barnes(z):
+    tail = lambda x: z / x - 0.5 / (x * x)
+    return integrate_semiinfinite(_barnes_integrand(z), _TIGHT, initial_scale=8.0, tail=tail)
 
 
 _PINNED = [
@@ -113,6 +122,19 @@ _PINNED = [
      ("0x1.c5bf891bbfdd7p-1", "0x1.f78f79dc13effp-31", False, 585, 2048.0)),
     (lambda: integrate_semiinfinite(_sqrt_exp, Tolerance(1e-15, 1e-300, max_evaluations=2000)),
      ("0x1.c5bf891b4ef6bp-1", "0x1.c09b04fe39e89p-51", True, 1485, 2048.0)),
+    # the Barnes integrand with its closed-form tail
+    (lambda: _barnes(0.5),
+     ("0x1.d12250fb68e6bp-3", "0x1.adaf000000000p-44", True, 210, 64.0)),
+    (lambda: _barnes(4.5),
+     ("0x1.59208dbfad72ap-4", "0x1.7a10800000000p-44", True, 2730, 64.0)),
+    # the budget runs out while the cutoff is still doubling
+    (lambda: integrate_semiinfinite(
+        lambda x: 1.0 / (1.0 + x) ** 2, Tolerance(1e-12, 1e-300, max_evaluations=300)),
+     ("0x1.fffffc0e0e43fp-1", "0x1.d90531e6d384fp-11", False, 300, 2.0**22)),
+    # refinement stops at a panel around the singularity too short to split
+    (lambda: integrate_semiinfinite(
+        lambda x: math.exp(-x) / math.sqrt(abs(x - 1.0 / 3.0)), Tolerance(1e-10, 1e-12)),
+     ("0x1.1982b5decc80fp+1", "0x1.6c706fc532df6p-26", False, 1710, 64.0)),
 ]
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lievol.errors import InvariantViolationError
 from lievol.quad import Tolerance
 from lievol.rootsys import (
     Family,
@@ -20,7 +21,6 @@ from lievol.vogel import VogelPoint, key_relation_residual, sinh_product_excess,
 from lievol.volume import (
     LOG_VOLUME_BASE,
     cross_check,
-    isomorphism_checks,
     phi_kp,
     run_check_suite,
     volume_macdonald_sun,
@@ -140,7 +140,11 @@ def test_spin_reports_note_double_cover():
 
 
 def test_isomorphism_checks_pass():
-    for item in isomorphism_checks():
+    # at max rank 0 only the exceptionals are groups of the suite, so the
+    # SU_2, Sp_2 and SU_4 reports are made for these two items alone
+    items = [i for i in run_check_suite(max_rank=0) if i.name.startswith("iso ")]
+    assert [i.name for i in items] == ["iso Sp_2 = SU_2", "iso Spin_6 = SU_4"]
+    for item in items:
         assert item.passed, item
 
 
@@ -208,3 +212,49 @@ def test_unconverged_quadrature_flags_report():
     assert not report.converged
     assert not report.agreed
     assert "converge" in report.notes
+
+
+def test_check_suite_reports_faulty_build(monkeypatch):
+    # one exponent too many for G2 makes its build raise; the suite goes on
+    import lievol.rootsys as rootsys_mod
+
+    true_exponents = rootsys_mod.exponents
+
+    def corrupted(lie_type):
+        exps = true_exponents(lie_type)
+        return exps + (7,) if lie_type.family is Family.G2 else exps
+
+    monkeypatch.setattr(rootsys_mod, "exponents", corrupted)
+    with pytest.raises(InvariantViolationError) as err:
+        build_root_system(SimpleLieType(Family.G2, 2))
+    items = run_check_suite(max_rank=2)
+    failed = [i for i in items if not i.passed]
+    assert [i.name for i in failed] == ["structure G2", "route agreement G2", "key relation G2"]
+    for item in failed:
+        assert item.detail == f"error: {err.value}"
+
+
+@pytest.mark.parametrize("max_rank, builds, integrals", [(2, 11, 18), (0, 8, 15)])
+def test_check_suite_makes_each_root_system_once(monkeypatch, max_rank, builds, integrals):
+    # max rank 2 has ten groups, and SU_4 is built for the Spin_6 item alone;
+    # each group's report is one phi integral, plus six unitary-line points
+    # and the Spin_6 row
+    import lievol.quad as quad_mod
+    import lievol.rootsys as rootsys_mod
+
+    calls = {"build": 0, "phi": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        rootsys_mod, "build_root_system", counted("build", rootsys_mod.build_root_system)
+    )
+    monkeypatch.setattr(quad_mod, "integrate_phi", counted("phi", quad_mod.integrate_phi))
+    items = run_check_suite(max_rank=max_rank)
+    assert all(i.passed for i in items)
+    assert calls == {"build": builds, "phi": integrals}
