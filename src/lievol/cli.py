@@ -168,6 +168,7 @@ def cmd_scan(args, tol: Tolerance) -> int:
     unitary = alpha + beta == 0.0
     print("gamma,phi,reference,residual")
     count = int(math.floor(steps + 1e-9)) + 1
+    converged = True
     for i in range(count):
         gamma = args.start + i * args.step
         try:
@@ -178,15 +179,16 @@ def cmd_scan(args, tol: Tolerance) -> int:
         except ParameterDomainError:
             print(f"{gamma!r},,,undefined")
             continue
-        if unitary and gamma > 0.0:
-            # (alpha, -alpha, gamma) is (-2, 2, z) rescaled, alpha and beta swapped
-            # if alpha > 0; on the default line |alpha| / 2 = 1 and z = gamma
-            z = gamma / (0.5 * abs(alpha))
+        converged = converged and qr.converged
+        if unitary:
+            # (alpha, -alpha, gamma) is (-2, 2, z) scaled by gamma / z, alpha and
+            # beta swapped if needed; on the default line z = |gamma|
+            z = abs(gamma) / (0.5 * abs(alpha))
             ref = special.phi_unitary_closed_form(z, tol).value
             print(f"{gamma!r},{qr.value!r},{ref!r},{abs(qr.value - ref)!r}")
         else:
             print(f"{gamma!r},{qr.value!r},,")
-    return 0
+    return 0 if converged else 1
 
 
 def cmd_table(args, tol: Tolerance) -> int:

@@ -242,10 +242,6 @@ class RootSystem(Record):
     def dim(self) -> int:
         return self.rank + 2 * len(self.positive_roots)
 
-    @property
-    def highest_root(self) -> tuple[int, ...]:
-        return self.positive_roots[-1]
-
 
 def _positive_roots(lie_type, rows, limit):
     """The positive roots, found by raising the simple roots with reflections.

@@ -28,18 +28,16 @@ __all__ = [
 
 
 class VogelPoint(Record):
-    """A point of the parameter plane: finite coordinates, nonzero sum t."""
+    """A point of the parameter plane: finite coordinates and their nonzero
+    float sum t, an attribute but not a field (repr, equality and hashing
+    cover alpha, beta and gamma only)."""
 
     alpha: float
     beta: float
     gamma: float
-    t: float = None  # filled from the sum when not supplied
 
     def __post_init__(self):
-        t = self.t
-        if t is None:
-            t = self.alpha + self.beta + self.gamma
-        t = float(t)
+        t = float(self.alpha + self.beta + self.gamma)
         if not all(math.isfinite(q) for q in (self.alpha, self.beta, self.gamma, t)):
             raise ParameterDomainError("alpha, beta, gamma and t must be finite")
         if t == 0.0:
@@ -52,28 +50,27 @@ class VogelPoint(Record):
 
 
 _EXCEPTIONAL_POINTS = {
-    Family.G2: (10.0 / 3.0, 8.0 / 3.0, 4.0),
-    Family.F4: (5.0, 6.0, 9.0),
-    Family.E6: (6.0, 8.0, 12.0),
-    Family.E7: (8.0, 12.0, 18.0),
-    Family.E8: (12.0, 20.0, 30.0),
+    Family.G2: (10.0 / 3.0, 8.0 / 3.0),
+    Family.F4: (5.0, 6.0),
+    Family.E6: (6.0, 8.0),
+    Family.E7: (8.0, 12.0),
+    Family.E8: (12.0, 20.0),
 }
 
 
 def vogel_point(lie_type: SimpleLieType) -> VogelPoint:
-    """Table row for a supported group, alpha = -2 normalization, exact t."""
+    """Table row for a supported group, alpha = -2 normalization; its float
+    sum t is exactly the dual Coxeter number (-2 + 10/3 + 8/3 == 4.0 for G2)."""
     fam, r = lie_type.family, lie_type.rank
     if fam is Family.A:
-        n = r + 1
-        return VogelPoint(-2.0, 2.0, float(n), t=float(n))
+        return VogelPoint(-2.0, 2.0, float(r + 1))
     if fam is Family.B:
         return spin_row_point(2 * r + 1)
     if fam is Family.D:
         return spin_row_point(2 * r)
     if fam is Family.C:
-        return VogelPoint(-2.0, 1.0, float(r + 2), t=float(r + 1))
-    beta, gamma, t = _EXCEPTIONAL_POINTS[fam]
-    return VogelPoint(-2.0, beta, gamma, t=t)
+        return VogelPoint(-2.0, 1.0, float(r + 2))
+    return VogelPoint(-2.0, *_EXCEPTIONAL_POINTS[fam])
 
 
 def spin_row_point(n: int) -> VogelPoint:
@@ -85,7 +82,7 @@ def spin_row_point(n: int) -> VogelPoint:
     """
     if n < 5:
         raise ParameterDomainError(f"Spin row defined for n >= 5, got {n}")
-    return VogelPoint(-2.0, 4.0, float(n - 4), t=float(n - 2))
+    return VogelPoint(-2.0, 4.0, float(n - 4))
 
 
 def dim_from_vogel(p: VogelPoint) -> float:

@@ -22,7 +22,6 @@ __all__ = [
     "VolumeReport",
     "CheckItem",
     "phi_kp",
-    "volume_macdonald_sun",
     "cross_check",
     "run_check_suite",
 ]
@@ -101,14 +100,6 @@ def _checked_dim(rs: RootSystem, point: vogel.VogelPoint) -> int:
             f"{rs.lie_type}: h_vee {rs.dual_coxeter} != table t {point.t!r}"
         )
     return dim_roots
-
-
-def volume_macdonald_sun(n: int) -> float:
-    """ln Vol(SU_n), n >= 2: the factorial closed form read as a log volume,
-    dim ln(2 sqrt(2) pi) - phi at the unitary-line point z = n."""
-    if n < 2:
-        raise rootsys.UnsupportedGroupError(f"SU_n closed form requires n >= 2, got {n}")
-    return (n * n - 1) * LOG_VOLUME_BASE - special.phi_unitary_closed_form(n).value
 
 
 def cross_check(lie_type: SimpleLieType, tol: Tolerance | None = None) -> VolumeReport:

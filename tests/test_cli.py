@@ -155,6 +155,32 @@ def test_scan_rescaled_unitary_line(capsys, alpha, beta):
         assert float(row[3]) <= 1e-9, row
 
 
+@pytest.mark.parametrize("alpha, beta", [("-2", "2"), ("4", "-4")])
+def test_scan_unitary_line_both_signs_of_gamma(capsys, alpha, beta):
+    # (alpha, -alpha, -gamma) is (alpha, -alpha, gamma) scaled by -1 with alpha
+    # and beta swapped, so every gamma != 0 has a reference
+    argv = ("scan", "--from=-3", "--to", "3", "--step", "1.5")
+    code, out, _ = run_cli(capsys, *argv, f"--alpha={alpha}", f"--beta={beta}")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == [-3.0, -1.5, 0.0, 1.5, 3.0]
+    assert rows[2][1:] == ["", "", "undefined"]
+    for row in rows[:2] + rows[3:]:
+        assert float(row[3]) <= 1e-9, row
+
+
+def test_scan_exits_1_on_unconverged_row(capsys):
+    argv = ("--alpha", "-2", "--beta", "1", "--rel", "1e-15", "--abs", "1e-300")
+    code, out, _ = run_cli(capsys, "phi", "--gamma", "1.0001", *argv)
+    assert code == 1
+    assert out.splitlines()[-1] == "converged          False"
+    scan = ("scan", "--from", "1.0001", "--to", "1.0001", "--step", "1")
+    code, out, _ = run_cli(capsys, *scan, *argv)
+    assert code == 1
+    # the row is still printed
+    assert out.splitlines()[1].startswith("1.0001,-3.11534866")
+
+
 def test_scan_crossing_divergence_region(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -216,16 +242,20 @@ def test_check_detects_injected_fault(capsys, monkeypatch):
     def corrupted(lie_type):
         point = true_point(lie_type)
         if lie_type.family is Family.G2:
-            return VogelPoint(point.alpha, point.beta, point.gamma, t=5.0)
+            return VogelPoint(point.alpha, point.beta, point.gamma + 1.0)
         return point
 
     monkeypatch.setattr(vogel_mod, "vogel_point", corrupted)
     code, out, _ = run_cli(capsys, "check", "--max-rank", "2")
     assert code == 1
-    assert any(
-        line.startswith("FAIL") and "key relation G2" in line
-        for line in out.splitlines()
-    )
+    lines = out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in failed] == [
+        "FAIL  structure G2", "FAIL  route agreement G2", "FAIL  key relation G2"
+    ]
+    assert "dimension formula gave non-integer 20.727" in failed[0]
+    assert failed[2].startswith("FAIL  key relation G2: max residual = ")
+    assert lines[-1] == f"{len(lines) - 4}/{len(lines) - 1} checks passed"
 
 
 def test_env_var_overrides_tolerance(capsys, monkeypatch):

@@ -209,7 +209,7 @@ def test_phi_nonnegative_on_table_rows():
 
 def test_phi_tail_cutoff_scales_with_t():
     small = integrate_phi(vogel_point(su(2)))
-    large = integrate_phi(VogelPoint(-2.0, 12.0, 20.0, t=30.0))
+    large = integrate_phi(VogelPoint(-2.0, 12.0, 20.0))
     assert small.tail_cutoff >= 8.0
     assert large.tail_cutoff > small.tail_cutoff
 

@@ -23,8 +23,8 @@ CASES = [
      lambda: QuadResult(1.5, 1e-12, False, 135, 64.0)),
     (SpecialValue, ("value", "method", "error_estimate"),
      lambda: SpecialValue(0.5, "integral", 1e-13), lambda: SpecialValue(0.5, "oracle", 1e-13)),
-    (VogelPoint, ("alpha", "beta", "gamma", "t"),
-     lambda: VogelPoint(-2.0, 2.0, 3.0), lambda: VogelPoint(-2.0, 2.0, 3.0, t=4.0)),
+    (VogelPoint, ("alpha", "beta", "gamma"),
+     lambda: VogelPoint(-2.0, 2.0, 3.0), lambda: VogelPoint(-2.0, 2.0, 4.0)),
     (SimpleLieType, ("family", "rank"),
      lambda: SimpleLieType(Family.B, 3), lambda: SimpleLieType(Family.C, 3)),
     (RootSystem, ("lie_type", "cartan_matrix", "positive_roots", "dual_coxeter", "exponents",
@@ -105,8 +105,9 @@ def test_constructor_signature_and_class_defaults():
 def test_vogel_point_t_filled_from_sum():
     p = VogelPoint(-2, 2, 5)
     assert p.t == 5.0 and type(p.t) is float
-    assert VogelPoint(-2.0, 1.0, 5.0, t=4.0).t == 4.0
-    assert VogelPoint(-2.0, 2.0, 3.0) == VogelPoint(-2.0, 2.0, 3.0, t=3.0)
+    assert VogelPoint(-2.0, 1.0, 5.0).t == 4.0
+    with pytest.raises(TypeError, match="unexpected keyword argument 't'"):
+        VogelPoint(-2, 1, 5, t=4)
     assert VogelPoint(-2, 2, 2) != (-2.0, 2.0, 2.0, 2.0)
     with pytest.raises(ParameterDomainError, match="must be nonzero"):
         VogelPoint(1.0, -1.0, 0.0)

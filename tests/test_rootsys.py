@@ -314,4 +314,4 @@ def test_gram_matrix_properties(lie_type):
     assert all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
     # long-root normalization: every diagonal entry is 2, 1, or 2/3
     assert {g[i][i] for i in range(n)} <= {2, 1, Fraction(2, 3)}
-    assert minimal_pairing(rs, rs.highest_root, rs.highest_root) == 2
+    assert minimal_pairing(rs, rs.positive_roots[-1], rs.positive_roots[-1]) == 2

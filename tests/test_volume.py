@@ -17,16 +17,16 @@ from lievol.rootsys import (
     spin,
     su,
 )
+from lievol.special import phi_unitary_closed_form
 from lievol.vogel import VogelPoint, key_relation_residual, sinh_product_excess, vogel_point
-from lievol.volume import (
-    LOG_VOLUME_BASE,
-    cross_check,
-    phi_kp,
-    run_check_suite,
-    volume_macdonald_sun,
-)
+from lievol.volume import LOG_VOLUME_BASE, cross_check, phi_kp, run_check_suite
 
 SU2_VOLUME = 32.0 * math.sqrt(2.0) * math.pi**2
+
+
+def macdonald_log_volume(n):
+    """ln Vol(SU_n) from the factorial closed form at the unitary point z = n."""
+    return (n * n - 1) * LOG_VOLUME_BASE - phi_unitary_closed_form(n).value
 
 
 def test_phi_kp_a1():
@@ -88,20 +88,20 @@ def test_report_arithmetic_invariants():
 
 
 def test_macdonald_values():
-    assert volume_macdonald_sun(2) == pytest.approx(math.log(SU2_VOLUME), rel=1e-14)
+    assert macdonald_log_volume(2) == pytest.approx(math.log(SU2_VOLUME), rel=1e-14)
     want3 = (
         4.0 * math.log(2.0)
         + 4.5 * math.log(3.0)
         + 5.0 * math.log(2.0 * math.pi)
         - math.log(2.0)
     )
-    assert volume_macdonald_sun(3) == pytest.approx(want3, rel=1e-14)
+    assert macdonald_log_volume(3) == pytest.approx(want3, rel=1e-14)
 
 
 def test_macdonald_matches_universal():
     for n in range(2, 6):
         report = cross_check(su(n))
-        assert abs(report.log_volume - volume_macdonald_sun(n)) <= 1e-8
+        assert abs(report.log_volume - macdonald_log_volume(n)) <= 1e-8
 
 
 def test_implied_covolume_route_independent():
@@ -116,7 +116,7 @@ def test_cross_check_su5():
     report = cross_check(su(5))
     assert report.agreed and report.converged
     assert report.route_discrepancy <= 1e-8
-    mac_phi = report.dim * LOG_VOLUME_BASE - volume_macdonald_sun(5)
+    mac_phi = report.dim * LOG_VOLUME_BASE - macdonald_log_volume(5)
     assert abs(report.phi_universal - mac_phi) <= 1e-8
 
 
@@ -182,28 +182,46 @@ def test_key_relation_detects_wrong_dual_coxeter():
     # mutation sanity: a table row with the wrong t breaks the key relation
     rs = build_root_system(SimpleLieType(Family.G2, 2))
     good = vogel_point(rs.lie_type)
-    bad = VogelPoint(good.alpha, good.beta, good.gamma, t=5.0)
+    bad = VogelPoint(good.alpha, good.beta, good.gamma + 1.0)
     root_sum = sinh_product_excess(1.0, good) + key_relation_residual(rs, 1.0)
     assert abs(root_sum - sinh_product_excess(1.0, bad)) > 1e-2
 
 
-def test_check_suite_reports_injected_fault(monkeypatch):
+def _corrupt_g2_row(monkeypatch, change):
+    # the G2 table row goes through `change`; every other row stays true
     import lievol.vogel as vogel_mod
 
     true_point = vogel_mod.vogel_point
 
     def corrupted(lie_type):
         point = true_point(lie_type)
-        if lie_type.family is Family.G2:
-            return VogelPoint(point.alpha, point.beta, point.gamma, t=5.0)
-        return point
+        return change(point) if lie_type.family is Family.G2 else point
 
     monkeypatch.setattr(vogel_mod, "vogel_point", corrupted)
+
+
+def test_check_suite_reports_injected_fault(monkeypatch):
+    _corrupt_g2_row(monkeypatch, lambda p: VogelPoint(p.alpha, p.beta, p.gamma + 1.0))
     items = run_check_suite(max_rank=2)
-    failed = {i.name for i in items if not i.passed}
-    assert "key relation G2" in failed
-    assert "structure G2" in failed
-    assert all("G2" in name for name in failed)
+    failed = {i.name: i.detail for i in items if not i.passed}
+    assert list(failed) == ["structure G2", "route agreement G2", "key relation G2"]
+    for name in ("structure G2", "route agreement G2"):
+        assert failed[name].startswith("error: G2: dimension formula gave non-integer 20.727")
+    assert failed["key relation G2"].startswith("max residual = ")
+    assert float(failed["key relation G2"].split("= ")[1]) > 1.0
+
+
+def test_check_suite_reports_rescaled_row(monkeypatch):
+    # a rescaled row is the same projective point, so the key relation still
+    # holds; only its sum no longer equals the dual Coxeter number
+    _corrupt_g2_row(monkeypatch, lambda p: VogelPoint(*(1.25 * q for q in p.params)))
+    items = {i.name: i for i in run_check_suite(max_rank=2)}
+    failed = {name: i.detail for name, i in items.items() if not i.passed}
+    assert failed == {
+        "structure G2": "error: G2: h_vee 4 != table t 5.0",
+        "route agreement G2": "error: G2: h_vee 4 != table t 5.0",
+    }
+    assert items["key relation G2"].passed
 
 
 def test_unconverged_quadrature_flags_report():
