@@ -36,7 +36,6 @@ __all__ = [
     "QuadResult",
     "integrate_semiinfinite",
     "integrate_phi",
-    "phi_integrand",
 ]
 
 
@@ -213,39 +212,6 @@ def integrate_semiinfinite(
     return QuadResult(value, err_total, converged, evals, cutoff)
 
 
-def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
-    """Integrand of the universal volume integral for one parameter point.
-
-    Assembled as [excess/x^2] * [x/(e^x - 1)]: the log-space excess keeps the
-    small-x region cancellation-free, and the large-x region switches to a
-    pure exponential form before either factor can overflow.
-    """
-    slopes = vogel._ratio_slopes(p)
-    k = vogel.dim_from_vogel(p)
-    limit0 = vogel.small_x_quadratic_coeff(p)
-
-    def f(x: float) -> float:
-        if x < 1e-12:
-            return limit0
-        ell = 0.0
-        for a, b in slopes:
-            ell += vogel.log_sinhc(a * x) - vogel.log_sinhc(b * x)
-        try:
-            if ell > 45.0 and x > 45.0:
-                return k * math.exp(ell - x) / x
-            return k * math.expm1(ell) / (x * math.expm1(x))
-        except OverflowError:
-            # expm1(x) overflows far out in the tail, where e^{-x} is the
-            # whole denominator; any other overflow is at extreme parameters,
-            # and _eval_panel turns the inf into an IntegrandEvaluationError
-            # that names the abscissa
-            if ell <= 45.0:
-                return k * math.expm1(ell) * math.exp(-x) / x
-            return math.inf
-
-    return f
-
-
 def integrate_phi(p: VogelPoint, tol: Tolerance | None = None) -> QuadResult:
     """Universal volume integral at p; refuses points of the divergence set."""
     if vogel.in_divergence_set(p):
@@ -257,4 +223,4 @@ def integrate_phi(p: VogelPoint, tol: Tolerance | None = None) -> QuadResult:
         raise ParameterDomainError("parameters must all be nonzero")
     # 4t is the natural argument scale of the sinh ratios; the slow decay
     # rate |alpha|/2t on table rows is handled by the tail-doubling loop.
-    return integrate_semiinfinite(phi_integrand(p), tol, initial_scale=4.0 * abs(p.t))
+    return integrate_semiinfinite(vogel.phi_integrand(p), tol, initial_scale=4.0 * abs(p.t))

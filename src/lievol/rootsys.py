@@ -230,7 +230,6 @@ class RootSystem(Record):
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
     dual_coxeter: int
-    exponents: tuple[int, ...]
     weighted_heights: tuple[int, ...]
     height_denominator: int
 
@@ -346,7 +345,6 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
         cartan_matrix=cartan,
         positive_roots=tuple(positive),
         dual_coxeter=h_vee,
-        exponents=exps,
         weighted_heights=tuple(heights),
         height_denominator=2 * denom * h_vee,
     )

@@ -8,6 +8,7 @@ normalization, where t = alpha + beta + gamma equals the dual Coxeter number.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from . import rootsys
 from ._record import Record
@@ -23,6 +24,7 @@ __all__ = [
     "log_sinhc",
     "sinh_product_excess",
     "small_x_quadratic_coeff",
+    "phi_integrand",
     "key_relation_residual",
 ]
 
@@ -144,8 +146,6 @@ def sinh_product_excess(x: float, p: VogelPoint) -> float:
     cancellation-free near 0, overflow-free until the rescaled product
     itself leaves double range. Even in x.
     """
-    if p.alpha * p.beta * p.gamma == 0.0:
-        raise ParameterDomainError("sinh ratio product undefined when a parameter vanishes")
     k = dim_from_vogel(p)
     ell = 0.0
     for a, b in _ratio_slopes(p):
@@ -162,6 +162,39 @@ def small_x_quadratic_coeff(p: VogelPoint) -> float:
     k = dim_from_vogel(p)
     s = math.fsum(a * a - b * b for a, b in _ratio_slopes(p))
     return k * s / 6.0
+
+
+def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
+    """Integrand of the universal volume integral for one parameter point.
+
+    Assembled as [excess/x^2] * [x/(e^x - 1)]: the log-space excess keeps the
+    small-x region cancellation-free, and the large-x region switches to a
+    pure exponential form before either factor can overflow.
+    """
+    slopes = _ratio_slopes(p)
+    k = dim_from_vogel(p)
+    limit0 = small_x_quadratic_coeff(p)
+
+    def f(x: float) -> float:
+        if x < 1e-12:
+            return limit0
+        ell = 0.0
+        for a, b in slopes:
+            ell += log_sinhc(a * x) - log_sinhc(b * x)
+        try:
+            if ell > 45.0 and x > 45.0:
+                return k * math.exp(ell - x) / x
+            return k * math.expm1(ell) / (x * math.expm1(x))
+        except OverflowError:
+            # expm1(x) overflows far out in the tail, where e^{-x} is the
+            # whole denominator; any other overflow is at extreme parameters,
+            # and the quadrature engine turns the inf into an
+            # IntegrandEvaluationError that names the abscissa
+            if ell <= 45.0:
+                return k * math.expm1(ell) * math.exp(-x) / x
+            return math.inf
+
+    return f
 
 
 def key_relation_residual(rs: "rootsys.RootSystem", x: float) -> float:

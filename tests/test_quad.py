@@ -9,9 +9,9 @@ from lievol.errors import (
     IntegrandEvaluationError,
     ParameterDomainError,
 )
-from lievol.quad import QuadResult, Tolerance, integrate_phi, integrate_semiinfinite, phi_integrand
+from lievol.quad import QuadResult, Tolerance, integrate_phi, integrate_semiinfinite
 from lievol.special import _TIGHT, _barnes_integrand
-from lievol.vogel import VogelPoint, vogel_point
+from lievol.vogel import VogelPoint, phi_integrand, vogel_point
 from lievol.rootsys import default_groups, su
 
 LN2 = math.log(2.0)

@@ -161,7 +161,7 @@ def test_exponent_tables():
 @pytest.mark.parametrize("lie_type", ALL_SUPPORTED, ids=lambda t: t.compact_name)
 def test_structural_invariants(lie_type):
     rs = build_root_system(lie_type)
-    assert sum(rs.exponents) == len(rs.positive_roots)
+    assert sum(exponents(rs.lie_type)) == len(rs.positive_roots)
     assert rs.dim == rs.rank + 2 * len(rs.positive_roots)
     # simple roots appear as unit vectors, all coordinates nonnegative
     for i in range(rs.rank):
