@@ -142,14 +142,13 @@ def _ratio_slopes(p: VogelPoint) -> tuple[tuple[float, float], ...]:
 def sinh_product_excess(x: float, p: VogelPoint) -> float:
     """Triple sinh-ratio product minus its x -> 0 limit (the dimension).
 
-    Evaluated in log space as dim * expm1(sum of log-sinhc differences):
+    Evaluated in log space as dim * expm1(l), l the log of the product over
+    dim (the sum of log-sinhc differences, see phi_integrand):
     cancellation-free near 0, overflow-free until the rescaled product
     itself leaves double range. Even in x.
     """
     k = dim_from_vogel(p)
-    ell = 0.0
-    for a, b in _ratio_slopes(p):
-        ell += log_sinhc(a * x) - log_sinhc(b * x)
+    ell = _log_sinhc_ratio(p)(x)
     if ell > 709.0:
         raise OverflowError(
             f"sinh ratio product exceeds double-precision range at x = {x!r}"
@@ -164,23 +163,78 @@ def small_x_quadratic_coeff(p: VogelPoint) -> float:
     return k * s / 6.0
 
 
+# |log| bound on the sinh-ratio product and its partial products inside the
+# band of phi_integrand; e^600 leaves room below the double limit e^709.78
+_BAND_LOG_MAX = 600.0
+
+
+def _log_sinhc_ratio(p: VogelPoint) -> Callable[[float], float]:
+    """l(x) = sum_i [log sinhc(a_i x) - log sinhc(b_i x)], even in x: the log
+    of one sinh-ratio product inside the band of phi_integrand, the sum of
+    log_sinhc terms outside it."""
+    slopes = _ratio_slopes(p)
+    sizes = [abs(s) for ab in slopes for s in ab]  # |a_1|, |b_1|, |a_2|, ...
+    smallest = min(sizes)
+    if smallest > 0.0:
+        x_lo = SINHC_SERIES_CUTOFF / smallest
+        x_hi = _BAND_LOG_MAX / max(sum(sizes[0::2]), sum(sizes[1::2]))
+        factors = tuple((a, b, b / a) for a, b in slopes)
+    else:
+        # a slope a_i = 0 (q_i = 2t, so dim = 0) has no ratio b_i/a_i, and a
+        # b_i that underflowed to 0 never reaches the cutoff: no band
+        x_lo = x_hi = 0.0
+        factors = ()
+
+    def ell(x: float) -> float:
+        x = abs(x)
+        if x_lo <= x < x_hi:
+            prod = 1.0
+            for a, b, r in factors:
+                prod *= math.sinh(a * x) * r / math.sinh(b * x)
+            return math.log(prod)
+        total = 0.0
+        for a, b in slopes:
+            total += log_sinhc(a * x) - log_sinhc(b * x)
+        return total
+
+    return ell
+
+
 def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     """Integrand of the universal volume integral for one parameter point.
 
     Assembled as [excess/x^2] * [x/(e^x - 1)]: the log-space excess keeps the
     small-x region cancellation-free, and the large-x region switches to a
     pure exponential form before either factor can overflow.
+
+    The log l of the sinh-ratio product over dim costs one log per sample
+    inside the band x_lo <= |x| < x_hi, where with m = min_i min(|a_i|, |b_i|),
+    A = sum_i |a_i| and B = sum_i |b_i|:
+
+    - x_lo = SINHC_SERIES_CUTOFF / m. Every |a_i x| and |b_i x| is at least
+      the cutoff, so no factor needs the series of log_sinhc, and
+      l = log prod_i [sinh(a_i x) (b_i/a_i) / sinh(b_i x)] is within a few
+      ulps of max(1, |l|) of its value at the rounded a_i x and b_i x: no
+      worse than the log_sinhc sum, which rounds each term to its own ulp.
+    - x_hi = 600 / max(A, B). Every |a_i x| and |b_i x| is below 600, so no
+      sinh overflows, and |b_i/a_i| = |b_i x|/|a_i x| < 600/cutoff = 4000,
+      so sinh(a_i x) (b_i/a_i) stays below 4000 e^600. Since
+      1 <= sinhc(y) < e^|y|, each factor sinhc(a_i x)/sinhc(b_i x) lies in
+      (e^-|b_i x|, e^|a_i x|), so every partial product lies in
+      (e^-B|x|, e^A|x|), inside [e^-600, e^600]: the product neither
+      overflows nor underflows to 0, and the log never sees 0.
+
+    Outside the band l is the log_sinhc sum. The band is empty when
+    x_lo >= x_hi, and when a slope is 0 (a_i = 0 where q_i = 2t and dim = 0).
     """
-    slopes = _ratio_slopes(p)
     k = dim_from_vogel(p)
+    log_ratio = _log_sinhc_ratio(p)
     limit0 = small_x_quadratic_coeff(p)
 
     def f(x: float) -> float:
         if x < 1e-12:
             return limit0
-        ell = 0.0
-        for a, b in slopes:
-            ell += log_sinhc(a * x) - log_sinhc(b * x)
+        ell = log_ratio(x)
         try:
             if ell > 45.0 and x > 45.0:
                 return k * math.exp(ell - x) / x

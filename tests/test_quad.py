@@ -1,6 +1,7 @@
 """Quadrature engine behavior and the universal integral."""
 
 import math
+import random
 
 import pytest
 
@@ -11,7 +12,17 @@ from lievol.errors import (
 )
 from lievol.quad import QuadResult, Tolerance, integrate_phi, integrate_semiinfinite
 from lievol.special import _TIGHT, _barnes_integrand
-from lievol.vogel import VogelPoint, phi_integrand, vogel_point
+from lievol.vogel import (
+    _BAND_LOG_MAX,
+    _log_sinhc_ratio,
+    SINHC_SERIES_CUTOFF,
+    VogelPoint,
+    dim_from_vogel,
+    log_sinhc,
+    phi_integrand,
+    small_x_quadratic_coeff,
+    vogel_point,
+)
 from lievol.rootsys import default_groups, su
 
 LN2 = math.log(2.0)
@@ -92,12 +103,54 @@ def test_algebraic_tail_closed_form():
         assert 3 * closed.evaluations < doubled.evaluations
 
 
+def _slopes(p):
+    # the sinh arguments per unit x of each parameter's ratio: numerator
+    # a = (q - 2t)/4t, denominator b = q/4t
+    t4 = 4.0 * p.t
+    return [((q - 2.0 * p.t) / t4, q / t4) for q in p.params]
+
+
+def _log_sum_terms(p, x):
+    # every log-sinhc term of the sinh-ratio product, one pair per parameter
+    return [(log_sinhc(a * x), log_sinhc(b * x)) for a, b in _slopes(p)]
+
+
+def _log_sum_phi_integrand(p):
+    """The phi integrand with every sample's log product taken as a sum of
+    log_sinhc terms, as it was before the band product: the reference for
+    phi_integrand and for the pinned phi rows below."""
+    k = dim_from_vogel(p)
+    limit0 = small_x_quadratic_coeff(p)
+
+    def f(x):
+        if x < 1e-12:
+            return limit0
+        ell = 0.0
+        for u, v in _log_sum_terms(p, x):
+            ell += u - v
+        try:
+            if ell > 45.0 and x > 45.0:
+                return k * math.exp(ell - x) / x
+            return k * math.expm1(ell) / (x * math.expm1(x))
+        except OverflowError:
+            if ell <= 45.0:
+                return k * math.expm1(ell) * math.exp(-x) / x
+            return math.inf
+
+    return f
+
+
+def _log_sum_phi(p, tol=None):
+    return integrate_semiinfinite(_log_sum_phi_integrand(p), tol, initial_scale=4.0 * abs(p.t))
+
+
 # (value.hex(), error_estimate.hex(), converged, evaluations, tail_cutoff).
 # The first six rows are pinned from the engine that re-summed every panel
 # with fsum on each step, the last four from the engine that re-summed the
 # panels once more, in order, at the end. Running sums, the optional tail
 # and reading the result off the running sums must leave every row
-# bit-identical.
+# bit-identical. The two phi rows run the log-sum reference integrand, so
+# they pin the engine alone; phi_integrand is held to that reference below.
 def _sqrt_exp(x):
     return math.sqrt(x) * math.exp(-x)
 
@@ -108,9 +161,9 @@ def _barnes(z):
 
 
 _PINNED = [
-    (lambda: integrate_phi(VogelPoint(-2.0, 2.0, 4.5)),
+    (lambda: _log_sum_phi(VogelPoint(-2.0, 2.0, 4.5)),
      ("0x1.90a52e8ddbcecp+1", "0x1.e9d0527ec7597p-34", True, 135, 288.0)),
-    (lambda: integrate_phi(VogelPoint(-2.0, 4.0, 1.7), Tolerance(rel=1e-13, abs=1e-15)),
+    (lambda: _log_sum_phi(VogelPoint(-2.0, 4.0, 1.7), Tolerance(rel=1e-13, abs=1e-15)),
      ("0x1.12ece2f2e1154p+1", "0x1.217148db4e10ap-44", True, 285, 236.8)),
     (lambda: integrate_semiinfinite(frullani),
      ("0x1.62e42fefa39eep-1", "0x1.6bfaa417e581ap-36", True, 120, 64.0)),
@@ -214,19 +267,135 @@ def test_phi_tail_cutoff_scales_with_t():
     assert large.tail_cutoff > small.tail_cutoff
 
 
-def test_integrand_branch_continuity():
-    # step across the earliest per-factor series switch by one ulp and
-    # require seamlessness
-    from lievol.vogel import SINHC_SERIES_CUTOFF
+def _mp_phi(mp, p):
+    # phi = int_0^inf [prod_i sinh(a_i x)/sinh(b_i x) - dim] / (x (e^x - 1)) dx
+    # at 20 digits; below x = 1e-5 the excess is dim * s2 * x^2 up to a
+    # relative x^2, so the integrand is c2 x/(e^x - 1) there
+    with mp.workdps(20):
+        t = mp.mpf(p.alpha) + p.beta + p.gamma
+        slopes = [((mp.mpf(q) - 2 * t) / (4 * t), mp.mpf(q) / (4 * t)) for q in p.params]
+        dim = mp.fprod(a / b for a, b in slopes)
+        c2 = dim * mp.fsum(a * a - b * b for a, b in slopes) / 6
 
+        def f(x):
+            if x < mp.mpf("1e-5"):
+                return c2 * x / mp.expm1(x) if x else c2
+            excess = mp.fprod(mp.sinh(a * x) / mp.sinh(b * x) for a, b in slopes) - dim
+            return excess / (x * mp.expm1(x))
+
+        return float(mp.quad(f, [0, 1, 4, 16, 64, 256, mp.inf]))
+
+
+_OFF_TABLE_LINES = {
+    (-2.0, 2.0): (0.35, 0.8, 1.45, 2.3, 3.7, 5.15, 7.6, 10.4),
+    (-2.0, 4.0): (0.25, 0.9, 1.6, 2.45, 3.3, 4.75, 6.2, 9.5),
+    (-2.0, 1.0): (1.35, 1.7, 2.25, 2.9, 3.55, 4.4, 6.65, 8.3),
+}
+
+
+@pytest.mark.parametrize(
+    "p",
+    [VogelPoint(a, b, g) for (a, b), gammas in _OFF_TABLE_LINES.items() for g in gammas],
+    ids=repr,
+)
+def test_phi_off_table_vs_mpmath(p):
+    mp = pytest.importorskip("mpmath")
+    ref = _mp_phi(mp, p)
+    res = integrate_phi(p)
+    assert res.converged
+    err = abs(res.value - ref)
+    assert err <= res.error_estimate
+    assert err <= 1e-12 * max(1.0, abs(ref))
+
+
+def _band_edges(p):
+    # where phi_integrand takes the log of one sinh-ratio product: from where
+    # the smallest slope reaches the series cutoff of log_sinhc to where the
+    # larger slope sum reaches the log bound; empty when a slope is 0
+    slopes = _slopes(p)
+    smallest = min(min(abs(a), abs(b)) for a, b in slopes)
+    if not smallest > 0.0:
+        return 0.0, 0.0
+    x_hi = _BAND_LOG_MAX / max(sum(abs(a) for a, _ in slopes), sum(abs(b) for _, b in slopes))
+    return SINHC_SERIES_CUTOFF / smallest, x_hi
+
+
+def test_integrand_branch_continuity():
+    # step across the earliest per-factor series switch and both edges of
+    # the band product by one ulp and require seamlessness
     p = VogelPoint(-2.0, 2.0, 5.0)
     slopes = [abs(q - 2.0 * p.t) / (4.0 * p.t) for q in p.params]
     slopes += [abs(q) / (4.0 * p.t) for q in p.params]
     x_switch = SINHC_SERIES_CUTOFF / max(slopes)
+    x_lo, x_hi = _band_edges(p)
+    assert x_switch < x_lo < x_hi < 700.0
     f = phi_integrand(p)
-    lo = f(math.nextafter(x_switch, 0.0))
-    hi = f(math.nextafter(x_switch, math.inf))
-    assert hi == pytest.approx(lo, rel=1e-12)
+    for x in (x_switch, x_lo, x_hi):
+        lo = f(math.nextafter(x, 0.0))
+        hi = f(math.nextafter(x, math.inf))
+        assert hi == pytest.approx(lo, rel=1e-12), x
+
+
+def _band_points():
+    points = [vogel_point(g) for g in default_groups(12)]
+    # off-table points on the unitary, orthogonal and symplectic scan lines
+    rng = random.Random(20261018)
+    for alpha, beta in ((-2.0, 2.0), (-2.0, 4.0), (-2.0, 1.0)):
+        points += [VogelPoint(alpha, beta, round(rng.uniform(0.2, 12.0), 3)) for _ in range(6)]
+    return points
+
+
+# an empty band (x_lo ~ 6e199 > x_hi), and a dim-0 point (gamma = 2t, so
+# a = 0 and no band)
+_BANDLESS_POINTS = [VogelPoint(-2.0, 1e-200, 3.0), VogelPoint(-2.0, 1.0, 2.0)]
+
+
+def _abscissae(p):
+    xs = [1e-6, 1e-3, 0.05, 0.3, 1.0, 2.5, 7.0, 20.0, 60.0, 200.0, 700.0, 2000.0]
+    x_lo, x_hi = _band_edges(p)
+    if x_lo < x_hi:
+        span = x_hi / x_lo
+        xs += [x_lo * span ** (i / 16) for i in range(17)]
+        xs += [x_lo * 0.5, math.nextafter(x_lo, 0.0), math.nextafter(x_hi, 0.0), x_hi * 2.0]
+    return xs
+
+
+@pytest.mark.parametrize("p", _band_points() + _BANDLESS_POINTS, ids=repr)
+def test_integrand_matches_log_sum_reference(p):
+    # The reference rounds each log_sinhc term to its own ulp, so where the
+    # terms cancel, the two logs differ by a few ulps of the summed term
+    # magnitudes, not of |l| (the band product is the closer of the two to
+    # exact: test_band_log_ratio_error_class). That difference, carried
+    # through df/dl = k e^l / (x (e^x - 1)), plus a few ulps of f, bounds f.
+    eps = 2.0**-52
+    k = dim_from_vogel(p)
+    f, ref = phi_integrand(p), _log_sum_phi_integrand(p)
+    for x in _abscissae(p):
+        want, got = ref(x), f(x)
+        if got == want:
+            continue
+        terms = _log_sum_terms(p, x)
+        ell = math.fsum(u - v for u, v in terms)
+        scale = max(1.0, math.fsum(abs(u) + abs(v) for u, v in terms))
+        dfdl = abs(k) * math.exp(ell - x) / (x * -math.expm1(-x))
+        assert abs(got - want) <= 8 * eps * (scale * dfdl + abs(want)), (x, got, want)
+
+
+@pytest.mark.parametrize("p", _band_points(), ids=repr)
+def test_band_log_ratio_error_class(p):
+    # inside the band, l is within a few ulps of max(1, |l|) of its exact
+    # value at the same rounded arguments a*x and b*x
+    mp = pytest.importorskip("mpmath")
+    eps = 2.0**-52
+    ell = _log_sinhc_ratio(p)
+    x_lo, x_hi = _band_edges(p)
+    assert x_lo < x_hi
+    with mp.workdps(40):
+        log_sinhc_mp = lambda y: mp.log(mp.sinh(y) / y)
+        for x in (x_lo * (x_hi / x_lo) ** (i / 8) for i in range(8)):
+            want = mp.fsum(log_sinhc_mp(mp.mpf(a * x)) - log_sinhc_mp(mp.mpf(b * x))
+                           for a, b in _slopes(p))
+            assert abs(ell(x) - want) <= 8 * eps * max(1.0, abs(want)), x
 
 
 def test_integrand_far_tail_underflows_to_zero():
