@@ -62,17 +62,7 @@ def _tolerance(args) -> Tolerance:
 def report_to_dict(r: VolumeReport) -> dict:
     """Fixed-order mapping for serialization; `volume` is null when the raw
     value is not representable."""
-    return {
-        "group": r.group,
-        "dim": r.dim,
-        "phi_universal": r.phi_universal,
-        "phi_kp": r.phi_kp,
-        "log_volume": r.log_volume,
-        "volume": r.volume,
-        "route_discrepancy": r.route_discrepancy,
-        "converged": r.converged,
-        "notes": r.notes,
-    }
+    return {name: getattr(r, name) for name in VolumeReport._fields if name != "agreed"}
 
 
 _CSV_REPORT_HEADER = (

@@ -29,7 +29,6 @@ from .errors import (
     IntegrandEvaluationError,
     ParameterDomainError,
 )
-from .vogel import VogelPoint
 
 __all__ = [
     "Tolerance",
@@ -212,15 +211,12 @@ def integrate_semiinfinite(
     return QuadResult(value, err_total, converged, evals, cutoff)
 
 
-def integrate_phi(p: VogelPoint, tol: Tolerance | None = None) -> QuadResult:
+def integrate_phi(p: vogel.VogelPoint, tol: Tolerance | None = None) -> QuadResult:
     """Universal volume integral at p; refuses points of the divergence set."""
     if vogel.in_divergence_set(p):
         raise DivergenceSetError(
             "integral diverges on the divergence set "
             "(alpha/t, beta/t, gamma/t all nonnegative)"
         )
-    if p.alpha * p.beta * p.gamma == 0.0:
-        raise ParameterDomainError("parameters must all be nonzero")
-    # 4t is the natural argument scale of the sinh ratios; the slow decay
-    # rate |alpha|/2t on table rows is handled by the tail-doubling loop.
-    return integrate_semiinfinite(vogel.phi_integrand(p), tol, initial_scale=4.0 * abs(p.t))
+    integrand = vogel.phi_integrand(p)
+    return integrate_semiinfinite(integrand, tol, initial_scale=vogel.phi_start_scale(p))

@@ -1,11 +1,10 @@
 """Classical special functions via their integral representations.
 
-log-Gamma comes from Malmsten's integral and log Barnes-G from Barnes'
-integral, both driven by the quadrature engine; the Barnes integrand
-decays only like z/y^2, so its tail beyond the cutoff is integrated in
-closed form. At the integers a sum of logarithms of the factorial
-product supplies the reference values. The two Barnes routes are kept
-fully independent so their agreement is a genuine check.
+log Barnes-G comes from Barnes' integral, driven by the quadrature
+engine; the integrand decays only like z/y^2, so its tail beyond the
+cutoff is integrated in closed form. At the integers a sum of logarithms
+of the factorial product supplies the reference values. The two Barnes
+routes are kept fully independent so their agreement is a genuine check.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from .quad import Tolerance, integrate_semiinfinite
 
 __all__ = [
     "SpecialValue",
-    "log_gamma_malmsten",
-    "euler_reflection_residual",
     "log_barnesG_integral",
     "barnesG_integer_oracle",
     "phi_unitary_closed_form",
@@ -41,65 +38,6 @@ _TIGHT = Tolerance(rel=1e-12, abs=1e-14, max_evaluations=400_000)
 class SpecialValue(Record):
     value: float
     error_estimate: float
-
-
-def _converged(qr, what):
-    if not qr.converged:
-        raise QuadratureError(f"quadrature for {what} did not converge", result=qr)
-    return qr
-
-
-def log_gamma_malmsten(z: float, tol: Tolerance | None = None) -> SpecialValue:
-    """ln Gamma(1+z) for z > -1 from Malmsten's integral.
-
-    The numerator e^{-zx} + z(1-e^{-x}) - 1 is computed by a short series
-    below x ~ 1e-3/max(1,|z|) (it vanishes to second order at 0) and by
-    expm1 differences elsewhere; for z < 0 the large-x region switches to
-    the dominant exponential to dodge inf/inf.
-    """
-    if 1.0 + z <= 0.0:
-        raise ParameterDomainError(f"log_gamma_malmsten requires z > -1, got {z}")
-    tol = tol or _TIGHT
-
-    # series coefficients of expm1(-zx) - z expm1(-x): (-1)^k (z^k - z)/k!
-    coeffs = []
-    zk = z
-    sign = 1.0
-    fact = 1.0
-    for k in range(2, 9):
-        zk *= z
-        sign = -sign
-        fact *= k
-        coeffs.append(sign * (zk - z) / fact)
-    x_switch = 1e-3 / max(1.0, abs(z))
-
-    def f(x: float) -> float:
-        if x < x_switch:
-            num = 0.0
-            for c in reversed(coeffs):
-                num = num * x + c
-            num *= x * x
-        elif z < 0.0 and -z * x > 45.0 and x > 45.0:
-            return math.exp(-(1.0 + z) * x) / x
-        else:
-            num = math.expm1(-z * x) - z * math.expm1(-x)
-        return num / (x * math.expm1(x))
-
-    scale = 8.0 * max(1.0, 1.0 / (1.0 + z))
-    qr = _converged(
-        integrate_semiinfinite(f, tol, initial_scale=scale), f"ln Gamma(1+{z})"
-    )
-    return SpecialValue(qr.value, qr.error_estimate)
-
-
-def euler_reflection_residual(x: float) -> float:
-    """sin(pi x)/(pi x) minus 1/(Gamma(1-x) Gamma(1+x)), for 0 < |x| < 1."""
-    if not 0.0 < abs(x) < 1.0:
-        raise ParameterDomainError(f"requires 0 < |x| < 1, got {x}")
-    lg_plus = log_gamma_malmsten(x)
-    lg_minus = log_gamma_malmsten(-x)
-    euler = math.sin(math.pi * x) / (math.pi * x)
-    return euler - math.exp(-lg_minus.value - lg_plus.value)
 
 
 # --- Barnes G ---------------------------------------------------------------
@@ -200,10 +138,9 @@ def log_barnesG_integral(z: float, tol: Tolerance | None = None) -> SpecialValue
     def tail(x: float) -> float:
         return z / x - 0.5 / (x * x)
 
-    qr = _converged(
-        integrate_semiinfinite(_barnes_integrand(z), tol, initial_scale=8.0, tail=tail),
-        f"ln G({z}+1)",
-    )
+    qr = integrate_semiinfinite(_barnes_integrand(z), tol, initial_scale=8.0, tail=tail)
+    if not qr.converged:
+        raise QuadratureError(f"quadrature for ln G({z}+1) did not converge", result=qr)
     value = 0.5 * z * _LOG_2PI + _ZETA_PRIME_MINUS_ONE - qr.value
     return SpecialValue(value, qr.error_estimate)
 

@@ -12,7 +12,7 @@ from collections.abc import Callable
 
 from . import rootsys
 from ._record import Record
-from .errors import ParameterDomainError
+from .errors import DivergenceSetError, ParameterDomainError
 from .rootsys import Family, SimpleLieType
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "vogel_point",
     "spin_row_point",
     "dim_from_vogel",
+    "phi_start_scale",
     "in_divergence_set",
     "log_sinhc",
     "sinh_product_excess",
@@ -30,9 +31,9 @@ __all__ = [
 
 
 class VogelPoint(Record):
-    """A point of the parameter plane: finite coordinates and their nonzero
-    float sum t, an attribute but not a field (repr, equality and hashing
-    cover alpha, beta and gamma only)."""
+    """A point of the parameter plane: finite coordinates, their tuple params
+    and their nonzero float sum t, attributes but not fields (repr, equality
+    and hashing cover alpha, beta and gamma only)."""
 
     alpha: float
     beta: float
@@ -45,10 +46,7 @@ class VogelPoint(Record):
         if t == 0.0:
             raise ParameterDomainError("alpha + beta + gamma must be nonzero")
         object.__setattr__(self, "t", t)
-
-    @property
-    def params(self) -> tuple[float, float, float]:
-        return (self.alpha, self.beta, self.gamma)
+        object.__setattr__(self, "params", (self.alpha, self.beta, self.gamma))
 
 
 _EXCEPTIONAL_POINTS = {
@@ -87,13 +85,45 @@ def spin_row_point(n: int) -> VogelPoint:
     return VogelPoint(-2.0, 4.0, float(n - 4))
 
 
+def _shift(t: float) -> tuple[int, float]:
+    """k and 2^-k, k >= 0 least with |t| < 2^k: times 2^-k, 2t, 4t and each q - 2t
+    are finite, and exact wherever the unshifted value is normal."""
+    k = max(math.frexp(t)[1], 0)
+    return k, math.ldexp(1.0, -k)
+
+
 def dim_from_vogel(p: VogelPoint) -> float:
-    """(alpha-2t)(beta-2t)(gamma-2t)/(alpha beta gamma); scale and permutation invariant."""
-    denom = p.alpha * p.beta * p.gamma
-    if denom == 0.0:
-        raise ParameterDomainError("dimension formula undefined when a parameter vanishes")
-    t2 = 2.0 * p.t
-    return (p.alpha - t2) * (p.beta - t2) * (p.gamma - t2) / denom
+    """(alpha-2t)(beta-2t)(gamma-2t)/(alpha beta gamma), with frexp mantissas and
+    exponents multiplied and added apart, and the differences q - 2t taken
+    shifted by 2^-k (see _shift): scale-free, the plain quotient bit for bit
+    where it and every plain product are normal, +-inf where it leaves double range."""
+    a, b, g = p.params
+    if 0.0 in p.params:
+        raise ParameterDomainError("parameters must all be nonzero")
+    k, u = _shift(p.t)
+    t2 = 2.0 * (u * p.t)
+    (n1, e1), (n2, e2), (n3, e3) = (
+        math.frexp(u * a - t2), math.frexp(u * b - t2), math.frexp(u * g - t2)
+    )
+    (d1, f1), (d2, f2), (d3, f3) = math.frexp(a), math.frexp(b), math.frexp(g)
+    quotient = n1 * n2 * n3 / (d1 * d2 * d3)
+    try:
+        return math.ldexp(quotient, e1 + e2 + e3 + 3 * k - f1 - f2 - f3)
+    except OverflowError:
+        return math.copysign(math.inf, quotient)
+
+
+def phi_start_scale(p: VogelPoint) -> float:
+    """8|t|/|s|, s the sum of the 1 or 2 parameters with q/t < 0 (none on the
+    divergence set, which raises): four decay lengths of phi_integrand(p) where
+    no q/t exceeds 2, and 4t exactly where alpha = -2 and beta, gamma, t > 0."""
+    opposite = [q for q in p.params if q / p.t < 0.0]
+    if not opposite:
+        raise DivergenceSetError("no parameter has q/t < 0: phi has no decay length")
+    scale = 8.0 * (abs(p.t) / abs(sum(opposite)))
+    if not 0.0 < scale < math.inf:
+        raise ParameterDomainError("the decay length of the phi integrand leaves double range")
+    return scale
 
 
 def in_divergence_set(p: VogelPoint) -> bool:
@@ -134,9 +164,11 @@ def log_sinhc(y: float) -> float:
 
 def _ratio_slopes(p: VogelPoint) -> tuple[tuple[float, float], ...]:
     # per-parameter sinh arguments per unit x: a = (q-2t)/4t (numerator),
-    # b = q/4t (denominator)
-    t4 = 4.0 * p.t
-    return tuple(((q - 2.0 * p.t) / t4, q / t4) for q in p.params)
+    # b = q/4t (denominator), from the coordinates shifted by 2^-k (see _shift)
+    _, u = _shift(p.t)
+    t = u * p.t
+    t4 = 4.0 * t
+    return tuple(((u * q - 2.0 * t) / t4, u * q / t4) for q in p.params)
 
 
 def sinh_product_excess(x: float, p: VogelPoint) -> float:

@@ -131,7 +131,9 @@ def test_criterion_7_projective_permutation_invariance():
         (5.0, -2.0, 2.0),
         (5.0, 2.0, -2.0),
     ]
-    for lam in (1.0, 0.5, 3.0):
+    # the scales span the double range: phi reads only the ratios of the triple
+    # (at 1e307 4t overflows, at 2e307 2t does too)
+    for lam in (1.0, 0.5, 3.0, 1e-300, 1e-120, 1e120, 1e300, 1e307, 2e307):
         for a, b, g in perms:
             value = integrate_phi(VogelPoint(lam * a, lam * b, lam * g)).value
             worst = max(worst, abs(value - base))

@@ -101,10 +101,26 @@ def test_volume_text_outside_double_range(capsys):
     assert lines[5] == "volume             (outside double range)"
 
 
+# SU_2's phi, ln(pi/2) to the last bit, and its point (-2, 2, 2) rescaled
+# across the double range: phi reads only the ratios of the triple. At 5e307
+# 4t overflows, at 1e308 2t does too
+_SU2_PHI = 0.45158270528945527
+_SU2_TRIPLES = [("-2", "2", "2")] + [
+    (f"-{s}", s, s) for s in ("1e-300", "1e-120", "1", "1e120", "1e300", "5e307", "1e308")
+]
+
+
 def test_phi_value(capsys):
-    code, out, _ = run_cli(capsys, "phi", "--alpha", "-2", "--beta", "2", "--gamma", "2")
-    assert code == 0
-    assert "0.4515827" in out
+    for alpha, beta, gamma in _SU2_TRIPLES:
+        argv = ("phi", f"--alpha={alpha}", f"--beta={beta}", f"--gamma={gamma}")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert "0.4515827" in out, argv
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        payload = json.loads(out)
+        assert abs(payload["phi"] - _SU2_PHI) <= 2e-15 * _SU2_PHI, argv
+        assert payload["dim"] == pytest.approx(3.0, rel=1e-15), argv
 
 
 def test_phi_zero_point(capsys):
@@ -318,6 +334,9 @@ def exit_code(argv):
         ("scan --from 1e308 --to=-1e308 --step 1", None, 0),
         ("volume --group E8 --n 7", None, 2),
         ("phi --alpha -2 --beta 2 --gamma 1e300", None, 1),
+        # the start scale 8|t|/|s| (here s = alpha) is inf, and 0: no decay length in double range
+        ("phi --alpha=-1e-300 --beta 1e10 --gamma 1", None, 2),
+        ("phi --alpha=-1e300 --beta 1e300 --gamma 1e-300", None, 2),
         # math.exp overflow inside the integrand, found by the fuzz test below
         ("phi --alpha 1770660 --beta 1770660 --gamma=-5.417501321893715e-10 --rel 1", None, 1),
         ("phi --alpha 1 --beta 1 --gamma 1", None, 3),

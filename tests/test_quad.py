@@ -245,12 +245,27 @@ def test_phi_su3_value():
 
 
 def test_phi_projective_and_permutation_invariance():
-    base = integrate_phi(VogelPoint(-2.0, 2.0, 5.0)).value
-    for lam in (0.5, 3.0):
+    base_result = integrate_phi(VogelPoint(-2.0, 2.0, 5.0))
+    base = base_result.value
+    for lam in (0.5, 3.0, 1e-300, 1e-120, 1e120, 1e300, 1e307, 2e307):
         scaled = integrate_phi(VogelPoint(-2.0 * lam, 2.0 * lam, 5.0 * lam)).value
         assert abs(scaled - base) <= 1e-9
+    # an exact rescaling leaves every quantity phi reads the same float, also
+    # at k = 1020, where 4t overflows, and at k = 1021, where 2t does
+    for k in (-1020, -300, 300, 1020, 1021):
+        p = VogelPoint(math.ldexp(-2.0, k), math.ldexp(2.0, k), math.ldexp(5.0, k))
+        assert integrate_phi(p) == base_result, k
     for perm in ((2.0, -2.0, 5.0), (5.0, 2.0, -2.0), (2.0, 5.0, -2.0)):
         assert abs(integrate_phi(VogelPoint(*perm)).value - base) <= 1e-9
+
+
+def test_phi_bit_equal_under_swapping_a_tiny_parameter():
+    # the start scale sums the parameters with q/t < 0, not one named
+    # coordinate: a start of 8|t|/|alpha| is 8e200 at the first point, where
+    # the engine returns phi = 0.0, marked converged, after 30 evaluations
+    first = integrate_phi(VogelPoint(1e-200, -2.0, 3.0))
+    assert first == integrate_phi(VogelPoint(-2.0, 1e-200, 3.0))
+    assert first.converged and first.value == pytest.approx(-1.8466e199, rel=1e-4)
 
 
 def test_phi_nonnegative_on_table_rows():

@@ -1,4 +1,5 @@
-"""Special-function routes: Malmsten log-Gamma, Barnes-G, factorial oracle."""
+"""Special-function routes: Barnes-G, the factorial oracle, and the Malmsten
+log-Gamma oracle with its Euler reflection residual (kept in tests/malmsten.py)."""
 
 import math
 from fractions import Fraction
@@ -12,12 +13,11 @@ from lievol.special import (
     _TIGHT,
     _barnes_integrand,
     barnesG_integer_oracle,
-    euler_reflection_residual,
     log_barnesG_integral,
-    log_gamma_malmsten,
     phi_unitary_closed_form,
 )
 from lievol.vogel import VogelPoint
+from malmsten import euler_reflection_residual, log_gamma_malmsten
 
 LOG_2PI = math.log(2.0 * math.pi)
 

@@ -1,12 +1,13 @@
 """Parameter table, dimension formula, and sinh-ratio generator."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lievol.errors import ParameterDomainError
+from lievol.errors import DivergenceSetError, ParameterDomainError
 from lievol.rootsys import Family, SimpleLieType, build_root_system, default_groups, sp, spin, su
 from lievol.vogel import (
     VogelPoint,
@@ -14,6 +15,7 @@ from lievol.vogel import (
     in_divergence_set,
     key_relation_residual,
     log_sinhc,
+    phi_start_scale,
     sinh_product_excess,
     small_x_quadratic_coeff,
     spin_row_point,
@@ -68,6 +70,13 @@ def test_dimension_formula_domain():
         dim_from_vogel(VogelPoint(0.0, 1.0, -3.0))
     with pytest.raises(ParameterDomainError):
         VogelPoint(1.0, 1.0, -2.0)  # t = 0
+    # the quotient, about 1e600, leaves double range: inf, as the plain
+    # quotient gave, so the integrand stops with the same error
+    assert dim_from_vogel(VogelPoint(-2.0, 2.0, 1e300)) == math.inf
+    # 2t overflows at the last two, 4t at all three: the differences q - 2t
+    # are taken shifted by a power of two
+    for s in (5e307, 1e308, 1.7e308):
+        assert dim_from_vogel(VogelPoint(-s, s, s)) == pytest.approx(3.0, rel=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -75,7 +84,7 @@ def test_dimension_formula_domain():
     st.floats(-9, 9).filter(lambda v: abs(v) > 1e-2),
     st.floats(-9, 9).filter(lambda v: abs(v) > 1e-2),
     st.floats(-9, 9).filter(lambda v: abs(v) > 1e-2),
-    st.sampled_from([0.5, 3.0, -1.0, 7.0]),
+    st.sampled_from([0.5, 3.0, -1.0, 7.0, 1e-300, 1e300]),
 )
 def test_dim_scale_and_permutation_invariant(a, b, g, lam):
     if abs(a + b + g) < 1e-3:
@@ -87,6 +96,74 @@ def test_dim_scale_and_permutation_invariant(a, b, g, lam):
         assert dim_from_vogel(VogelPoint(*perm)) == pytest.approx(base, rel=1e-12, abs=1e-12)
 
 
+def _plain_products(p):
+    """The dimension formula's numerator and denominator as plain float
+    products, after the partial products they round: the quotient of the
+    last two is the reference where all four and it are normal."""
+    t2 = 2.0 * p.t
+    num2 = (p.alpha - t2) * (p.beta - t2)
+    den2 = p.alpha * p.beta
+    return num2, den2, num2 * (p.gamma - t2), den2 * p.gamma
+
+
+def _normal(x):
+    return sys.float_info.min <= abs(x) < math.inf
+
+
+# a parameter: a signed mantissa times a power of ten, so that the products
+# reach both ends of the double range
+_SPREAD_PARAM = st.builds(
+    lambda m, k: m * 10.0**k,
+    st.floats(-9, 9).filter(lambda v: abs(v) > 1e-3),
+    st.integers(-110, 110),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPREAD_PARAM, _SPREAD_PARAM, _SPREAD_PARAM)
+def test_dim_bit_equal_to_plain_quotient_where_normal(a, b, g):
+    try:
+        p = VogelPoint(a, b, g)
+    except ParameterDomainError:
+        return  # t = 0
+    products = _plain_products(p)
+    if all(map(_normal, products)):
+        want = products[2] / products[3]
+        if want == 0.0 or _normal(want):
+            assert dim_from_vogel(p).hex() == want.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_phi_start_scale_is_4t_on_alpha_minus_2(b, g):
+    # every table row and every benchmark point has this form
+    for perm in ((-2.0, b, g), (b, -2.0, g), (g, b, -2.0)):
+        try:
+            p = VogelPoint(*perm)
+        except ParameterDomainError:
+            continue  # t = 0, as at b = g = 1
+        if p.t > 0.0:
+            assert phi_start_scale(p) == 4.0 * p.t
+
+
+# multiples of 1/8: every order of the sum gives the same t
+_DYADIC = st.integers(-400, 400).map(lambda k: k / 8.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DYADIC, _DYADIC, _DYADIC)
+def test_phi_start_scale_permutation_invariant(a, b, g):
+    try:
+        p = VogelPoint(a, b, g)
+    except ParameterDomainError:
+        return
+    if in_divergence_set(p):
+        return
+    scale = phi_start_scale(p)
+    for perm in ((b, a, g), (g, b, a), (a, g, b), (b, g, a), (g, a, b)):
+        assert phi_start_scale(VogelPoint(*perm)) == scale
+
+
 def test_divergence_set_membership():
     assert in_divergence_set(VogelPoint(1.0, 1.0, 1.0))
     assert in_divergence_set(VogelPoint(0.0, 1.0, 1.0))  # boundary included
@@ -94,6 +171,8 @@ def test_divergence_set_membership():
     assert not in_divergence_set(VogelPoint(2.0, -2.0, -5.0))  # same projective point
     for g in default_groups(8):
         assert not in_divergence_set(vogel_point(g)), g
+    with pytest.raises(DivergenceSetError):  # no parameter has q/t < 0
+        phi_start_scale(VogelPoint(1.0, 1.0, 1.0))
 
 
 def test_excess_vanishing_point():
