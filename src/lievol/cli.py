@@ -9,11 +9,12 @@ included), 3 divergence-domain refusal. `main` alone maps errors to codes.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import quad, rootsys, special, vogel, volume
 from .errors import (
@@ -33,6 +34,7 @@ _GROUP_CHOICES = ("SU", "Spin", "Sp") + tuple(f.value for f in (*_RANK_FLOOR, *E
 
 # Largest row count `scan` accepts; a longer grid is a usage error.
 _MAX_SCAN_ROWS = 100_000
+_PROG = "lievol"
 
 
 def _resolve_group(group: str, n: int | None) -> SimpleLieType:
@@ -71,20 +73,9 @@ _CSV_REPORT_HEADER = (
 
 
 def _report_csv_row(r: VolumeReport, point: VogelPoint) -> str:
-    return ",".join(
-        [
-            r.group,
-            repr(point.alpha),
-            repr(point.beta),
-            repr(point.gamma),
-            repr(point.t),
-            str(r.dim),
-            repr(r.phi_universal),
-            repr(r.phi_kp),
-            repr(r.log_volume),
-            repr(r.route_discrepancy),
-        ]
-    )
+    head = (point.alpha, point.beta, point.gamma, point.t)
+    tail = (r.phi_universal, r.phi_kp, r.log_volume, r.route_discrepancy)
+    return ",".join([r.group, *map(repr, head), str(r.dim), *map(repr, tail)])
 
 
 def _print_report_text(r: VolumeReport) -> None:
@@ -122,20 +113,11 @@ def cmd_phi(args, tol: Tolerance) -> int:
     dim = vogel.dim_from_vogel(point)
     log_volume = dim * volume.LOG_VOLUME_BASE - qr.value
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "alpha": point.alpha,
-                    "beta": point.beta,
-                    "gamma": point.gamma,
-                    "phi": qr.value,
-                    "error_estimate": qr.error_estimate,
-                    "dim": dim,
-                    "log_volume": log_volume,
-                    "converged": qr.converged,
-                }
-            )
-        )
+        print(json.dumps({
+            "alpha": point.alpha, "beta": point.beta, "gamma": point.gamma, "phi": qr.value,
+            "error_estimate": qr.error_estimate, "dim": dim, "log_volume": log_volume,
+            "converged": qr.converged,
+        }))
     else:
         print(f"phi                {qr.value:.12g}")
         print(f"error estimate     {qr.error_estimate:.3e}")
@@ -216,75 +198,118 @@ def cmd_check(args, tol: Tolerance) -> int:
     return 0 if failed == 0 else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _opt(flag, type=str, default=None, *, required=False, choices=None, help=None, dest=None):
+    """One option: its flag and the `add_argument` keywords, which `_parse` reads too."""
+    dest = dest or flag[2:].replace("-", "_")
+    return flag, dict(
+        dest=dest, type=type, default=default, required=required, choices=choices, help=help
+    )
+
+
+def _format(*choices):
+    return _opt("--format", default="text", choices=("text", *choices))
+
+
+_TOL = (
+    _opt("--rel", float, help="relative tolerance"),
+    _opt("--abs", float, help="absolute tolerance"),
+)
+_MAX_RANK = _opt("--max-rank", int, 8)
+
+# The command-line surface, stated once: command -> (handler, help, options).
+# `_build_parser` turns it into the argparse parser, `_parse` reads it directly.
+_COMMANDS = {
+    "volume": (cmd_volume, "volume report for one group", (
+        _opt("--group", required=True, choices=_GROUP_CHOICES),
+        _opt("--n", int, help="size/rank selector"),
+        _format("json", "csv"), *_TOL,
+    )),
+    "phi": (cmd_phi, "universal integral at a raw parameter triple", (
+        *(_opt(f"--{q}", float, required=True) for q in ("alpha", "beta", "gamma")),
+        _format("json"), *_TOL,
+    )),
+    "scan": (cmd_scan, "CSV scan over gamma at fixed alpha, beta", (
+        _opt("--from", float, required=True, dest="start"),
+        _opt("--to", float, required=True, dest="stop"),
+        _opt("--step", float, required=True),
+        _opt("--alpha", float, -2.0),
+        _opt("--beta", float, 2.0),
+        *_TOL,
+    )),
+    "table": (cmd_table, "reproduce the parameter table with volumes",
+              (_MAX_RANK, _format("json", "csv"), *_TOL)),
+    "check": (cmd_check, "run the full verification suite", (_MAX_RANK, *_TOL)),
+}
+
+# argparse reads a token after an option as its value, not as an option,
+# when it starts with "-" only if it matches this (argparse's own pattern)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for a command and its exact long options, each with a
+    typed value after a space or "=", from `_COMMANDS`; None for anything else
+    (help, an abbreviation, "--", a bad value, a stray token), left to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = dict(_COMMANDS[argv[0]][2])
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+                return None
+        spec = options[flag]
+        try:
+            value = spec["type"](value)
+        except (TypeError, ValueError):
+            return None
+        if spec["choices"] is not None and value not in spec["choices"]:
+            return None
+        values[spec["dest"]] = value
+    specs = options.values()
+    if any(spec["required"] and spec["dest"] not in values for spec in specs):
+        return None
+    defaults = {spec["dest"]: spec["default"] for spec in specs}
+    return SimpleNamespace(command=argv[0], **{**defaults, **values})
+
+
+def _build_parser():
+    """The argparse parser for `_COMMANDS`: the one renderer of help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
-        prog="lievol",
+        prog=_PROG,
         description=(
             "Volumes of compact simple Lie groups under the Cartan-Killing "
             "metric, by independent routes."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_tol(p):
-        p.add_argument("--rel", type=float, default=None, help="relative tolerance")
-        p.add_argument("--abs", type=float, default=None, help="absolute tolerance")
-
-    p_volume = sub.add_parser("volume", help="volume report for one group")
-    p_volume.add_argument("--group", required=True, choices=_GROUP_CHOICES)
-    p_volume.add_argument("--n", type=int, default=None, help="size/rank selector")
-    p_volume.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    add_tol(p_volume)
-
-    p_phi = sub.add_parser("phi", help="universal integral at a raw parameter triple")
-    p_phi.add_argument("--alpha", type=float, required=True)
-    p_phi.add_argument("--beta", type=float, required=True)
-    p_phi.add_argument("--gamma", type=float, required=True)
-    p_phi.add_argument("--format", choices=("text", "json"), default="text")
-    add_tol(p_phi)
-
-    p_scan = sub.add_parser("scan", help="CSV scan over gamma at fixed alpha, beta")
-    p_scan.add_argument("--from", dest="start", type=float, required=True)
-    p_scan.add_argument("--to", dest="stop", type=float, required=True)
-    p_scan.add_argument("--step", type=float, required=True)
-    p_scan.add_argument("--alpha", type=float, default=-2.0)
-    p_scan.add_argument("--beta", type=float, default=2.0)
-    add_tol(p_scan)
-
-    p_table = sub.add_parser("table", help="reproduce the parameter table with volumes")
-    p_table.add_argument("--max-rank", type=int, default=8)
-    p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    add_tol(p_table)
-
-    p_check = sub.add_parser("check", help="run the full verification suite")
-    p_check.add_argument("--max-rank", type=int, default=8)
-    add_tol(p_check)
-
+    for name, (_, help_line, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
     return parser
 
 
-_COMMANDS = {
-    "volume": cmd_volume,
-    "phi": cmd_phi,
-    "scan": cmd_scan,
-    "table": cmd_table,
-    "check": cmd_check,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; every library error leaves through its exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; every library error leaves through its exit code.
+    Only help, usage errors and unusual spellings build the argparse parser."""
+    args = _parse(sys.argv[1:] if argv is None else argv) or _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, _tolerance(args))
+        return _COMMANDS[args.command][0](args, _tolerance(args))
     except DivergenceSetError as exc:
         print(str(exc), file=sys.stderr)
         return 3
     except (ParameterDomainError, UnsupportedGroupError) as exc:
-        parser.error(str(exc))
+        _build_parser().error(str(exc))
     except LievolError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -113,11 +113,17 @@ def dim_from_vogel(p: VogelPoint) -> float:
         return math.copysign(math.inf, quotient)
 
 
+def _opposite(p: VogelPoint) -> list[float]:
+    """The parameters with q/t < 0, read from the signs of q and t: the rounded
+    quotient of a tiny q by a huge t is -0.0 and would pass as nonnegative."""
+    return [q for q in p.params if q < 0.0 < p.t or p.t < 0.0 < q]
+
+
 def phi_start_scale(p: VogelPoint) -> float:
     """8|t|/|s|, s the sum of the 1 or 2 parameters with q/t < 0 (none on the
     divergence set, which raises): four decay lengths of phi_integrand(p) where
     no q/t exceeds 2, and 4t exactly where alpha = -2 and beta, gamma, t > 0."""
-    opposite = [q for q in p.params if q / p.t < 0.0]
+    opposite = _opposite(p)
     if not opposite:
         raise DivergenceSetError("no parameter has q/t < 0: phi has no decay length")
     scale = 8.0 * (abs(p.t) / abs(sum(opposite)))
@@ -133,7 +139,7 @@ def in_divergence_set(p: VogelPoint) -> bool:
     predicate only reports membership, it does not certify divergence at
     individual boundary points.
     """
-    return all(q / p.t >= 0.0 for q in p.params)
+    return not _opposite(p)
 
 
 # below this |y| the series is used; the direct log(sinh/y) would round at

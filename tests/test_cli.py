@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lievol.cli import main
+import test_imports
+from lievol.cli import _COMMANDS, _build_parser, _parse, main
 from lievol.rootsys import Family
 from lievol.vogel import VogelPoint
 
@@ -439,3 +440,67 @@ def test_scan_exit_code_contract_fuzz(values):
     *bounds, rel, abs_tol = values
     if not (all(map(math.isfinite, bounds)) and _valid_tolerance(rel, abs_tol)):
         assert code == 2, err
+
+
+# _parse reads well-formed command lines from the option table without
+# argparse; argparse is the reference for every namespace it returns.
+_NOISE = st.sampled_from(["-h", "--help", "--", "--bogus", "-x", "-", "extra", "--n", "3"])
+_TYPED = {
+    float: ["-2", "-.5", "-2.", "-1e-300", "nan", "-inf", "1_0", "-5\n", "0.25", "1e30", "-0"],
+    int: ["-2", "1_0", "3", "-5\n", "-0", "12"],
+}
+_ANY_VALUE = st.sampled_from(
+    sorted({v for values in _TYPED.values() for v in values})
+    + ["", "x", "SU", "E8", "X", "text", "json", "csv", "-h", "--", "--n", "x=1", "-5 "]
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command and its options, mostly well typed, in any order and either
+    spelling; about half with one value, flag or token spoiled."""
+    command = draw(st.sampled_from([*_COMMANDS, "bogus", "-h"]))
+    options = _COMMANDS[command][2] if command in _COMMANDS else ()
+    pairs = []
+    for flag, spec in options:
+        if draw(st.integers(0, 7)) < (7 if spec["required"] else 4):
+            good = spec["choices"] or _TYPED[spec["type"]]
+            value = draw(st.sampled_from(good) if draw(st.integers(0, 9)) else _ANY_VALUE)
+            pairs.append((flag, value))
+    pairs = draw(st.permutations(pairs))
+    spoil = draw(st.integers(0, 5))
+    if spoil == 1 and options:  # a repeated option
+        pairs.append((draw(st.sampled_from(options))[0], draw(_ANY_VALUE)))
+    elif spoil == 2 and pairs:  # an abbreviation, or "--" for "--n"
+        flag, value = pairs.pop()
+        pairs.append((flag[:-1], value))
+    argv = [command]
+    for flag, value in pairs:
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if spoil == 3:  # a stray token anywhere
+        argv.insert(draw(st.integers(1, len(argv))), draw(_NOISE))
+    return argv
+
+
+def _fields(args):
+    return {name: repr(value) for name, value in vars(args).items()}  # nan equals nan
+
+
+def _argparse(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return _build_parser().parse_args(argv)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_parse_agrees_with_argparse(argv):
+    args = _parse(argv)
+    if args is not None:
+        assert _fields(args) == _fields(_argparse(argv))
+
+
+@pytest.mark.parametrize("argv", test_imports.COMMANDS, ids=" ".join)
+def test_plain_commands_skip_argparse(argv):
+    args = _parse(argv)
+    assert args is not None
+    assert _fields(args) == _fields(_argparse(argv))

@@ -2,9 +2,11 @@
 
 `import lievol.cli` is the largest per-process cost of a short command, and
 `dataclasses` (with `inspect`), `fractions` (with `decimal`) and `typing`
-were most of it. The probe runs in `python -S`, so modules that `site` or a
-`.pth` file preload cannot hide a regression, and it also runs `cli.main`
-on every command, so no cost is merely moved from the import into a run.
+were most of it. `argparse` (with `gettext`, and `locale` once a parser is
+built) is loaded only for help, usage errors and unusual spellings. The
+probe runs in `python -S`, so modules that `site` or a `.pth` file preload
+cannot hide a regression, and it also runs `cli.main` on every command, so
+no cost is merely moved from the import into a run.
 """
 
 import json
@@ -15,7 +17,9 @@ from pathlib import Path
 
 import lievol
 
-HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "typing")
+HEAVY = (
+    "dataclasses", "inspect", "fractions", "decimal", "typing", "argparse", "gettext", "locale"
+)
 
 COMMANDS = (
     ["volume", "--group", "SU", "--n", "5", "--format", "json"],

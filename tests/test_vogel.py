@@ -175,6 +175,16 @@ def test_divergence_set_membership():
         phi_start_scale(VogelPoint(1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("a", [-1e-300, -1e-290, -5e-324])
+def test_divergence_set_reads_signs_not_rounded_ratios(a):
+    # a/t rounds to -0.0 at a = -1e-300, t = 1e30: still outside the set, and
+    # its decay length 8t/|a| leaves double range
+    p = VogelPoint(a, 1e30, 1.0)
+    assert not in_divergence_set(p)
+    with pytest.raises(ParameterDomainError):
+        phi_start_scale(p)
+
+
 def test_excess_vanishing_point():
     p = VogelPoint(-2.0, 2.0, 1.0)
     for x in (0.1, 1.0, 7.0, 40.0):
