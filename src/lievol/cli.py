@@ -278,8 +278,9 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **{**defaults, **values})
 
 
-def _build_parser():
-    """The argparse parser for `_COMMANDS`: the one renderer of help and usage errors."""
+def _build_parser(command: str | None = None):
+    """The argparse parser for `_COMMANDS`, or the subparser of one command: the
+    one renderer of help and usage errors."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -291,16 +292,27 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line, options) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_line)
+        subparser = sub.add_parser(name, help=help_line)
         for flag, spec in options:
-            command.add_argument(flag, **spec)
-    return parser
+            subparser.add_argument(flag, **spec)
+    return parser if command is None else sub.choices[command]
+
+
+def _parse_with_argparse(argv: list[str] | None) -> SimpleNamespace:
+    """argparse's namespace. argparse strips a value of exactly "--" from
+    "--opt=--" and leaves the list [], past the option's type and choices: that
+    is a usage error, in argparse's words for an option without its value."""
+    args = _build_parser().parse_args(argv)
+    for flag, spec in _COMMANDS[args.command][2]:
+        if isinstance(getattr(args, spec["dest"]), list):
+            _build_parser(args.command).error(f"argument {flag}: expected one argument")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; every library error leaves through its exit code.
     Only help, usage errors and unusual spellings build the argparse parser."""
-    args = _parse(sys.argv[1:] if argv is None else argv) or _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv) or _parse_with_argparse(argv)
     try:
         return _COMMANDS[args.command][0](args, _tolerance(args))
     except DivergenceSetError as exc:

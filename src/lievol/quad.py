@@ -211,12 +211,31 @@ def integrate_semiinfinite(
     return QuadResult(value, err_total, converged, evals, cutoff)
 
 
+# Widest first panel of the phi integrand, whatever its decay length. The
+# factor x/(e^x - 1) has poles at +-2 pi i for every point, and so, where
+# no |q/t| exceeds 2, does the sinh-ratio product, whose poles nearest 0 are
+# at +-4 pi i t/q: the integrand's bulk sits at x ~ 1-4. A panel [0, L] keeps
+# those poles outside the Bernstein ellipse of parameter rho, with
+# rho = 6.7 at L = 4, and the 7-point Gauss rule's error, ~rho^-14 = 3e-12
+# relative, is below the default tolerance in one panel; at L = 8, rho = 3.9
+# and rho^-14 = 6e-9, so the panel is split anyway. Past the decay scale the
+# integrand is ~ +-e^{-lambda x}/x, since dim times prod |b_i/a_i| is +-1:
+# no doubling block short of it is negligible, and the doubling still runs
+# past it. The integrand reads only ratios of the point, and so does a
+# constant panel: phi stays scale-free.
+_PHI_FIRST_PANEL = 4.0
+
+
 def integrate_phi(p: vogel.VogelPoint, tol: Tolerance | None = None) -> QuadResult:
-    """Universal volume integral at p; refuses points of the divergence set."""
+    """Universal volume integral at p; refuses points of the divergence set.
+
+    The engine starts on [0, min(phi_start_scale(p), _PHI_FIRST_PANEL)]: at the
+    integrand's own scale, and the cutoff doubles out to its decay length."""
     if vogel.in_divergence_set(p):
         raise DivergenceSetError(
             "integral diverges on the divergence set "
             "(alpha/t, beta/t, gamma/t all nonnegative)"
         )
     integrand = vogel.phi_integrand(p)
-    return integrate_semiinfinite(integrand, tol, initial_scale=vogel.phi_start_scale(p))
+    start = min(vogel.phi_start_scale(p), _PHI_FIRST_PANEL)
+    return integrate_semiinfinite(integrand, tol, initial_scale=start)

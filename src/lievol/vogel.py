@@ -194,11 +194,13 @@ def sinh_product_excess(x: float, p: VogelPoint) -> float:
     return k * math.expm1(ell)
 
 
+def _quadratic_coeff(k: float, slopes) -> float:
+    return k * math.fsum(a * a - b * b for a, b in slopes) / 6.0
+
+
 def small_x_quadratic_coeff(p: VogelPoint) -> float:
     """Limit of sinh_product_excess(x, p)/x^2 as x -> 0."""
-    k = dim_from_vogel(p)
-    s = math.fsum(a * a - b * b for a, b in _ratio_slopes(p))
-    return k * s / 6.0
+    return _quadratic_coeff(dim_from_vogel(p), _ratio_slopes(p))
 
 
 # |log| bound on the sinh-ratio product and its partial products inside the
@@ -206,28 +208,32 @@ def small_x_quadratic_coeff(p: VogelPoint) -> float:
 _BAND_LOG_MAX = 600.0
 
 
+def _band(p: VogelPoint) -> tuple:
+    """The slopes (a_i, b_i), the band [x_lo, x_hi) of phi_integrand and the
+    ratios b_i/a_i its product multiplies in (see phi_integrand)."""
+    slopes = _ratio_slopes(p)
+    sizes = [abs(s) for ab in slopes for s in ab]  # |a_1|, |b_1|, |a_2|, ...
+    smallest = min(sizes)
+    if not smallest > 0.0:
+        # a slope a_i = 0 (q_i = 2t, so dim = 0) has no ratio b_i/a_i, and a
+        # b_i that underflowed to 0 never reaches the cutoff: no band
+        return slopes, 0.0, 0.0, (0.0, 0.0, 0.0)
+    x_lo = SINHC_SERIES_CUTOFF / smallest
+    x_hi = _BAND_LOG_MAX / max(sum(sizes[0::2]), sum(sizes[1::2]))
+    return slopes, x_lo, x_hi, tuple(b / a for a, b in slopes)
+
+
 def _log_sinhc_ratio(p: VogelPoint) -> Callable[[float], float]:
     """l(x) = sum_i [log sinhc(a_i x) - log sinhc(b_i x)], even in x: the log
     of one sinh-ratio product inside the band of phi_integrand, the sum of
     log_sinhc terms outside it."""
-    slopes = _ratio_slopes(p)
-    sizes = [abs(s) for ab in slopes for s in ab]  # |a_1|, |b_1|, |a_2|, ...
-    smallest = min(sizes)
-    if smallest > 0.0:
-        x_lo = SINHC_SERIES_CUTOFF / smallest
-        x_hi = _BAND_LOG_MAX / max(sum(sizes[0::2]), sum(sizes[1::2]))
-        factors = tuple((a, b, b / a) for a, b in slopes)
-    else:
-        # a slope a_i = 0 (q_i = 2t, so dim = 0) has no ratio b_i/a_i, and a
-        # b_i that underflowed to 0 never reaches the cutoff: no band
-        x_lo = x_hi = 0.0
-        factors = ()
+    slopes, x_lo, x_hi, ratios = _band(p)
 
     def ell(x: float) -> float:
         x = abs(x)
         if x_lo <= x < x_hi:
             prod = 1.0
-            for a, b, r in factors:
+            for (a, b), r in zip(slopes, ratios):
                 prod *= math.sinh(a * x) * r / math.sinh(b * x)
             return math.log(prod)
         total = 0.0
@@ -264,26 +270,38 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
 
     Outside the band l is the log_sinhc sum. The band is empty when
     x_lo >= x_hi, and when a slope is 0 (a_i = 0 where q_i = 2t and dim = 0).
+
+    One closure per sample: l is _log_sinhc_ratio(p) with its three factors
+    written out, multiplied and added in the same order, so every sample is
+    the same float; the math functions are bound as locals.
     """
     k = dim_from_vogel(p)
-    log_ratio = _log_sinhc_ratio(p)
-    limit0 = small_x_quadratic_coeff(p)
+    slopes, x_lo, x_hi, (r1, r2, r3) = _band(p)
+    (a1, b1), (a2, b2), (a3, b3) = slopes
+    limit0 = _quadratic_coeff(k, slopes)
+    sinh, log, exp, expm1, lsc = math.sinh, math.log, math.exp, math.expm1, log_sinhc
 
     def f(x: float) -> float:
         if x < 1e-12:
             return limit0
-        ell = log_ratio(x)
+        # x > 0 from here on, so l needs no abs
+        if x_lo <= x < x_hi:
+            ell = log(sinh(a1 * x) * r1 / sinh(b1 * x) * (sinh(a2 * x) * r2 / sinh(b2 * x))
+                      * (sinh(a3 * x) * r3 / sinh(b3 * x)))
+        else:
+            ell = (lsc(a1 * x) - lsc(b1 * x)) + (lsc(a2 * x) - lsc(b2 * x)) + (
+                lsc(a3 * x) - lsc(b3 * x))
         try:
             if ell > 45.0 and x > 45.0:
-                return k * math.exp(ell - x) / x
-            return k * math.expm1(ell) / (x * math.expm1(x))
+                return k * exp(ell - x) / x
+            return k * expm1(ell) / (x * expm1(x))
         except OverflowError:
             # expm1(x) overflows far out in the tail, where e^{-x} is the
             # whole denominator; any other overflow is at extreme parameters,
             # and the quadrature engine turns the inf into an
             # IntegrandEvaluationError that names the abscissa
             if ell <= 45.0:
-                return k * math.expm1(ell) * math.exp(-x) / x
+                return k * expm1(ell) * exp(-x) / x
             return math.inf
 
     return f

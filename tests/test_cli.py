@@ -353,6 +353,25 @@ def test_bad_input_exit_codes(monkeypatch, argv, env_tol, want):
     assert err.count("\n") <= 2  # usage line and one message, or the message alone
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "volume --group=-- --n 5",
+        "phi --alpha=-- --beta 2 --gamma 3",
+        "check --max-rank=--",
+        "volume --group SU --n 5 --format=--",
+    ],
+)
+def test_option_value_of_double_dash_is_usage_error(argv):
+    # argparse strips the value "--" from "--opt=--" and leaves [], past the
+    # option's type and choices: it ended in a traceback, or in the text report
+    code, err = exit_code(argv.split())
+    assert code == 2, err
+    # the error argparse itself gives for the option without its value
+    assert (code, err) == exit_code(argv.replace("=--", " --").split())
+    assert err.endswith(": expected one argument\n")
+
+
 @pytest.mark.parametrize("abs_tol", ["1e-300", "5e-324"])
 def test_tiny_abs_gives_default_phi(capsys, abs_tol):
     # the tail doubling reaches x = 768, where expm1(x) overflows

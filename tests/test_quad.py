@@ -12,18 +12,21 @@ from lievol.errors import (
 )
 from lievol.quad import QuadResult, Tolerance, integrate_phi, integrate_semiinfinite
 from lievol.special import _TIGHT, _barnes_integrand
+from lievol.volume import phi_kp
 from lievol.vogel import (
     _BAND_LOG_MAX,
     _log_sinhc_ratio,
+    _ratio_slopes,
     SINHC_SERIES_CUTOFF,
     VogelPoint,
     dim_from_vogel,
     log_sinhc,
     phi_integrand,
+    phi_start_scale,
     small_x_quadratic_coeff,
     vogel_point,
 )
-from lievol.rootsys import default_groups, su
+from lievol.rootsys import build_root_system, default_groups, sp, spin, su
 
 LN2 = math.log(2.0)
 
@@ -115,6 +118,18 @@ def _log_sum_terms(p, x):
     return [(log_sinhc(a * x), log_sinhc(b * x)) for a, b in _slopes(p)]
 
 
+def _phi_from_log(k, ell, x):
+    # the phi integrand at x > 0 from the log l of the sinh-ratio product over dim
+    try:
+        if ell > 45.0 and x > 45.0:
+            return k * math.exp(ell - x) / x
+        return k * math.expm1(ell) / (x * math.expm1(x))
+    except OverflowError:
+        if ell <= 45.0:
+            return k * math.expm1(ell) * math.exp(-x) / x
+        return math.inf
+
+
 def _log_sum_phi_integrand(p):
     """The phi integrand with every sample's log product taken as a sum of
     log_sinhc terms, as it was before the band product: the reference for
@@ -128,14 +143,45 @@ def _log_sum_phi_integrand(p):
         ell = 0.0
         for u, v in _log_sum_terms(p, x):
             ell += u - v
-        try:
-            if ell > 45.0 and x > 45.0:
-                return k * math.exp(ell - x) / x
-            return k * math.expm1(ell) / (x * math.expm1(x))
-        except OverflowError:
-            if ell <= 45.0:
-                return k * math.expm1(ell) * math.exp(-x) / x
-            return math.inf
+        return _phi_from_log(k, ell, x)
+
+    return f
+
+
+def _two_closure_phi_integrand(p):
+    """phi_integrand as it was with the band product: a log-ratio closure that
+    loops over the three factors, called from a second closure. The reference
+    that the one-closure form matches bit for bit."""
+    k = dim_from_vogel(p)
+    slopes = _ratio_slopes(p)
+    sizes = [abs(s) for ab in slopes for s in ab]
+    smallest = min(sizes)
+    if smallest > 0.0:
+        x_lo = SINHC_SERIES_CUTOFF / smallest
+        x_hi = _BAND_LOG_MAX / max(sum(sizes[0::2]), sum(sizes[1::2]))
+        factors = tuple((a, b, b / a) for a, b in slopes)
+    else:
+        x_lo = x_hi = 0.0
+        factors = ()
+
+    def log_ratio(x):
+        x = abs(x)
+        if x_lo <= x < x_hi:
+            prod = 1.0
+            for a, b, r in factors:
+                prod *= math.sinh(a * x) * r / math.sinh(b * x)
+            return math.log(prod)
+        total = 0.0
+        for a, b in slopes:
+            total += log_sinhc(a * x) - log_sinhc(b * x)
+        return total
+
+    limit0 = small_x_quadratic_coeff(p)
+
+    def f(x):
+        if x < 1e-12:
+            return limit0
+        return _phi_from_log(k, log_ratio(x), x)
 
     return f
 
@@ -394,6 +440,60 @@ def test_integrand_matches_log_sum_reference(p):
         scale = max(1.0, math.fsum(abs(u) + abs(v) for u, v in terms))
         dfdl = abs(k) * math.exp(ell - x) / (x * -math.expm1(-x))
         assert abs(got - want) <= 8 * eps * (scale * dfdl + abs(want)), (x, got, want)
+
+
+# scaled by 2^k near both ends of the double range, where the slopes are
+# taken shifted (vogel._shift)
+_SCALED_POINTS = [VogelPoint(math.ldexp(-2.0, k), math.ldexp(2.0, k), math.ldexp(5.0, k))
+                  for k in (-1020, 1021)]
+
+
+@pytest.mark.parametrize("p", _band_points() + _BANDLESS_POINTS + _SCALED_POINTS, ids=repr)
+def test_integrand_bit_equal_to_two_closure_form(p):
+    f, ref = phi_integrand(p), _two_closure_phi_integrand(p)
+    for x in [-1.0, 0.0, 1e-13, *_abscissae(p)]:
+        assert f(x).hex() == ref(x).hex(), x
+
+
+# (point, evaluations from a first panel of phi_start_scale(p)): four decay
+# lengths, 15992 at the first point, 4000 at the second, 100 at SU_25
+_WIDE_START = [
+    (VogelPoint(-1e-3, 1.0, 1.0), 435),
+    (VogelPoint(-2.0, 2.0, 1000.0), 375),
+    (vogel_point(su(25)), 225),
+]
+
+
+@pytest.mark.parametrize("p, wide_evals", _WIDE_START, ids=repr)
+def test_phi_first_panel_at_integrand_scale(p, wide_evals):
+    # the bulk sits at x ~ 1-4 whatever t is: a first panel of the decay
+    # length is bisected down to it, one of length 4 is not
+    res = integrate_phi(p)
+    wide = integrate_semiinfinite(phi_integrand(p), initial_scale=phi_start_scale(p))
+    assert wide.converged and wide.evaluations == wide_evals
+    assert res.converged and res.evaluations < wide_evals
+    assert abs(res.value - wide.value) <= res.error_estimate
+    assert res.tail_cutoff >= phi_start_scale(p)  # the doubling still runs past it
+
+
+# the large-rank benchmark ladder: SU_15 ... SU_25, Sp_2r and Spin_2r+1 for
+# r = 10 ... 17, Spin_22 ... Spin_34
+_LADDER = (
+    [su(n) for n in range(15, 26, 2)]
+    + [g for r in range(10, 18) for g in (sp(2 * r), spin(2 * r + 1))]
+    + [spin(2 * r) for r in range(11, 18, 2)]
+)
+
+
+@pytest.mark.parametrize("lie_type", default_groups(12) + _LADDER, ids=str)
+def test_phi_error_estimate_bounds_error_on_table_rows(lie_type):
+    # phi_kp, the root product, is the reference: it agrees with phi to
+    # ~1e-15, below every estimate
+    p = vogel_point(lie_type)
+    res = integrate_phi(p)
+    assert res.converged
+    assert abs(res.value - phi_kp(build_root_system(lie_type))) <= res.error_estimate
+    assert res.tail_cutoff >= phi_start_scale(p)
 
 
 @pytest.mark.parametrize("p", _band_points(), ids=repr)

@@ -1,7 +1,10 @@
 #!/bin/sh
 # Run each command of tools/cli_commands.txt with this tree's lievol and with
 # the one in PARENT_DIR, and list every command whose stdout, stderr or exit
-# code differs, with a diff (parent lines '<', this tree '>').
+# code differs, with a diff (parent lines '<', this tree '>'). For stdout it
+# also prints the largest relative difference between the numbers of the
+# lines that differ (see max_reldiff), so that a last-bit move of phi reads
+# as one number.
 # Exit status: 0 if nothing differs, 1 if something does, 2 on bad usage.
 #
 #   git archive PARENT_COMMIT | tar -x -C PARENT_DIR
@@ -15,6 +18,33 @@ here=$(cd "$(dirname "$0")/.." && pwd)
 parent=$(cd "$1" && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+
+# The largest |a - b| / max(1, |a|, |b|), the measure of the route bounds,
+# over the numbers of the lines of files $1 and $2 that differ, paired in
+# order: a route discrepancy of ~1e-15 that moves reads as its absolute move,
+# not as a relative one of ~1. It says so where the numbers do not pair.
+max_reldiff() {
+    python3 - "$1" "$2" <<'END'
+import re, sys
+number = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
+old, new = (open(name).read().splitlines() for name in sys.argv[1:])
+worst, pair, moved, unpaired = 0.0, None, 0, len(old) != len(new)
+for a, b in zip(old, new):
+    if a != b:
+        xs, ys = number.findall(a), number.findall(b)
+        unpaired |= len(xs) != len(ys) or number.sub("#", a) != number.sub("#", b)
+        for x, y in zip(xs, ys):
+            u, v = float(x), float(y)
+            if u != v and u == u and v == v:
+                moved += 1
+                size = abs(u - v) / max(1.0, abs(u), abs(v))
+                if size >= worst:
+                    worst, pair = size, f" (worst {x} -> {y})"
+print(f"max |a - b| / max(1, |a|, |b|) = {worst:.2e} over {moved} numbers{pair or ''}"
+      + ("; the lines differ in more than their numbers" if unpaired else ""))
+END
+}
+
 status=0
 while IFS= read -r cmd; do
     case $cmd in '' | '#'*) continue ;; esac
@@ -28,6 +58,9 @@ while IFS= read -r cmd; do
         if ! cmp -s "$work/parent.$part" "$work/here.$part"; then
             echo "DIFF $part: $cmd"
             diff "$work/parent.$part" "$work/here.$part" | sed 's/^/    /'
+            if [ $part = out ]; then
+                max_reldiff "$work/parent.out" "$work/here.out" | sed 's/^/    /'
+            fi
             status=1
         fi
     done
