@@ -4,21 +4,22 @@ The engine integrates over (0, inf) by truncating at a cutoff X that is
 doubled until the newest block contributes less than the absolute
 tolerance, then globally refining the worst panels of a 7/15-point
 Gauss-Kronrod pair (Piessens et al., QUADPACK, 1983) until the summed
-nested-rule differences meet the requested tolerance. An integrand that
-decays only algebraically can pass the exact integral of its asymptotic
-form beyond X (`tail`): the doubling then stops once a block matches that
-form, and the tail closes the integral. The panel values and errors are
-kept as exact running sums (Shewchuk partials, Adaptive precision
-floating-point arithmetic, 1997). The partials are exact, so the totals
-read from them are correctly rounded whatever the order of the panels;
-each step and the result read them without re-summing any panel, and
-results are deterministic.
+nested-rule differences meet the requested tolerance. Each pass over a
+panel is straight-line code over its 15 nodes with one finiteness test, of
+the Kronrod sum. The doubling stops, unconverged, before the cutoff leaves
+double range. An integrand that decays only algebraically can pass the
+exact integral of its asymptotic form beyond X (`tail`): the doubling then
+stops once a block matches that form, and the tail closes the integral.
+The panel values and errors are kept as exact running sums (Shewchuk
+partials, Adaptive precision floating-point arithmetic, 1997). The
+partials are exact, so the totals read from them are correctly rounded
+whatever the order of the panels; each step and the result read them
+without re-summing any panel, and results are deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections.abc import Callable
 
@@ -96,26 +97,47 @@ _WG_CENTER = 0.4179591836734694
 
 
 def _eval_panel(f, a, b):
-    """One Gauss-Kronrod pass over [a, b]: (kronrod value, |kronrod - gauss|)."""
+    """One Gauss-Kronrod pass over [a, b]: (kronrod value, |kronrod - gauss|).
+
+    Straight-line code over the 15 nodes. f is sampled at the center, then at
+    c - d and c + d from the outermost node inward, and both sums are formed
+    in that order. Every weight is positive, so a nan or inf sample leaves the
+    Kronrod sum non-finite: one test of that sum covers all 15 samples, and
+    only then are they walked, in sampling order, for the first non-finite
+    one. A sum that overflows from finite samples is returned as it is.
+    """
+    x0, x1, x2, x3, x4, x5, x6 = _XGK
+    w0, w1, w2, w3, w4, w5, w6 = _WGK
+    g1, g3, g5 = _WG
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = f(c)
-    if not math.isfinite(fc):
-        raise IntegrandEvaluationError(c, fc)
-    kron = _WGK_CENTER * fc
-    gauss = _WG_CENTER * fc
-    for j, x in enumerate(_XGK):
-        dx = h * x
-        f_lo = f(c - dx)
-        f_hi = f(c + dx)
-        if not math.isfinite(f_lo):
-            raise IntegrandEvaluationError(c - dx, f_lo)
-        if not math.isfinite(f_hi):
-            raise IntegrandEvaluationError(c + dx, f_hi)
-        s = f_lo + f_hi
-        kron += _WGK[j] * s
-        if j % 2 == 1:
-            gauss += _WG[j // 2] * s
+    d0 = h * x0
+    l0, r0 = f(c - d0), f(c + d0)
+    d1 = h * x1
+    l1, r1 = f(c - d1), f(c + d1)
+    d2 = h * x2
+    l2, r2 = f(c - d2), f(c + d2)
+    d3 = h * x3
+    l3, r3 = f(c - d3), f(c + d3)
+    d4 = h * x4
+    l4, r4 = f(c - d4), f(c + d4)
+    d5 = h * x5
+    l5, r5 = f(c - d5), f(c + d5)
+    d6 = h * x6
+    l6, r6 = f(c - d6), f(c + d6)
+    s1, s3, s5 = l1 + r1, l3 + r3, l5 + r5
+    kron = (_WGK_CENTER * fc + w0 * (l0 + r0) + w1 * s1 + w2 * (l2 + r2) + w3 * s3
+            + w4 * (l4 + r4) + w5 * s5 + w6 * (l6 + r6))
+    if not math.isfinite(kron):
+        for x, y in (
+            (c, fc), (c - d0, l0), (c + d0, r0), (c - d1, l1), (c + d1, r1),
+            (c - d2, l2), (c + d2, r2), (c - d3, l3), (c + d3, r3), (c - d4, l4),
+            (c + d4, r4), (c - d5, l5), (c + d5, r5), (c - d6, l6), (c + d6, r6),
+        ):
+            if not math.isfinite(y):
+                raise IntegrandEvaluationError(x, y)
+    gauss = _WG_CENTER * fc + g1 * s1 + g3 * s3 + g5 * s5
     return h * kron, abs(h * (kron - gauss))
 
 
@@ -154,48 +176,52 @@ def integrate_semiinfinite(
     value both in the refinement target and in the result.
 
     Returns an unconverged result (never raises) when the evaluation budget
-    runs out; a converged result always has error_estimate within the
-    requested tolerance.
+    runs out, and when no block is negligible before the next one's
+    endpoints would sum past the largest double (an integrand that never
+    decays in floating point): the cutoff stays finite. A converged result
+    always has error_estimate within the requested tolerance.
     """
     tol = tol or Tolerance()
     if initial_scale <= 0.0:
         raise ValueError("initial_scale must be positive")
 
-    counter = itertools.count()
+    # one heap entry per panel, (-err, n, a, b, val, err): n counts the
+    # panels pushed, so ties pop in push order, and 15 n is the evaluations
     panels: list[tuple[float, int, float, float, float, float]] = []
+    n = 0
     # exact running sums of the panel values and errors (the tail included);
     # math.fsum of them is the correctly rounded total, so they are the result
     value_parts: list[float] = []
     err_parts: list[float] = []
-    evals = 0
 
-    def push(a, b):
-        nonlocal evals
-        val, err = _eval_panel(f, a, b)
-        evals += 15
-        heapq.heappush(panels, (-err, next(counter), a, b, val, err))
+    # [0, initial_scale], then blocks [X/2, X] as the cutoff X doubles, until
+    # a block is negligible (settled), the budget runs out, or the next
+    # block's endpoints would sum past the largest double
+    a, cutoff = 0.0, initial_scale
+    settled = False
+    while True:
+        val, err = _eval_panel(f, a, cutoff)
+        heapq.heappush(panels, (-err, n, a, cutoff, val, err))
+        n += 1
         _add_exact(value_parts, val)
         _add_exact(err_parts, err)
-        return val
-
-    push(0.0, initial_scale)
-    cutoff = initial_scale
-    # the cutoff doubles until a block is negligible or the budget runs out
-    while within_budget := evals + 15 <= tol.max_evaluations:
-        block_val = push(cutoff, 2.0 * cutoff)
-        if tail is not None:
-            block_val -= tail(cutoff) - tail(2.0 * cutoff)
-        cutoff *= 2.0
-        if abs(block_val) < tol.abs:
+        if a:
+            if tail is not None:
+                val -= tail(a) - tail(cutoff)
+            if abs(val) < tol.abs:
+                settled = True
+                break
+        if 15 * (n + 1) > tol.max_evaluations or not 3.0 * cutoff < math.inf:
             break
+        a, cutoff = cutoff, 2.0 * cutoff
     if tail is not None:
         _add_exact(value_parts, tail(cutoff))
 
     value, err_total = math.fsum(value_parts), math.fsum(err_parts)
     while (
-        within_budget
+        settled
         and err_total > max(tol.abs, tol.rel * abs(value))
-        and evals + 30 <= tol.max_evaluations
+        and 15 * (n + 2) <= tol.max_evaluations
     ):
         _, _, a, b, val, err = heapq.heappop(panels)
         if b - a <= 1e-14 * max(1.0, abs(a)):
@@ -203,12 +229,16 @@ def integrate_semiinfinite(
         _add_exact(value_parts, -val)
         _add_exact(err_parts, -err)
         m = 0.5 * (a + b)
-        push(a, m)
-        push(m, b)
+        for lo, hi in ((a, m), (m, b)):
+            val, err = _eval_panel(f, lo, hi)
+            heapq.heappush(panels, (-err, n, lo, hi, val, err))
+            n += 1
+            _add_exact(value_parts, val)
+            _add_exact(err_parts, err)
         value, err_total = math.fsum(value_parts), math.fsum(err_parts)
 
-    converged = within_budget and err_total <= max(tol.abs, tol.rel * abs(value))
-    return QuadResult(value, err_total, converged, evals, cutoff)
+    converged = settled and err_total <= max(tol.abs, tol.rel * abs(value))
+    return QuadResult(value, err_total, converged, 15 * n, cutoff)
 
 
 # Widest first panel of the phi integrand, whatever its decay length. The

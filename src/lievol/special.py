@@ -45,7 +45,8 @@ class SpecialValue(Record):
 # Small-y expansion machinery for the Barnes integrand. With
 # 1/(1-e^{-y}) = sum c_k y^k (k >= -1), built from Bernoulli numbers with
 # B1 = +1/2, the square S = (sum c_k y^k)^2 is formed by exact convolution
-# once at import; per call the e^{-(z+1)y} factor is folded in numerically.
+# once at import; the e^{-(z+1)y} factor is folded in numerically on the
+# first small-y sample of an integral.
 
 # B_k as (numerator, denominator)
 _BERNOULLI_PLUS = (
@@ -68,10 +69,9 @@ _SERIES_ORDER = 10  # bracket coefficients kept through y^(order-1)
 _Y_SWITCH = 1e-2
 
 
-def _barnes_integrand(z: float):
-    w = z + 1.0
-    q = 0.5 * (z * z - 1.0 / 6.0)
-
+def _series_brackets(w: float, q: float) -> tuple[float, ...]:
+    """The bracket's small-y series coefficients, highest power first (the
+    Horner order), at w = z + 1 and q = (z^2 - 1/6)/2."""
     # E[k] = (-w)^k / k!
     e = [1.0]
     for k in range(1, _SERIES_ORDER + 3):
@@ -89,16 +89,32 @@ def _barnes_integrand(z: float):
         fact *= n
         sign = -sign
         brackets.append(acc - q * sign / fact)
+    return tuple(reversed(brackets))
+
+
+def _barnes_integrand(z: float):
+    """The bracket over y at z. Below _Y_SWITCH it is its series, whose
+    coefficients are built on the first such sample, at most once per
+    integrand: the nodes of the first panel [0, 8] stay above 0.03, so an
+    integral samples y that small only where refinement splits that panel
+    near 0. The math functions are bound as locals."""
+    w = z + 1.0
+    q = 0.5 * (z * z - 1.0 / 6.0)
+    exp, expm1 = math.exp, math.expm1
+    series = None
 
     def g(y: float) -> float:
+        nonlocal series
         if y < _Y_SWITCH:
+            if series is None:
+                series = _series_brackets(w, q)
             acc = 0.0
-            for c in reversed(brackets):
+            for c in series:
                 acc = acc * y + c
             return acc
-        u = -math.expm1(-y)  # 1 - e^{-y}
-        a = math.exp(-w * y) / (u * u)
-        return (a - 1.0 / (y * y) + z / y - q * math.exp(-y)) / y
+        u = -expm1(-y)  # 1 - e^{-y}
+        a = exp(-w * y) / (u * u)
+        return (a - 1.0 / (y * y) + z / y - q * exp(-y)) / y
 
     return g
 

@@ -10,8 +10,19 @@ from lievol.errors import (
     IntegrandEvaluationError,
     ParameterDomainError,
 )
-from lievol.quad import QuadResult, Tolerance, integrate_phi, integrate_semiinfinite
-from lievol.special import _TIGHT, _barnes_integrand
+from lievol.quad import (
+    _WG,
+    _WG_CENTER,
+    _WGK,
+    _WGK_CENTER,
+    _XGK,
+    QuadResult,
+    Tolerance,
+    _eval_panel,
+    integrate_phi,
+    integrate_semiinfinite,
+)
+from lievol.special import _TIGHT, _Y_SWITCH, _barnes_integrand
 from lievol.volume import phi_kp
 from lievol.vogel import (
     _BAND_LOG_MAX,
@@ -106,6 +117,23 @@ def test_algebraic_tail_closed_form():
         assert 3 * closed.evaluations < doubled.evaluations
 
 
+def test_cutoff_doubling_stops_inside_double_range():
+    # 1/(1+x) never decays enough: every block [X/2, X] holds ~ln 2, above
+    # any abs target. The doubling stops, unconverged, at the last cutoff
+    # whose next block's endpoints sum to a finite double, not at x = inf
+    for tail in (None, lambda x: 0.0):
+        res = integrate_semiinfinite(lambda x: 1.0 / (1.0 + x), Tolerance(), tail=tail)
+        assert not res.converged
+        assert res.tail_cutoff == 2.0**1023
+        assert math.isfinite(res.value) and res.value > 700.0
+        assert res.evaluations == 15 * (1 + 1020)  # [0, 8], then 16 ... 2^1023
+    # from a scale of 3, the cutoff 3 * 2^1021 ~ 6.7e307 still doubles to a
+    # finite 2X, but the next block's endpoints would sum to inf
+    res = integrate_semiinfinite(lambda x: 1.0 / (1.0 + x), initial_scale=3.0)
+    assert not res.converged and res.tail_cutoff == 3.0 * 2.0**1021
+    assert math.isfinite(2.0 * res.tail_cutoff) and 3.0 * res.tail_cutoff == math.inf
+
+
 def _slopes(p):
     # the sinh arguments per unit x of each parameter's ratio: numerator
     # a = (q - 2t)/4t, denominator b = q/4t
@@ -192,18 +220,20 @@ def _log_sum_phi(p, tol=None):
 
 # (value.hex(), error_estimate.hex(), converged, evaluations, tail_cutoff).
 # The first six rows are pinned from the engine that re-summed every panel
-# with fsum on each step, the last four from the engine that re-summed the
-# panels once more, in order, at the end. Running sums, the optional tail
-# and reading the result off the running sums must leave every row
-# bit-identical. The two phi rows run the log-sum reference integrand, so
-# they pin the engine alone; phi_integrand is held to that reference below.
+# with fsum on each step, the next four from the engine that re-summed the
+# panels once more, in order, at the end, and the last two from the engine
+# whose pass looped over the node pairs (_loop_eval_panel below). Running
+# sums, the optional tail, reading the result off the running sums and the
+# straight-line pass must leave every row bit-identical. The two phi rows
+# run the log-sum reference integrand, so they pin the engine alone;
+# phi_integrand is held to that reference below.
 def _sqrt_exp(x):
     return math.sqrt(x) * math.exp(-x)
 
 
-def _barnes(z):
+def _barnes(z, tol=_TIGHT):
     tail = lambda x: z / x - 0.5 / (x * x)
-    return integrate_semiinfinite(_barnes_integrand(z), _TIGHT, initial_scale=8.0, tail=tail)
+    return integrate_semiinfinite(_barnes_integrand(z), tol, initial_scale=8.0, tail=tail)
 
 
 _PINNED = [
@@ -234,6 +264,12 @@ _PINNED = [
     (lambda: integrate_semiinfinite(
         lambda x: math.exp(-x) / math.sqrt(abs(x - 1.0 / 3.0)), Tolerance(1e-10, 1e-12)),
      ("0x1.1982b5decc80fp+1", "0x1.6c706fc532df6p-26", False, 1710, 64.0)),
+    # Barnes at the default tolerance, the scan path: no sample of z = 2.37
+    # falls below y = 0.01, where the series is read; two of z = 4.52 do
+    (lambda: _barnes(2.37, Tolerance()),
+     ("0x1.dca650ea0bc43p+0", "0x1.6a387e0000000p-34", True, 90, 64.0)),
+    (lambda: _barnes(4.52, Tolerance()),
+     ("0x1.3f277c1b397f4p-5", "0x1.2f94e00000000p-39", True, 270, 64.0)),
 ]
 
 
@@ -530,3 +566,104 @@ def test_integrand_limit_value():
     assert f(0.0) == small_x_quadratic_coeff(p)
     assert f(1e-13) == f(0.0)
     assert f(1e-9) == pytest.approx(f(0.0), rel=1e-7)
+
+
+# --- the Gauss-Kronrod pass ---------------------------------------------
+
+
+def _loop_eval_panel(f, a, b):
+    """The Gauss-Kronrod pass as a loop over the node pairs, testing each
+    sample as it comes: the reference that the straight-line pass matches,
+    in both sums bit for bit and in the sample an IntegrandEvaluationError
+    names."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = f(c)
+    if not math.isfinite(fc):
+        raise IntegrandEvaluationError(c, fc)
+    kron = _WGK_CENTER * fc
+    gauss = _WG_CENTER * fc
+    for j, x in enumerate(_XGK):
+        dx = h * x
+        f_lo = f(c - dx)
+        f_hi = f(c + dx)
+        if not math.isfinite(f_lo):
+            raise IntegrandEvaluationError(c - dx, f_lo)
+        if not math.isfinite(f_hi):
+            raise IntegrandEvaluationError(c + dx, f_hi)
+        s = f_lo + f_hi
+        kron += _WGK[j] * s
+        if j % 2 == 1:
+            gauss += _WG[j // 2] * s
+    return h * kron, abs(h * (kron - gauss))
+
+
+def _panel_cases():
+    """(integrand, panels) by name: random panels at each integrand's scale,
+    and panels that straddle the phi band edges and Barnes' series switch."""
+    rng = random.Random(20261018)
+
+    def spread(lo, hi, count=40):
+        out = []
+        for _ in range(count):
+            a = rng.uniform(lo, hi)
+            out.append((a, a + rng.uniform(0.0, hi - lo) * rng.choice((1e-6, 1e-2, 1.0))))
+        return out
+
+    cases = [
+        ("exp", lambda x: math.exp(-x), spread(0.0, 50.0)),
+        ("frullani", frullani, spread(0.0, 50.0) + [(0.0, 1e-6)]),
+        ("sqrt_exp", _sqrt_exp, spread(0.0, 40.0) + [(0.0, 1e-3)]),
+        ("algebraic", lambda x: 1.0 / (1.0 + x) ** 2, spread(0.0, 1e6)),
+    ]
+    for p in [VogelPoint(-2.0, 2.0, 4.5), VogelPoint(-2.0, 4.0, 1.7),
+              VogelPoint(-2.0, 1.0, 6.65), vogel_point(su(25))]:
+        x_lo, x_hi = _band_edges(p)
+        assert 0.0 < x_lo < x_hi
+        edges = [(0.0, 2.0 * x_lo), (0.5 * x_lo, 1.5 * x_lo), (0.9 * x_hi, 1.1 * x_hi)]
+        cases.append((repr(p), phi_integrand(p), spread(0.0, 64.0) + [(0.0, 4.0)] + edges))
+    for z in (0.0, 0.05, 2.37, 4.52, 25.5):
+        edges = [(0.0, 2.0 * _Y_SWITCH), (0.5 * _Y_SWITCH, 1.5 * _Y_SWITCH), (0.0, 8.0)]
+        cases.append((f"barnes({z})", _barnes_integrand(z), spread(0.0, 128.0) + edges))
+    return [pytest.param(f, panels, id=name) for name, f, panels in cases]
+
+
+@pytest.mark.parametrize("f, panels", _panel_cases())
+def test_pass_bit_identical_to_loop_form(f, panels):
+    for a, b in panels:
+        got, want = _eval_panel(f, a, b), _loop_eval_panel(f, a, b)
+        assert [v.hex() for v in got] == [v.hex() for v in want], (a, b)
+
+
+def _raised(pass_, f, a, b):
+    with pytest.raises(IntegrandEvaluationError) as err:
+        pass_(f, a, b)
+    return err.value.abscissa.hex(), repr(err.value.value)
+
+
+def test_pass_names_the_first_nonfinite_sample():
+    # every pair of non-finite samples, the center and an outer node and two
+    # outer nodes among them: the error names the one the loop form meets
+    # first (the center, then c - d and c + d from the outermost node in)
+    a, b = 0.3, 2.9
+    nodes = []
+    _loop_eval_panel(lambda x: nodes.append(x) or 1.0, a, b)
+    assert len(set(nodes)) == 15 and nodes[0] == 0.5 * (a + b)
+    for i in range(15):
+        for j in range(i + 1, 15):
+            bad = {nodes[i]: math.inf, nodes[j]: math.nan}
+
+            def f(x):
+                return bad.get(x, math.exp(-x))
+
+            want = _raised(_loop_eval_panel, f, a, b)
+            assert _raised(_eval_panel, f, a, b) == want == (nodes[i].hex(), "inf")
+
+
+def test_pass_returns_an_overflowing_sum_of_finite_samples():
+    # finite samples whose weighted sums overflow raise nothing, as before:
+    # the value is inf, or nan where opposite infinities meet
+    for f in (lambda x: 1e308, lambda x: 1e308 if abs(x - 1.6) < 0.65 else -1e308):
+        got, want = _eval_panel(f, 0.3, 2.9), _loop_eval_panel(f, 0.3, 2.9)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert not math.isfinite(got[0])

@@ -121,6 +121,31 @@ def test_barnes_integrand_branch_continuity():
     assert hi == pytest.approx(lo, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "z, tol, series_samples",
+    [(2.37, Tolerance(), 0), (4.52, Tolerance(), 2), (0.05, Tolerance(), 0), (4.5, _TIGHT, 98)],
+)
+def test_barnes_series_built_at_most_once_per_call(monkeypatch, z, tol, series_samples):
+    # the series coefficients are built on the first sample below the
+    # switch, once per integral, and not at all where no sample is that small
+    builds, samples = [], []
+    build, integrand = special._series_brackets, special._barnes_integrand
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def sampling_integrand(z):
+        g = integrand(z)
+        return lambda y: samples.append(y) or g(y)
+
+    monkeypatch.setattr(special, "_series_brackets", counting_build)
+    monkeypatch.setattr(special, "_barnes_integrand", sampling_integrand)
+    log_barnesG_integral(z, tol)
+    assert sum(y < special._Y_SWITCH for y in samples) == series_samples
+    assert len(builds) == min(series_samples, 1)
+
+
 def test_oracle_small_values():
     assert barnesG_integer_oracle(1).value == 0.0
     assert barnesG_integer_oracle(1).error_estimate == 0.0
