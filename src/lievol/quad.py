@@ -25,11 +25,7 @@ from collections.abc import Callable
 
 from . import vogel
 from ._record import Record
-from .errors import (
-    DivergenceSetError,
-    IntegrandEvaluationError,
-    ParameterDomainError,
-)
+from .errors import IntegrandEvaluationError, ParameterDomainError
 
 __all__ = [
     "Tolerance",
@@ -257,15 +253,11 @@ _PHI_FIRST_PANEL = 4.0
 
 
 def integrate_phi(p: vogel.VogelPoint, tol: Tolerance | None = None) -> QuadResult:
-    """Universal volume integral at p; refuses points of the divergence set.
+    """Universal volume integral at p.
 
-    The engine starts on [0, min(phi_start_scale(p), _PHI_FIRST_PANEL)]: at the
-    integrand's own scale, and the cutoff doubles out to its decay length."""
-    if vogel.in_divergence_set(p):
-        raise DivergenceSetError(
-            "integral diverges on the divergence set "
-            "(alpha/t, beta/t, gamma/t all nonnegative)"
-        )
-    integrand = vogel.phi_integrand(p)
+    phi_start_scale(p) refuses the divergence set and a decay length outside
+    double range before the integrand is built; the engine starts on
+    [0, min(phi_start_scale(p), _PHI_FIRST_PANEL)], at the integrand's own
+    scale, and the cutoff doubles out to its decay length."""
     start = min(vogel.phi_start_scale(p), _PHI_FIRST_PANEL)
-    return integrate_semiinfinite(integrand, tol, initial_scale=start)
+    return integrate_semiinfinite(vogel.phi_integrand(p), tol, initial_scale=start)

@@ -120,12 +120,17 @@ def _opposite(p: VogelPoint) -> list[float]:
 
 
 def phi_start_scale(p: VogelPoint) -> float:
-    """8|t|/|s|, s the sum of the 1 or 2 parameters with q/t < 0 (none on the
-    divergence set, which raises): four decay lengths of phi_integrand(p) where
-    no q/t exceeds 2, and 4t exactly where alpha = -2 and beta, gamma, t > 0."""
+    """8|t|/|s|, s the sum of the 1 or 2 parameters with q/t < 0: four decay
+    lengths of phi_integrand(p) where no q/t exceeds 2, and 4t exactly where
+    alpha = -2 and beta, gamma, t > 0. The one gate of integrate_phi: raises
+    DivergenceSetError on the divergence set (no such parameter), and
+    ParameterDomainError where the scale leaves double range."""
     opposite = _opposite(p)
     if not opposite:
-        raise DivergenceSetError("no parameter has q/t < 0: phi has no decay length")
+        raise DivergenceSetError(
+            "integral diverges on the divergence set "
+            "(alpha/t, beta/t, gamma/t all nonnegative)"
+        )
     scale = 8.0 * (abs(p.t) / abs(sum(opposite)))
     if not 0.0 < scale < math.inf:
         raise ParameterDomainError("the decay length of the phi integrand leaves double range")
@@ -181,12 +186,13 @@ def sinh_product_excess(x: float, p: VogelPoint) -> float:
     """Triple sinh-ratio product minus its x -> 0 limit (the dimension).
 
     Evaluated in log space as dim * expm1(l), l the log of the product over
-    dim (the sum of log-sinhc differences, see phi_integrand):
-    cancellation-free near 0, overflow-free until the rescaled product
+    dim: the sum over i of log_sinhc(a_i x) - log_sinhc(b_i x), the
+    product's definition, which phi_integrand's band form is held to.
+    Cancellation-free near 0, overflow-free until the rescaled product
     itself leaves double range. Even in x.
     """
     k = dim_from_vogel(p)
-    ell = _log_sinhc_ratio(p)(x)
+    ell = sum(log_sinhc(a * x) - log_sinhc(b * x) for a, b in _ratio_slopes(p))
     if ell > 709.0:
         raise OverflowError(
             f"sinh ratio product exceeds double-precision range at x = {x!r}"
@@ -208,42 +214,6 @@ def small_x_quadratic_coeff(p: VogelPoint) -> float:
 _BAND_LOG_MAX = 600.0
 
 
-def _band(p: VogelPoint) -> tuple:
-    """The slopes (a_i, b_i), the band [x_lo, x_hi) of phi_integrand and the
-    ratios b_i/a_i its product multiplies in (see phi_integrand)."""
-    slopes = _ratio_slopes(p)
-    sizes = [abs(s) for ab in slopes for s in ab]  # |a_1|, |b_1|, |a_2|, ...
-    smallest = min(sizes)
-    if not smallest > 0.0:
-        # a slope a_i = 0 (q_i = 2t, so dim = 0) has no ratio b_i/a_i, and a
-        # b_i that underflowed to 0 never reaches the cutoff: no band
-        return slopes, 0.0, 0.0, (0.0, 0.0, 0.0)
-    x_lo = SINHC_SERIES_CUTOFF / smallest
-    x_hi = _BAND_LOG_MAX / max(sum(sizes[0::2]), sum(sizes[1::2]))
-    return slopes, x_lo, x_hi, tuple(b / a for a, b in slopes)
-
-
-def _log_sinhc_ratio(p: VogelPoint) -> Callable[[float], float]:
-    """l(x) = sum_i [log sinhc(a_i x) - log sinhc(b_i x)], even in x: the log
-    of one sinh-ratio product inside the band of phi_integrand, the sum of
-    log_sinhc terms outside it."""
-    slopes, x_lo, x_hi, ratios = _band(p)
-
-    def ell(x: float) -> float:
-        x = abs(x)
-        if x_lo <= x < x_hi:
-            prod = 1.0
-            for (a, b), r in zip(slopes, ratios):
-                prod *= math.sinh(a * x) * r / math.sinh(b * x)
-            return math.log(prod)
-        total = 0.0
-        for a, b in slopes:
-            total += log_sinhc(a * x) - log_sinhc(b * x)
-        return total
-
-    return ell
-
-
 def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     """Integrand of the universal volume integral for one parameter point.
 
@@ -252,7 +222,7 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     pure exponential form before either factor can overflow.
 
     The log l of the sinh-ratio product over dim costs one log per sample
-    inside the band x_lo <= |x| < x_hi, where with m = min_i min(|a_i|, |b_i|),
+    inside the band x_lo <= x < x_hi, where with m = min_i min(|a_i|, |b_i|),
     A = sum_i |a_i| and B = sum_i |b_i|:
 
     - x_lo = SINHC_SERIES_CUTOFF / m. Every |a_i x| and |b_i x| is at least
@@ -265,19 +235,23 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
       so sinh(a_i x) (b_i/a_i) stays below 4000 e^600. Since
       1 <= sinhc(y) < e^|y|, each factor sinhc(a_i x)/sinhc(b_i x) lies in
       (e^-|b_i x|, e^|a_i x|), so every partial product lies in
-      (e^-B|x|, e^A|x|), inside [e^-600, e^600]: the product neither
+      (e^-B x, e^A x), inside [e^-600, e^600]: the product neither
       overflows nor underflows to 0, and the log never sees 0.
 
-    Outside the band l is the log_sinhc sum. The band is empty when
-    x_lo >= x_hi, and when a slope is 0 (a_i = 0 where q_i = 2t and dim = 0).
-
-    One closure per sample: l is _log_sinhc_ratio(p) with its three factors
-    written out, multiplied and added in the same order, so every sample is
-    the same float; the math functions are bound as locals.
+    Elsewhere l is the log_sinhc sum of sinh_product_excess. The band is
+    empty where x_lo >= x_hi, and where a slope is 0: an a_i = 0 (q_i = 2t,
+    dim = 0) has no ratio b_i/a_i, and a b_i that underflowed to 0 never
+    reaches the cutoff. One closure per sample, its factors written out.
     """
     k = dim_from_vogel(p)
-    slopes, x_lo, x_hi, (r1, r2, r3) = _band(p)
+    slopes = _ratio_slopes(p)
     (a1, b1), (a2, b2), (a3, b3) = slopes
+    sizes = [abs(a1), abs(b1), abs(a2), abs(b2), abs(a3), abs(b3)]
+    x_lo = x_hi = r1 = r2 = r3 = 0.0
+    if min(sizes) > 0.0:
+        x_lo = SINHC_SERIES_CUTOFF / min(sizes)
+        x_hi = _BAND_LOG_MAX / max(sum(sizes[0::2]), sum(sizes[1::2]))
+        r1, r2, r3 = b1 / a1, b2 / a2, b3 / a3
     limit0 = _quadratic_coeff(k, slopes)
     sinh, log, exp, expm1, lsc = math.sinh, math.log, math.exp, math.expm1, log_sinhc
 

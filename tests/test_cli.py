@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_imports
+from lievol import special
 from lievol.cli import _COMMANDS, _build_parser, _parse, main
 from lievol.rootsys import Family
 from lievol.vogel import VogelPoint
@@ -158,6 +159,32 @@ def test_scan_unitary_line(capsys):
     for line in lines[1:]:
         residual = float(line.split(",")[3])
         assert residual <= 1e-7
+
+
+@pytest.mark.parametrize("start, stop, step, count", [
+    ("300.5", "1000.5", "350", 3),  # Barnes' integral at large z
+    ("65536", "65537", "1", 2),  # each side of the oracle bound
+])
+def test_scan_unitary_line_far_out(capsys, start, stop, step, count):
+    code, out, _ = run_cli(capsys, "scan", "--from", start, "--to", stop, "--step", step)
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+    assert len(rows) == count
+    for _, phi, _, residual in rows:
+        assert residual <= 1e-13 * phi
+
+
+def test_scan_unitary_line_at_huge_integer_gamma(capsys, monkeypatch):
+    # the reference at gamma = 1e10 comes from Barnes' integral; the factorial
+    # oracle would sum 1e10 logs
+    def no_oracle(n):
+        raise AssertionError(f"oracle called at n = {n}")
+
+    monkeypatch.setattr(special, "barnesG_integer_oracle", no_oracle)
+    code, out, _ = run_cli(capsys, "scan", "--from", "1e10", "--to", "1e10", "--step", "1")
+    assert code == 0
+    gamma, phi, ref, residual = (float(v) for v in out.splitlines()[1].split(","))
+    assert gamma == 1e10 and residual <= 1e-12 * phi
 
 
 @pytest.mark.parametrize("alpha, beta", [("-1", "1"), ("-4", "4"), ("4", "-4")])

@@ -22,11 +22,10 @@ from lievol.quad import (
     integrate_phi,
     integrate_semiinfinite,
 )
-from lievol.special import _TIGHT, _Y_SWITCH, _barnes_integrand
+from lievol.special import _TIGHT, _Y_SWITCH, _ZETA_PRIME_MINUS_ONE, _barnes_integrand
 from lievol.volume import phi_kp
 from lievol.vogel import (
     _BAND_LOG_MAX,
-    _log_sinhc_ratio,
     _ratio_slopes,
     SINHC_SERIES_CUTOFF,
     VogelPoint,
@@ -176,11 +175,10 @@ def _log_sum_phi_integrand(p):
     return f
 
 
-def _two_closure_phi_integrand(p):
-    """phi_integrand as it was with the band product: a log-ratio closure that
-    loops over the three factors, called from a second closure. The reference
-    that the one-closure form matches bit for bit."""
-    k = dim_from_vogel(p)
+def _two_closure_log_ratio(p):
+    """The band form of l as it was before phi_integrand wrote it out: the log
+    of one sinh-ratio product inside the band, the log_sinhc sum outside it,
+    with a loop over the three factors."""
     slopes = _ratio_slopes(p)
     sizes = [abs(s) for ab in slopes for s in ab]
     smallest = min(sizes)
@@ -204,6 +202,15 @@ def _two_closure_phi_integrand(p):
             total += log_sinhc(a * x) - log_sinhc(b * x)
         return total
 
+    return log_ratio
+
+
+def _two_closure_phi_integrand(p):
+    """phi_integrand as it was with the band product: the log-ratio closure
+    above, called from a second closure. The reference that the one-closure
+    form matches bit for bit."""
+    k = dim_from_vogel(p)
+    log_ratio = _two_closure_log_ratio(p)
     limit0 = small_x_quadratic_coeff(p)
 
     def f(x):
@@ -512,6 +519,20 @@ def test_phi_first_panel_at_integrand_scale(p, wide_evals):
     assert res.tail_cutoff >= phi_start_scale(p)  # the doubling still runs past it
 
 
+@pytest.mark.parametrize("gamma", [10.0**e for e in range(3, 19)])
+def test_phi_slow_decay_on_unitary_line(gamma):
+    # On (-2, 2, gamma) the decay rate is 1/gamma, and Barnes' expansion of
+    # ln G(gamma+1) gives phi = (ln(2 pi)/2 - 3/4) gamma^2 - (ln gamma)/12
+    # + zeta'(-1) - 1/(240 gamma^2) + O(gamma^-4). The start scales reach 4e18,
+    # past the 5.2e16 of (1770660, 1770660, -5.4e-10), whose integrand never
+    # decays in floating point: no bound on the start scale tells them apart.
+    want = ((0.5 * math.log(2.0 * math.pi) - 0.75) * gamma**2 - math.log(gamma) / 12.0
+            + _ZETA_PRIME_MINUS_ONE - 1.0 / (240.0 * gamma**2))
+    res = integrate_phi(VogelPoint(-2.0, 2.0, gamma))
+    assert res.converged
+    assert abs(res.value - want) <= min(1e-13 * want, res.error_estimate)
+
+
 # the large-rank benchmark ladder: SU_15 ... SU_25, Sp_2r and Spin_2r+1 for
 # r = 10 ... 17, Spin_22 ... Spin_34
 _LADDER = (
@@ -538,7 +559,7 @@ def test_band_log_ratio_error_class(p):
     # value at the same rounded arguments a*x and b*x
     mp = pytest.importorskip("mpmath")
     eps = 2.0**-52
-    ell = _log_sinhc_ratio(p)
+    ell = _two_closure_log_ratio(p)
     x_lo, x_hi = _band_edges(p)
     assert x_lo < x_hi
     with mp.workdps(40):

@@ -2,6 +2,7 @@
 log-Gamma oracle with its Euler reflection residual (kept in tests/malmsten.py)."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from lievol import quad, special
 from lievol.errors import ParameterDomainError
 from lievol.quad import Tolerance, integrate_phi
 from lievol.special import (
+    _ORACLE_MAX,
     _TIGHT,
     _barnes_integrand,
     barnesG_integer_oracle,
@@ -204,10 +206,35 @@ def test_closed_form_uses_oracle_at_integers():
     assert v.error_estimate > 0.0
 
 
+def test_closed_form_reads_oracle_up_to_its_bound():
+    # past the bound the integer rows take Barnes' integral, which meets the
+    # oracle there
+    assert phi_unitary_closed_form(float(_ORACLE_MAX)).error_estimate == 0.0
+    assert phi_unitary_closed_form(float(_ORACLE_MAX + 1)).error_estimate > 0.0
+    n = _ORACLE_MAX + 1
+    want = barnesG_integer_oracle(n).value
+    assert abs(log_barnesG_integral(float(n), Tolerance()).value - want) <= 1e-14 * want
+
+
+def test_oracle_memory_stays_flat():
+    # the n - 2 log terms stream into math.fsum: no list of them is built
+    tracemalloc.start()
+    try:
+        barnesG_integer_oracle(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # Non-integer arguments, so the Barnes integral is the only route. z = 0.3
 # is left out: at _TIGHT its summed |K - G| stays near 6e-14, above the
 # target 1e-12 * 0.043 (the integral's value), and it does not converge.
-_BARNES_GRID = (0.02, 0.1, 0.5, 0.77, 1.5, 2.5, 4.5, 7.3, 9.9, 15.5, 25.5, 50.5)
+# From z = 19 on the small-y series is read below y = 0.01; with a switch of
+# 0.01 for every z, z = 100.5, 300.5 and 1000.5 were 9e-12, 1e-6 and 0.32
+# off, relative, each beyond its estimate.
+_BARNES_GRID = (0.02, 0.1, 0.5, 0.77, 1.5, 2.5, 4.5, 7.3, 9.9, 15.5, 25.5, 50.5,
+                60.5, 100.5, 300.5, 1000.5, 1e4 + 0.5, 1e5 + 0.5)
 
 
 @pytest.mark.parametrize("tol", [_TIGHT, Tolerance()], ids=["tight", "default"])
@@ -218,6 +245,8 @@ def test_barnes_integral_vs_mpmath(z, tol):
         want = float(mp.log(mp.barnesg(z + 1)))
     got = log_barnesG_integral(z, tol)
     assert abs(got.value - want) <= got.error_estimate, (z, got)
+    if z > 4.0:  # past the zeros of ln G(z+1) at z = 0, 1 and 2
+        assert abs(got.value - want) <= 1e-13 * want, (z, got)
 
 
 def test_barnes_tail_cutoff_stays_small(monkeypatch):
