@@ -21,10 +21,8 @@ __all__ = [
     "spin_row_point",
     "dim_from_vogel",
     "phi_start_scale",
-    "in_divergence_set",
     "log_sinhc",
     "sinh_product_excess",
-    "small_x_quadratic_coeff",
     "phi_integrand",
     "key_relation_residual",
 ]
@@ -113,19 +111,15 @@ def dim_from_vogel(p: VogelPoint) -> float:
         return math.copysign(math.inf, quotient)
 
 
-def _opposite(p: VogelPoint) -> list[float]:
-    """The parameters with q/t < 0, read from the signs of q and t: the rounded
-    quotient of a tiny q by a huge t is -0.0 and would pass as nonnegative."""
-    return [q for q in p.params if q < 0.0 < p.t or p.t < 0.0 < q]
-
-
 def phi_start_scale(p: VogelPoint) -> float:
     """8|t|/|s|, s the sum of the 1 or 2 parameters with q/t < 0: four decay
     lengths of phi_integrand(p) where no q/t exceeds 2, and 4t exactly where
     alpha = -2 and beta, gamma, t > 0. The one gate of integrate_phi: raises
     DivergenceSetError on the divergence set (no such parameter), and
     ParameterDomainError where the scale leaves double range."""
-    opposite = _opposite(p)
+    # q/t < 0 read from the signs of q and t: the rounded quotient of a tiny
+    # q by a huge t is -0.0 and would pass as nonnegative
+    opposite = [q for q in p.params if q < 0.0 < p.t or p.t < 0.0 < q]
     if not opposite:
         raise DivergenceSetError(
             "integral diverges on the divergence set "
@@ -135,16 +129,6 @@ def phi_start_scale(p: VogelPoint) -> float:
     if not 0.0 < scale < math.inf:
         raise ParameterDomainError("the decay length of the phi integrand leaves double range")
     return scale
-
-
-def in_divergence_set(p: VogelPoint) -> bool:
-    """True iff all three ratios param/t are nonnegative (boundary included).
-
-    Membership is where the universal integral fails to converge; the
-    predicate only reports membership, it does not certify divergence at
-    individual boundary points.
-    """
-    return not _opposite(p)
 
 
 # below this |y| the series is used; the direct log(sinh/y) would round at
@@ -200,15 +184,6 @@ def sinh_product_excess(x: float, p: VogelPoint) -> float:
     return k * math.expm1(ell)
 
 
-def _quadratic_coeff(k: float, slopes) -> float:
-    return k * math.fsum(a * a - b * b for a, b in slopes) / 6.0
-
-
-def small_x_quadratic_coeff(p: VogelPoint) -> float:
-    """Limit of sinh_product_excess(x, p)/x^2 as x -> 0."""
-    return _quadratic_coeff(dim_from_vogel(p), _ratio_slopes(p))
-
-
 # |log| bound on the sinh-ratio product and its partial products inside the
 # band of phi_integrand; e^600 leaves room below the double limit e^709.78
 _BAND_LOG_MAX = 600.0
@@ -252,7 +227,13 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
         x_lo = SINHC_SERIES_CUTOFF / min(sizes)
         x_hi = _BAND_LOG_MAX / max(sum(sizes[0::2]), sum(sizes[1::2]))
         r1, r2, r3 = b1 / a1, b2 / a2, b3 / a3
-    limit0 = _quadratic_coeff(k, slopes)
+    # the x -> 0 limit, k/6 sum(a_i^2 - b_i^2): k/12 in exact arithmetic (the
+    # strange formula), but summed from the rounded slopes. Where t is tiny
+    # against the parameters, the slopes are huge, the start scale is tiny and
+    # every sample falls below 1e-12; the constant k/12 would then pass as a
+    # converged phi, while this sum carries the slopes' rounding and the
+    # quadrature reports it unconverged
+    limit0 = k * math.fsum(a * a - b * b for a, b in slopes) / 6.0
     sinh, log, exp, expm1, lsc = math.sinh, math.log, math.exp, math.expm1, log_sinhc
 
     def f(x: float) -> float:

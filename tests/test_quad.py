@@ -33,7 +33,6 @@ from lievol.vogel import (
     log_sinhc,
     phi_integrand,
     phi_start_scale,
-    small_x_quadratic_coeff,
     vogel_point,
 )
 from lievol.rootsys import build_root_system, default_groups, sp, spin, su
@@ -162,7 +161,7 @@ def _log_sum_phi_integrand(p):
     log_sinhc terms, as it was before the band product: the reference for
     phi_integrand and for the pinned phi rows below."""
     k = dim_from_vogel(p)
-    limit0 = small_x_quadratic_coeff(p)
+    limit0 = k * math.fsum(a * a - b * b for a, b in _ratio_slopes(p)) / 6.0
 
     def f(x):
         if x < 1e-12:
@@ -211,7 +210,7 @@ def _two_closure_phi_integrand(p):
     form matches bit for bit."""
     k = dim_from_vogel(p)
     log_ratio = _two_closure_log_ratio(p)
-    limit0 = small_x_quadratic_coeff(p)
+    limit0 = k * math.fsum(a * a - b * b for a, b in _ratio_slopes(p)) / 6.0
 
     def f(x):
         if x < 1e-12:
@@ -582,9 +581,8 @@ def test_integrand_limit_value():
     p = VogelPoint(-2.0, 2.0, 5.0)
     f = phi_integrand(p)
     # x -> 0 limit equals the quadratic coefficient of the excess
-    from lievol.vogel import small_x_quadratic_coeff
-
-    assert f(0.0) == small_x_quadratic_coeff(p)
+    k = dim_from_vogel(p)
+    assert f(0.0) == k * math.fsum(a * a - b * b for a, b in _ratio_slopes(p)) / 6.0
     assert f(1e-13) == f(0.0)
     assert f(1e-9) == pytest.approx(f(0.0), rel=1e-7)
 

@@ -199,6 +199,18 @@ def test_pairings_inside_open_interval(lie_type):
     )
 
 
+def test_strange_formula_on_root_data():
+    # Freudenthal-de Vries: |rho|^2 = dim/24 under the Cartan-Killing form, and
+    # sum over positive roots of <rho, mu>^2 = |rho|^2 / 2, since
+    # sum over all roots of mu mu^T is the Killing form itself. In integers:
+    # 48 sum h^2 = dim den^2, h the weighted heights and den their denominator
+    groups = default_groups(12) + [su(40), sp(60), spin(41), spin(44)]
+    for lie_type in groups:
+        rs = build_root_system(lie_type)
+        total = sum(h * h for h in rs.weighted_heights)
+        assert 48 * total == rs.dim * rs.height_denominator ** 2, lie_type.compact_name
+
+
 def test_reflection_closure_idempotent():
     for lie_type in (su(3), spin(8), SimpleLieType(Family.G2, 2)):
         rs = build_root_system(lie_type)

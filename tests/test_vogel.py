@@ -12,12 +12,11 @@ from lievol.rootsys import Family, SimpleLieType, build_root_system, default_gro
 from lievol.vogel import (
     VogelPoint,
     dim_from_vogel,
-    in_divergence_set,
     key_relation_residual,
     log_sinhc,
+    phi_integrand,
     phi_start_scale,
     sinh_product_excess,
-    small_x_quadratic_coeff,
     spin_row_point,
     vogel_point,
 )
@@ -157,30 +156,30 @@ def test_phi_start_scale_permutation_invariant(a, b, g):
         p = VogelPoint(a, b, g)
     except ParameterDomainError:
         return
-    if in_divergence_set(p):
+    try:
+        scale = phi_start_scale(p)
+    except DivergenceSetError:
         return
-    scale = phi_start_scale(p)
     for perm in ((b, a, g), (g, b, a), (a, g, b), (b, g, a), (g, a, b)):
         assert phi_start_scale(VogelPoint(*perm)) == scale
 
 
 def test_divergence_set_membership():
-    assert in_divergence_set(VogelPoint(1.0, 1.0, 1.0))
-    assert in_divergence_set(VogelPoint(0.0, 1.0, 1.0))  # boundary included
-    assert not in_divergence_set(VogelPoint(-2.0, 2.0, 5.0))
-    assert not in_divergence_set(VogelPoint(2.0, -2.0, -5.0))  # same projective point
-    for g in default_groups(8):
-        assert not in_divergence_set(vogel_point(g)), g
     with pytest.raises(DivergenceSetError):  # no parameter has q/t < 0
         phi_start_scale(VogelPoint(1.0, 1.0, 1.0))
+    with pytest.raises(DivergenceSetError):  # boundary included
+        phi_start_scale(VogelPoint(0.0, 1.0, 1.0))
+    assert phi_start_scale(VogelPoint(-2.0, 2.0, 5.0)) > 0.0
+    assert phi_start_scale(VogelPoint(2.0, -2.0, -5.0)) > 0.0  # same projective point
+    for g in default_groups(8):
+        assert phi_start_scale(vogel_point(g)) > 0.0, g
 
 
 @pytest.mark.parametrize("a", [-1e-300, -1e-290, -5e-324])
 def test_divergence_set_reads_signs_not_rounded_ratios(a):
-    # a/t rounds to -0.0 at a = -1e-300, t = 1e30: still outside the set, and
-    # its decay length 8t/|a| leaves double range
+    # a/t rounds to -0.0 at a = -1e-300, t = 1e30: still outside the set (no
+    # DivergenceSetError), and its decay length 8t/|a| leaves double range
     p = VogelPoint(a, 1e30, 1.0)
-    assert not in_divergence_set(p)
     with pytest.raises(ParameterDomainError):
         phi_start_scale(p)
 
@@ -227,12 +226,23 @@ def test_excess_projective_invariance(x, lam):
     assert sinh_product_excess(x, permuted) == pytest.approx(f0, rel=1e-11, abs=1e-13)
 
 
-def test_excess_small_x_limit_matches_quadratic_coeff():
+def test_excess_small_x_limit_matches_integrand_at_zero():
     for g in default_groups(4):
         p = vogel_point(g)
         x = 1e-6
         got = sinh_product_excess(x, p) / (x * x)
-        assert got == pytest.approx(small_x_quadratic_coeff(p), rel=1e-9), g
+        assert got == pytest.approx(phi_integrand(p)(0.0), rel=1e-9), g
+
+
+def test_integrand_limit_is_dim_over_twelve():
+    # sum_i (a_i^2 - b_i^2) = 1/2 at every point, so the x -> 0 limit
+    # k/6 sum_i (a_i^2 - b_i^2) is dim/12: the strange formula through the
+    # universal parameters. phi_integrand sums the rounded slopes instead of
+    # returning dim/12, so that the limit shows their rounding at extreme
+    # ratios; on the table rows the two agree to a few ulps
+    for g in default_groups(12):
+        p = vogel_point(g)
+        assert phi_integrand(p)(0.0) == pytest.approx(dim_from_vogel(p) / 12.0, rel=1e-14), g
 
 
 def test_excess_overflow_reports_threshold():
