@@ -18,7 +18,6 @@ from .errors import (
     InvariantViolationError,
     LievolError,
     ParameterDomainError,
-    QuadratureError,
     UnsupportedGroupError,
 )
 from .quad import QuadResult, Tolerance, integrate_phi
@@ -44,7 +43,6 @@ __all__ = [
     "ParameterDomainError",
     "DivergenceSetError",
     "IntegrandEvaluationError",
-    "QuadratureError",
     "InvariantViolationError",
     "su",
     "spin",

@@ -156,8 +156,9 @@ def cmd_scan(args, tol: Tolerance) -> int:
             # (alpha, -alpha, gamma) is (-2, 2, z) scaled by gamma / z, alpha and
             # beta swapped if needed; on the default line z = |gamma|
             z = abs(gamma) / (0.5 * abs(alpha))
-            ref = special.phi_unitary_closed_form(z, tol).value
-            print(f"{gamma!r},{qr.value!r},{ref!r},{abs(qr.value - ref)!r}")
+            ref = special.phi_unitary_closed_form(z, tol)
+            converged = converged and ref.converged
+            print(f"{gamma!r},{qr.value!r},{ref.value!r},{abs(qr.value - ref.value)!r}")
         else:
             print(f"{gamma!r},{qr.value!r},,")
     return 0 if converged else 1

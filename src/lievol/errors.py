@@ -29,13 +29,5 @@ class IntegrandEvaluationError(LievolError, ArithmeticError):
         super().__init__(f"integrand returned {value!r} at x = {abscissa!r}")
 
 
-class QuadratureError(LievolError, ArithmeticError):
-    """A quadrature call failed to converge where a converged value is required."""
-
-    def __init__(self, message, result=None):
-        self.result = result
-        super().__init__(message)
-
-
 class InvariantViolationError(LievolError, AssertionError):
     """An internal consistency condition failed; indicates a bug, not bad input."""

@@ -70,6 +70,13 @@ EXCEPTIONAL_RANK = {
 # so Sp_2 is available as its own presentation (isomorphic to SU_2).
 _RANK_FLOOR = {Family.A: 1, Family.B: 2, Family.C: 1, Family.D: 4}
 
+# Largest rank `build_root_system` builds; it refuses a larger one before
+# allocating the rank^2 Cartan matrix. At rank 256 every family has at most
+# 65,536 positive roots, and a build with its report takes a few seconds and
+# under 200 MB (Spin_513, the slowest); SU_3000 ran out of memory under a
+# 1 GB limit. `SimpleLieType` itself has no cap.
+_MAX_RANK = 256
+
 
 class SimpleLieType(Record):
     """A compact simple group named by Cartan family and rank."""
@@ -297,6 +304,8 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
     cost.
     """
     rank = lie_type.rank
+    if rank > _MAX_RANK:
+        raise UnsupportedGroupError(f"{lie_type}: rank {rank} is above {_MAX_RANK}, the cap")
     cartan = cartan_matrix(lie_type)
     weights = _symmetrizer(lie_type)
     denom = max(weights)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .errors import ParameterDomainError, QuadratureError
+from .errors import ParameterDomainError
 from .quad import Tolerance, integrate_semiinfinite
 
 __all__ = [
@@ -37,9 +37,12 @@ _ZETA_PRIME_MINUS_ONE = -0.16542114370045094
 _TIGHT = Tolerance(rel=1e-12, abs=1e-14)
 
 
+# An integral that does not converge is reported, as `QuadResult` reports it:
+# a caller that needs a converged value reads the flag.
 class SpecialValue(Record):
     value: float
     error_estimate: float
+    converged: bool
 
 
 # --- Barnes G ---------------------------------------------------------------
@@ -165,10 +168,8 @@ def log_barnesG_integral(z: float, tol: Tolerance | None = None) -> SpecialValue
         return z / x - 0.5 / (x * x)
 
     qr = integrate_semiinfinite(_barnes_integrand(z), tol, initial_scale=8.0, tail=tail)
-    if not qr.converged:
-        raise QuadratureError(f"quadrature for ln G({z}+1) did not converge", result=qr)
     value = 0.5 * z * _LOG_2PI + _ZETA_PRIME_MINUS_ONE - qr.value
-    return SpecialValue(value, qr.error_estimate)
+    return SpecialValue(value, qr.error_estimate, qr.converged)
 
 
 def barnesG_integer_oracle(n: int) -> SpecialValue:
@@ -177,7 +178,7 @@ def barnesG_integer_oracle(n: int) -> SpecialValue:
     to ~1e-16 relative. The estimate is 0.0, as nothing is truncated."""
     if not isinstance(n, int) or n < 1:
         raise ParameterDomainError(f"oracle requires integer n >= 1, got {n!r}")
-    return SpecialValue(math.fsum((n - j) * math.log(j) for j in range(2, n)), 0.0)
+    return SpecialValue(math.fsum((n - j) * math.log(j) for j in range(2, n)), 0.0, True)
 
 
 # Largest integer z whose closed form reads the oracle. Its n logs take ~20 ms
@@ -202,4 +203,4 @@ def phi_unitary_closed_form(z: float, tol: Tolerance | None = None) -> SpecialVa
     else:
         lng = log_barnesG_integral(z, tol)
     value = lng.value - 0.5 * z * z * math.log(z) + 0.5 * (z * z - z) * _LOG_2PI
-    return SpecialValue(value, lng.error_estimate)
+    return SpecialValue(value, lng.error_estimate, lng.converged)

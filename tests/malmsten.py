@@ -5,7 +5,7 @@ Gamma function."""
 
 import math
 
-from lievol.errors import ParameterDomainError, QuadratureError
+from lievol.errors import ParameterDomainError
 from lievol.quad import Tolerance, integrate_semiinfinite
 from lievol.special import _TIGHT, SpecialValue
 
@@ -48,9 +48,9 @@ def log_gamma_malmsten(z: float, tol: Tolerance | None = None) -> SpecialValue:
 
     scale = 8.0 * max(1.0, 1.0 / (1.0 + z))
     qr = integrate_semiinfinite(f, tol, initial_scale=scale)
-    if not qr.converged:
-        raise QuadratureError(f"quadrature for ln Gamma(1+{z}) did not converge", result=qr)
-    return SpecialValue(qr.value, qr.error_estimate)
+    # an oracle that did not converge fails every test that reads it
+    assert qr.converged, f"quadrature for ln Gamma(1+{z}) did not converge: {qr}"
+    return SpecialValue(qr.value, qr.error_estimate, qr.converged)
 
 
 def euler_reflection_residual(x: float) -> float:

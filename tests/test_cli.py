@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_imports
-from lievol import special
+from lievol import quad, special
 from lievol.cli import _COMMANDS, _build_parser, _parse, main
 from lievol.rootsys import Family
 from lievol.vogel import VogelPoint
@@ -225,6 +225,41 @@ def test_scan_exits_1_on_unconverged_row(capsys):
     assert out.splitlines()[1].startswith("1.0001,-3.11534866")
 
 
+@pytest.fixture
+def unconverged_barnes(monkeypatch):
+    # every Barnes quadrature keeps its value and estimate but reports that
+    # it did not converge
+    def unconverged(*args, **kwargs):
+        qr = quad.integrate_semiinfinite(*args, **kwargs)
+        return quad.QuadResult(qr.value, qr.error_estimate, False, qr.evaluations, qr.tail_cutoff)
+
+    monkeypatch.setattr(special, "integrate_semiinfinite", unconverged)
+
+
+def test_scan_prints_every_row_past_an_unconverged_reference(capsys, unconverged_barnes):
+    code, out, err = run_cli(capsys, "scan", "--from", "0.5", "--to", "2.5", "--step", "0.5")
+    assert (code, err) == (1, "")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    # z = 1 and 2 read the oracle; the Barnes rows keep their values
+    assert [float(row[0]) for row in rows] == [0.5, 1.0, 1.5, 2.0, 2.5]
+    for row in rows:
+        assert float(row[3]) <= 1e-9, row
+
+
+def test_check_fails_an_unconverged_reference(capsys, unconverged_barnes):
+    code, out, _ = run_cli(capsys, "check", "--max-rank", "1")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    # the integer z of the unitary items read the converged oracle
+    assert [line.split(":")[0] for line in failed] == [
+        *(f"FAIL  Barnes integral vs oracle n={n}" for n in range(1, 9)),
+        "FAIL  unitary line identity z=0.5", "FAIL  unitary line identity z=5.5",
+    ]
+    for line in failed:
+        assert line.endswith("; quadrature did not converge"), line
+        assert float(line.split("= ")[1].split(";")[0]) <= 1e-9, line
+
+
 def test_scan_crossing_divergence_region(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -361,6 +396,9 @@ def exit_code(argv):
         # a reversed range that overflows to -inf is empty, not an error
         ("scan --from 1e308 --to=-1e308 --step 1", None, 0),
         ("volume --group E8 --n 7", None, 2),
+        # above the rank cap of 256: refused before the rank^2 Cartan matrix
+        ("volume --group SU --n 258", None, 2),
+        ("volume --group SU --n 1000000000", None, 2),
         ("phi --alpha -2 --beta 2 --gamma 1e300", None, 1),
         # the start scale 8|t|/|s| (here s = alpha) is inf, and 0: no decay length in double range
         ("phi --alpha=-1e-300 --beta 1e10 --gamma 1", None, 2),

@@ -21,8 +21,8 @@ CASES = [
     (QuadResult, ("value", "error_estimate", "converged", "evaluations", "tail_cutoff"),
      lambda: QuadResult(1.5, 1e-12, True, 135, 64.0),
      lambda: QuadResult(1.5, 1e-12, False, 135, 64.0)),
-    (SpecialValue, ("value", "error_estimate"),
-     lambda: SpecialValue(0.5, 1e-13), lambda: SpecialValue(0.5, 2e-13)),
+    (SpecialValue, ("value", "error_estimate", "converged"),
+     lambda: SpecialValue(0.5, 1e-13, True), lambda: SpecialValue(0.5, 1e-13, False)),
     (VogelPoint, ("alpha", "beta", "gamma"),
      lambda: VogelPoint(-2.0, 2.0, 3.0), lambda: VogelPoint(-2.0, 2.0, 4.0)),
     (SimpleLieType, ("family", "rank"),

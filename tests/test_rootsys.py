@@ -291,6 +291,31 @@ def test_rank_floors_rejected(family, rank):
         SimpleLieType(family, rank)
 
 
+@pytest.mark.parametrize("family", [Family.A, Family.B, Family.C, Family.D])
+@pytest.mark.parametrize("rank", [257, 10**9])
+def test_rank_above_cap_refused_before_cartan_matrix(monkeypatch, family, rank):
+    # the type itself is unbounded; the build refuses it before allocating
+    # rank^2 Cartan entries
+    def no_cartan(lie_type):
+        raise AssertionError(f"cartan_matrix called at {lie_type}")
+
+    lie_type = SimpleLieType(family, rank)
+    monkeypatch.setattr(rootsys, "cartan_matrix", no_cartan)
+    with pytest.raises(UnsupportedGroupError, match=f"rank {rank} is above 256, the cap$"):
+        build_root_system(lie_type)
+
+
+def test_rank_cap_admits_its_own_rank(monkeypatch):
+    # rank 256 builds (SU_257, Sp_512 and Spin_513 take seconds); the same
+    # boundary at a small cap
+    assert rootsys._MAX_RANK == 256
+    monkeypatch.setattr(rootsys, "_MAX_RANK", 5)
+    for family in (Family.A, Family.B, Family.C, Family.D):
+        assert build_root_system(SimpleLieType(family, 5)).rank == 5
+        with pytest.raises(UnsupportedGroupError):
+            build_root_system(SimpleLieType(family, 6))
+
+
 def test_exceptional_rank_fixed():
     with pytest.raises(UnsupportedGroupError):
         SimpleLieType(Family.E6, 5)

@@ -199,11 +199,32 @@ def test_integral_matches_closed_form_on_unitary_line(z):
     assert abs(phi - ref) <= 1e-7
 
 
+# a budget of 60 evaluations stops the Barnes quadrature short of _TIGHT
+_STARVED = Tolerance(rel=1e-14, abs=1e-16, max_evaluations=60)
+
+
+def test_barnes_integral_reports_non_convergence():
+    # the value comes back with its flag down, as a QuadResult does
+    got = log_barnesG_integral(2.5, _STARVED)
+    assert got.converged is False
+    assert math.isfinite(got.value) and got.error_estimate > 0.0
+
+
 def test_closed_form_uses_oracle_at_integers():
     v = phi_unitary_closed_form(4.0)
     assert v.error_estimate == 0.0  # propagated from the exact oracle
     v = phi_unitary_closed_form(4.5)
     assert v.error_estimate > 0.0
+    # the Barnes flag is passed on; the oracle is exact whatever the budget
+    assert phi_unitary_closed_form(2.5, _STARVED).converged is False
+    for z in (4.0, float(_ORACLE_MAX)):
+        v = phi_unitary_closed_form(z, _STARVED)
+        assert (v.converged, v.error_estimate) == (True, 0.0)
+
+
+def test_malmsten_oracle_fails_when_unconverged():
+    with pytest.raises(AssertionError, match="did not converge"):
+        log_gamma_malmsten(0.5, _STARVED)
 
 
 def test_closed_form_reads_oracle_up_to_its_bound():
@@ -244,6 +265,7 @@ def test_barnes_integral_vs_mpmath(z, tol):
     with mp.workdps(30):
         want = float(mp.log(mp.barnesg(z + 1)))
     got = log_barnesG_integral(z, tol)
+    assert got.converged, (z, got)
     assert abs(got.value - want) <= got.error_estimate, (z, got)
     if z > 4.0:  # past the zeros of ln G(z+1) at z = 0, 1 and 2
         assert abs(got.value - want) <= 1e-13 * want, (z, got)
