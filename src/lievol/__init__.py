@@ -22,7 +22,7 @@ from .errors import (
 )
 from .quad import QuadResult, Tolerance, integrate_phi
 from .rootsys import Family, SimpleLieType, default_groups, sp, spin, su
-from .special import SpecialValue, phi_unitary_closed_form
+from .special import phi_unitary_closed_form
 from .vogel import VogelPoint, dim_from_vogel, vogel_point
 from .volume import LOG_VOLUME_BASE, CheckItem, VolumeReport, cross_check, run_check_suite
 
@@ -35,7 +35,6 @@ __all__ = [
     "VogelPoint",
     "Tolerance",
     "QuadResult",
-    "SpecialValue",
     "VolumeReport",
     "CheckItem",
     "LievolError",

@@ -1,20 +1,20 @@
 """Adaptive semi-infinite quadrature and the universal volume integral.
 
 The engine integrates over (0, inf) by truncating at a cutoff X that is
-doubled until the newest block contributes less than the absolute
-tolerance, then globally refining the worst panels of a 7/15-point
-Gauss-Kronrod pair (Piessens et al., QUADPACK, 1983) until the summed
-nested-rule differences meet the requested tolerance. Each pass over a
-panel is straight-line code over its 15 nodes with one finiteness test, of
+doubled until the newest block contributes less than the absolute tolerance,
+then globally refining the worst panels of a 7/15-point Gauss-Kronrod pair
+(Piessens et al., QUADPACK, 1983) until the summed nested-rule differences
+meet the requested tolerance or `_MAX_EVALUATIONS` runs out. Each pass over
+a panel is straight-line code over its 15 nodes with one finiteness test, of
 the Kronrod sum. The doubling stops, unconverged, before the cutoff leaves
-double range. An integrand that decays only algebraically can pass the
-exact integral of its asymptotic form beyond X (`tail`): the doubling then
-stops once a block matches that form, and the tail closes the integral.
-The panel values and errors are kept as exact running sums (Shewchuk
-partials, Adaptive precision floating-point arithmetic, 1997). The
-partials are exact, so the totals read from them are correctly rounded
-whatever the order of the panels; each step and the result read them
-without re-summing any panel, and results are deterministic.
+double range. An integrand that decays only algebraically can pass the exact
+integral of its asymptotic form beyond X (`tail`): the doubling then stops
+once a block matches that form, and the tail closes the integral. The panel
+values and errors are kept as exact running sums (Shewchuk partials,
+Adaptive precision floating-point arithmetic, 1997). The partials are exact,
+so the totals read from them are correctly rounded whatever the order of the
+panels; each step and the result read them without re-summing any panel, and
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -40,13 +40,18 @@ __all__ = [
 # spends its whole evaluation budget before it reports no convergence.
 _MIN_REL = 1e-15
 
+# Integrand evaluations one integral may spend, whatever its tolerance. On a
+# z grid of step 0.005 in (0, 10), no converged Barnes integral at
+# `special._TIGHT` took more than 10,290.
+_MAX_EVALUATIONS = 200_000
+
 
 class Tolerance(Record):
-    """Quadrature stopping targets. Defaults leave headroom below 1e-8 checks."""
+    """Quadrature stopping targets; the evaluation budget is `_MAX_EVALUATIONS`.
+    Defaults leave headroom below 1e-8 checks."""
 
     rel: float = 1e-10
     abs: float = 1e-12
-    max_evaluations: int = 200_000
 
     def __post_init__(self):
         # nan fails this test too. A nan, inf or huge rel would let every route
@@ -55,11 +60,12 @@ class Tolerance(Record):
             raise ParameterDomainError(
                 f"rel must lie in [{_MIN_REL:g}, 1] and abs must be positive and finite"
             )
-        if self.max_evaluations <= 0:
-            raise ParameterDomainError("evaluation budget must be positive")
 
 
 class QuadResult(Record):
+    """An integral's result. An exact value (a finite sum) reports error_estimate
+    0.0, converged True, 0 evaluations and tail_cutoff 0.0."""
+
     value: float
     error_estimate: float
     converged: bool
@@ -207,7 +213,7 @@ def integrate_semiinfinite(
             if abs(val) < tol.abs:
                 settled = True
                 break
-        if 15 * (n + 1) > tol.max_evaluations or not 3.0 * cutoff < math.inf:
+        if 15 * (n + 1) > _MAX_EVALUATIONS or not 3.0 * cutoff < math.inf:
             break
         a, cutoff = cutoff, 2.0 * cutoff
     if tail is not None:
@@ -217,7 +223,7 @@ def integrate_semiinfinite(
     while (
         settled
         and err_total > max(tol.abs, tol.rel * abs(value))
-        and 15 * (n + 2) <= tol.max_evaluations
+        and 15 * (n + 2) <= _MAX_EVALUATIONS
     ):
         _, _, a, b, val, err = heapq.heappop(panels)
         if b - a <= 1e-14 * max(1.0, abs(a)):

@@ -128,6 +128,8 @@ def spin(n: int) -> SimpleLieType:
     """Spin group Spin_n (n >= 5; n = 6 is rejected, use SU_4)."""
     if n < 5:
         raise UnsupportedGroupError(f"Spin_n requires n >= 5, got {n}")
+    if n == 6:
+        raise UnsupportedGroupError("Spin_6 is rejected as isomorphic to SU_4; use SU_4")
     if n % 2:
         return SimpleLieType(Family.B, (n - 1) // 2)
     return SimpleLieType(Family.D, n // 2)
@@ -143,6 +145,8 @@ def sp(n: int) -> SimpleLieType:
 def default_groups(max_rank: int = 8) -> list[SimpleLieType]:
     """Classical families A, B, C, D from their rank floor up to max_rank, then
     the exceptionals; the report order of `table` and `check`."""
+    if max_rank > _MAX_RANK:
+        raise UnsupportedGroupError(f"max rank {max_rank} is above {_MAX_RANK}, the cap")
     groups = [
         SimpleLieType(fam, r) for fam, floor in _RANK_FLOOR.items()
         for r in range(floor, max_rank + 1)

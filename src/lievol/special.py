@@ -5,18 +5,17 @@ engine; the integrand decays only like z/y^2, so its tail beyond the
 cutoff is integrated in closed form. At the integers a sum of logarithms
 of the factorial product supplies the reference values. The two Barnes
 routes are kept fully independent so their agreement is a genuine check.
+Integrals return the engine's `QuadResult`, value mapped; the sum is a float.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._record import Record
 from .errors import ParameterDomainError
-from .quad import Tolerance, integrate_semiinfinite
+from .quad import QuadResult, Tolerance, integrate_semiinfinite
 
 __all__ = [
-    "SpecialValue",
     "log_barnesG_integral",
     "barnesG_integer_oracle",
     "phi_unitary_closed_form",
@@ -31,18 +30,8 @@ _ZETA_PRIME_MINUS_ONE = -0.16542114370045094
 
 # Values here sit an order of magnitude or two above machine noise for
 # arguments up to ~10, so the internal quadrature runs tighter than the
-# engine default, on its default budget: on a z grid of step 0.005 in
-# (0, 10), no converged Barnes integral at these tolerances took more than
-# 10,290 evaluations.
+# engine default.
 _TIGHT = Tolerance(rel=1e-12, abs=1e-14)
-
-
-# An integral that does not converge is reported, as `QuadResult` reports it:
-# a caller that needs a converged value reads the flag.
-class SpecialValue(Record):
-    value: float
-    error_estimate: float
-    converged: bool
 
 
 # --- Barnes G ---------------------------------------------------------------
@@ -132,7 +121,7 @@ def _barnes_integrand(z: float):
     return g
 
 
-def log_barnesG_integral(z: float, tol: Tolerance | None = None) -> SpecialValue:
+def log_barnesG_integral(z: float, tol: Tolerance | None = None) -> QuadResult:
     """ln G(z+1) for z > 0 from the Barnes-type integral representation
 
         ln G(z+1) = (z/2) ln 2pi + zeta'(-1) - integral of the bracket,
@@ -158,7 +147,7 @@ def log_barnesG_integral(z: float, tol: Tolerance | None = None) -> SpecialValue
     The engine stops doubling the cutoff once a block matches that form and
     adds tail(cutoff), so the cutoff stays at 64 or 128 instead of running
     out to ~z/abs_tol. z = 0 is admitted (the bracket stays integrable and
-    the value is 0).
+    the value is 0). It returns the engine's result, its value mapped.
     """
     if z < 0.0:
         raise ParameterDomainError(f"log_barnesG_integral requires z >= 0, got {z}")
@@ -169,16 +158,16 @@ def log_barnesG_integral(z: float, tol: Tolerance | None = None) -> SpecialValue
 
     qr = integrate_semiinfinite(_barnes_integrand(z), tol, initial_scale=8.0, tail=tail)
     value = 0.5 * z * _LOG_2PI + _ZETA_PRIME_MINUS_ONE - qr.value
-    return SpecialValue(value, qr.error_estimate, qr.converged)
+    return QuadResult(value, qr.error_estimate, qr.converged, qr.evaluations, qr.tail_cutoff)
 
 
-def barnesG_integer_oracle(n: int) -> SpecialValue:
+def barnesG_integer_oracle(n: int) -> float:
     """ln G(n+1) = ln(1! 2! ... (n-1)!) = sum over 2 <= j < n of (n-j) ln j,
     integer n >= 1: positive terms, each rounded twice, summed by math.fsum
-    to ~1e-16 relative. The estimate is 0.0, as nothing is truncated."""
+    to ~1e-16 relative."""
     if not isinstance(n, int) or n < 1:
         raise ParameterDomainError(f"oracle requires integer n >= 1, got {n!r}")
-    return SpecialValue(math.fsum((n - j) * math.log(j) for j in range(2, n)), 0.0, True)
+    return math.fsum((n - j) * math.log(j) for j in range(2, n))
 
 
 # Largest integer z whose closed form reads the oracle. Its n logs take ~20 ms
@@ -187,20 +176,20 @@ def barnesG_integer_oracle(n: int) -> SpecialValue:
 _ORACLE_MAX = 2**16
 
 
-def phi_unitary_closed_form(z: float, tol: Tolerance | None = None) -> SpecialValue:
+def phi_unitary_closed_form(z: float, tol: Tolerance | None = None) -> QuadResult:
     """Closed form of the universal integral on the line alpha + beta = 0:
 
         ln G(z+1) - (1/2) z^2 ln z + (1/2)(z^2 - z) ln 2pi,  z > 0,
 
     with ln G from the factorial oracle at integers up to _ORACLE_MAX and
     from Barnes' integral elsewhere. This is the reference the integral
-    route is checked against.
+    route is checked against, with the other fields of the ln G it read.
     """
     if z <= 0.0:
         raise ParameterDomainError(f"closed form requires z > 0, got {z}")
     if float(z).is_integer() and z <= _ORACLE_MAX:
-        lng = barnesG_integer_oracle(int(z))
+        lng = QuadResult(barnesG_integer_oracle(int(z)), 0.0, True, 0, 0.0)
     else:
         lng = log_barnesG_integral(z, tol)
     value = lng.value - 0.5 * z * z * math.log(z) + 0.5 * (z * z - z) * _LOG_2PI
-    return SpecialValue(value, lng.error_estimate, lng.converged)
+    return QuadResult(value, lng.error_estimate, lng.converged, lng.evaluations, lng.tail_cutoff)

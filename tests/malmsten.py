@@ -6,11 +6,11 @@ Gamma function."""
 import math
 
 from lievol.errors import ParameterDomainError
-from lievol.quad import Tolerance, integrate_semiinfinite
-from lievol.special import _TIGHT, SpecialValue
+from lievol.quad import QuadResult, Tolerance, integrate_semiinfinite
+from lievol.special import _TIGHT
 
 
-def log_gamma_malmsten(z: float, tol: Tolerance | None = None) -> SpecialValue:
+def log_gamma_malmsten(z: float, tol: Tolerance | None = None) -> QuadResult:
     """ln Gamma(1+z) for z > -1 from Malmsten's integral.
 
     The numerator e^{-zx} + z(1-e^{-x}) - 1 is computed by a short series
@@ -50,7 +50,7 @@ def log_gamma_malmsten(z: float, tol: Tolerance | None = None) -> SpecialValue:
     qr = integrate_semiinfinite(f, tol, initial_scale=scale)
     # an oracle that did not converge fails every test that reads it
     assert qr.converged, f"quadrature for ln Gamma(1+{z}) did not converge: {qr}"
-    return SpecialValue(qr.value, qr.error_estimate, qr.converged)
+    return qr
 
 
 def euler_reflection_residual(x: float) -> float:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_imports
-from lievol import quad, special
+from lievol import quad, rootsys, special
 from lievol.cli import _COMMANDS, _build_parser, _parse, main
 from lievol.rootsys import Family
 from lievol.vogel import VogelPoint
@@ -416,6 +416,21 @@ def test_bad_input_exit_codes(monkeypatch, argv, env_tol, want):
     assert code == want, err
     assert "Traceback" not in err
     assert err.count("\n") <= 2  # usage line and one message, or the message alone
+
+
+@pytest.mark.parametrize("command", ["table", "check"])
+@pytest.mark.parametrize("max_rank", ["257", "1000000000"])
+def test_max_rank_above_cap_is_usage_error(monkeypatch, command, max_rank):
+    # refused before any root system is built: 257 used to build every group
+    # up to rank 256 first, and 10^9 ended in a MemoryError traceback
+    def no_build(lie_type):
+        raise AssertionError(f"build_root_system called at {lie_type}")
+
+    monkeypatch.setattr(rootsys, "build_root_system", no_build)
+    code, err = exit_code([command, "--max-rank", max_rank])
+    assert code == 2, err
+    assert err.endswith(f"error: max rank {max_rank} is above 256, the cap\n")
+    assert err.count("\n") == 2  # the usage line and the message
 
 
 @pytest.mark.parametrize(

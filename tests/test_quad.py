@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from lievol import quad
 from lievol.errors import (
     DivergenceSetError,
     IntegrandEvaluationError,
@@ -79,8 +80,9 @@ def test_tolerance_monotonicity_on_frullani():
         assert tight <= coarse + 1e-15
 
 
-def test_budget_exhaustion_flags_unconverged():
-    res = integrate_semiinfinite(frullani, Tolerance(rel=1e-14, abs=1e-16, max_evaluations=45))
+def test_budget_exhaustion_flags_unconverged(monkeypatch):
+    monkeypatch.setattr(quad, "_MAX_EVALUATIONS", 45)
+    res = integrate_semiinfinite(frullani, Tolerance(rel=1e-14, abs=1e-16))
     assert not res.converged
     assert math.isfinite(res.value)
     assert res.evaluations <= 45
@@ -242,6 +244,15 @@ def _barnes(z, tol=_TIGHT):
     return integrate_semiinfinite(_barnes_integrand(z), tol, initial_scale=8.0, tail=tail)
 
 
+def _budget(evaluations, call):
+    # call() with the engine's evaluation budget set to `evaluations`
+    def run():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quad, "_MAX_EVALUATIONS", evaluations)
+            return call()
+    return run
+
+
 _PINNED = [
     (lambda: _log_sum_phi(VogelPoint(-2.0, 2.0, 4.5)),
      ("0x1.90a52e8ddbcecp+1", "0x1.e9d0527ec7597p-34", True, 135, 288.0)),
@@ -253,9 +264,9 @@ _PINNED = [
         lambda x: 1.0 / (1.0 + x) ** 2, Tolerance(rel=1e-12, abs=1e-14)),
      ("0x1.fffffffffffc0p-1", "0x1.0c73aa1bab071p-40", True, 1035, 2.0**47)),
     # the sqrt kink at 0 needs many splits: the first budget runs out
-    (lambda: integrate_semiinfinite(_sqrt_exp, Tolerance(1e-15, 1e-300, max_evaluations=600)),
+    (_budget(600, lambda: integrate_semiinfinite(_sqrt_exp, Tolerance(1e-15, 1e-300))),
      ("0x1.c5bf891bbfdd7p-1", "0x1.f78f79dc13effp-31", False, 585, 2048.0)),
-    (lambda: integrate_semiinfinite(_sqrt_exp, Tolerance(1e-15, 1e-300, max_evaluations=2000)),
+    (_budget(2000, lambda: integrate_semiinfinite(_sqrt_exp, Tolerance(1e-15, 1e-300))),
      ("0x1.c5bf891b4ef6bp-1", "0x1.c09b04fe39e89p-51", True, 1485, 2048.0)),
     # the Barnes integrand with its closed-form tail
     (lambda: _barnes(0.5),
@@ -263,8 +274,8 @@ _PINNED = [
     (lambda: _barnes(4.5),
      ("0x1.59208dbfad72ap-4", "0x1.7a10800000000p-44", True, 2730, 64.0)),
     # the budget runs out while the cutoff is still doubling
-    (lambda: integrate_semiinfinite(
-        lambda x: 1.0 / (1.0 + x) ** 2, Tolerance(1e-12, 1e-300, max_evaluations=300)),
+    (_budget(300, lambda: integrate_semiinfinite(
+        lambda x: 1.0 / (1.0 + x) ** 2, Tolerance(1e-12, 1e-300))),
      ("0x1.fffffc0e0e43fp-1", "0x1.d90531e6d384fp-11", False, 300, 2.0**22)),
     # refinement stops at a panel around the singularity too short to split
     (lambda: integrate_semiinfinite(

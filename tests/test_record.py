@@ -9,20 +9,17 @@ from lievol._record import Record
 from lievol.errors import ParameterDomainError, UnsupportedGroupError
 from lievol.quad import QuadResult, Tolerance
 from lievol.rootsys import Family, RootSystem, SimpleLieType, build_root_system, su
-from lievol.special import SpecialValue
 from lievol.vogel import VogelPoint
 from lievol.volume import CheckItem, VolumeReport
 
 # class, its public fields in constructor order, and two factories: one
 # that builds a fresh record with fixed values, one a record that differs
 CASES = [
-    (Tolerance, ("rel", "abs", "max_evaluations"),
-     lambda: Tolerance(1e-9, 1e-13, 1000), lambda: Tolerance(1e-9, 1e-13, 1001)),
+    (Tolerance, ("rel", "abs"),
+     lambda: Tolerance(1e-9, 1e-13), lambda: Tolerance(1e-9, 1e-12)),
     (QuadResult, ("value", "error_estimate", "converged", "evaluations", "tail_cutoff"),
      lambda: QuadResult(1.5, 1e-12, True, 135, 64.0),
      lambda: QuadResult(1.5, 1e-12, False, 135, 64.0)),
-    (SpecialValue, ("value", "error_estimate", "converged"),
-     lambda: SpecialValue(0.5, 1e-13, True), lambda: SpecialValue(0.5, 1e-13, False)),
     (VogelPoint, ("alpha", "beta", "gamma"),
      lambda: VogelPoint(-2.0, 2.0, 3.0), lambda: VogelPoint(-2.0, 2.0, 4.0)),
     (SimpleLieType, ("family", "rank"),
@@ -87,13 +84,13 @@ def test_repr_names_the_fields(cls, fields, make, make_other):
 
 
 def test_constructor_signature_and_class_defaults():
+    # the evaluation budget is the engine's, not a tolerance field
+    assert str(inspect.signature(Tolerance)) == "(rel=1e-10, abs=1e-12)"
     params = inspect.signature(Tolerance).parameters.values()
-    assert [(p.name, p.default) for p in params] == [
-        ("rel", 1e-10), ("abs", 1e-12), ("max_evaluations", 200_000)
-    ]
+    assert [(p.name, p.default) for p in params] == [("rel", 1e-10), ("abs", 1e-12)]
     # the CLI reads the defaults off the class
     assert (Tolerance.rel, Tolerance.abs) == (1e-10, 1e-12)
-    assert Tolerance() == Tolerance(rel=1e-10, abs=1e-12, max_evaluations=200_000)
+    assert Tolerance() == Tolerance(rel=1e-10, abs=1e-12)
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'gamma'"):
         VogelPoint(-2.0, 2.0)
     with pytest.raises(TypeError, match="unexpected keyword argument 'relative'"):

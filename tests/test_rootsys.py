@@ -316,6 +316,23 @@ def test_rank_cap_admits_its_own_rank(monkeypatch):
             build_root_system(SimpleLieType(family, 6))
 
 
+def test_default_groups_refuse_max_rank_above_cap(monkeypatch):
+    # refused before the list is made, so no root system is built: a max rank
+    # of 10^9 used to ask for ~4 * 10^9 group records
+    def no_build(lie_type):
+        raise AssertionError(f"build_root_system called at {lie_type}")
+
+    monkeypatch.setattr(rootsys, "build_root_system", no_build)
+    assert len(default_groups(256)) == 256 + 255 + 256 + 253 + 5
+    for max_rank in (257, 10**9):
+        with pytest.raises(UnsupportedGroupError, match=f"^max rank {max_rank} is above 256"):
+            default_groups(max_rank)
+    monkeypatch.setattr(rootsys, "_MAX_RANK", 5)
+    assert len(default_groups(5)) == 5 + 4 + 5 + 2 + 5
+    with pytest.raises(UnsupportedGroupError):
+        default_groups(6)
+
+
 def test_exceptional_rank_fixed():
     with pytest.raises(UnsupportedGroupError):
         SimpleLieType(Family.E6, 5)
@@ -329,7 +346,7 @@ def test_compact_name_helpers():
     assert sp(6) == SimpleLieType(Family.C, 3)
     with pytest.raises(UnsupportedGroupError):
         su(1)
-    with pytest.raises(UnsupportedGroupError):
+    with pytest.raises(UnsupportedGroupError, match="^Spin_6 is rejected as isomorphic to SU_4"):
         spin(6)  # D3 presentation rejected
     with pytest.raises(UnsupportedGroupError):
         sp(5)

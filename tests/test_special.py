@@ -9,7 +9,7 @@ import pytest
 
 from lievol import quad, special
 from lievol.errors import ParameterDomainError
-from lievol.quad import Tolerance, integrate_phi
+from lievol.quad import QuadResult, Tolerance, integrate_phi, integrate_semiinfinite
 from lievol.special import (
     _ORACLE_MAX,
     _TIGHT,
@@ -85,7 +85,7 @@ def test_barnes_integral_at_small_integers():
 def test_barnes_integral_vs_oracle():
     for n in range(1, 9):
         got = log_barnesG_integral(float(n)).value
-        want = barnesG_integer_oracle(n).value
+        want = barnesG_integer_oracle(n)
         assert got == pytest.approx(want, abs=1e-9), n
 
 
@@ -149,10 +149,11 @@ def test_barnes_series_built_at_most_once_per_call(monkeypatch, z, tol, series_s
 
 
 def test_oracle_small_values():
-    assert barnesG_integer_oracle(1).value == 0.0
-    assert barnesG_integer_oracle(1).error_estimate == 0.0
-    assert barnesG_integer_oracle(4).value == pytest.approx(math.log(12.0), rel=1e-15)
-    assert barnesG_integer_oracle(6).value == pytest.approx(math.log(34560.0), rel=1e-15)
+    # an exact sum: a plain float, with no estimate or flag to report
+    assert type(barnesG_integer_oracle(1)) is float
+    assert barnesG_integer_oracle(1) == 0.0
+    assert barnesG_integer_oracle(4) == pytest.approx(math.log(12.0), rel=1e-15)
+    assert barnesG_integer_oracle(6) == pytest.approx(math.log(34560.0), rel=1e-15)
     with pytest.raises(ParameterDomainError):
         barnesG_integer_oracle(0)
 
@@ -164,7 +165,7 @@ def test_oracle_vs_mpmath(n):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         want = mp.log(mp.barnesg(n + 1))
-        err = abs(mp.mpf(barnesG_integer_oracle(n).value) - want)
+        err = abs(mp.mpf(barnesG_integer_oracle(n)) - want)
         assert err <= 2.5e-16 * max(1, abs(want)), (n, float(err))
 
 
@@ -185,7 +186,7 @@ def test_unitary_closed_form_sign_layout():
         neg_log = (
             0.5 * n * n * math.log(n)
             - 0.5 * (n * n - n) * LOG_2PI
-            - barnesG_integer_oracle(n).value
+            - barnesG_integer_oracle(n)
         )
         assert phi_unitary_closed_form(float(n)).value == pytest.approx(
             -neg_log, rel=1e-12, abs=1e-12
@@ -199,30 +200,56 @@ def test_integral_matches_closed_form_on_unitary_line(z):
     assert abs(phi - ref) <= 1e-7
 
 
-# a budget of 60 evaluations stops the Barnes quadrature short of _TIGHT
-_STARVED = Tolerance(rel=1e-14, abs=1e-16, max_evaluations=60)
+# with the engine's budget cut to 60 evaluations (_starve), the Barnes
+# quadrature stops short of this tolerance
+_STARVED = Tolerance(rel=1e-14, abs=1e-16)
 
 
-def test_barnes_integral_reports_non_convergence():
+def _starve(monkeypatch):
+    monkeypatch.setattr(quad, "_MAX_EVALUATIONS", 60)
+
+
+def test_barnes_integral_reports_non_convergence(monkeypatch):
     # the value comes back with its flag down, as a QuadResult does
+    _starve(monkeypatch)
     got = log_barnesG_integral(2.5, _STARVED)
     assert got.converged is False
     assert math.isfinite(got.value) and got.error_estimate > 0.0
 
 
-def test_closed_form_uses_oracle_at_integers():
-    v = phi_unitary_closed_form(4.0)
-    assert v.error_estimate == 0.0  # propagated from the exact oracle
+def _fields(result):
+    return (result.error_estimate, result.converged, result.evaluations, result.tail_cutoff)
+
+
+def test_barnes_integral_keeps_quadrature_fields():
+    # the engine's result, its value mapped to ln G(z+1): 210 evaluations and
+    # cutoff 64, as the pinned _barnes(0.5) row of test_quad.py
+    got = log_barnesG_integral(0.5)
+    assert isinstance(got, QuadResult)
+    assert (got.converged, got.evaluations, got.tail_cutoff) == (True, 210, 64.0)
+    tail = lambda x: 0.5 / x - 0.5 / (x * x)
+    raw = integrate_semiinfinite(_barnes_integrand(0.5), _TIGHT, initial_scale=8.0, tail=tail)
+    assert _fields(got) == _fields(raw)
+    assert got.value == 0.25 * LOG_2PI + special._ZETA_PRIME_MINUS_ONE - raw.value
+
+
+def test_closed_form_uses_oracle_at_integers(monkeypatch):
+    # the exact oracle's convention: no error, converged, no evaluations, no cutoff
+    assert _fields(phi_unitary_closed_form(4.0)) == (0.0, True, 0, 0.0)
+    # off the integers, the fields of the ln G integral it read
     v = phi_unitary_closed_form(4.5)
     assert v.error_estimate > 0.0
+    assert _fields(v) == _fields(log_barnesG_integral(4.5))
     # the Barnes flag is passed on; the oracle is exact whatever the budget
+    _starve(monkeypatch)
     assert phi_unitary_closed_form(2.5, _STARVED).converged is False
     for z in (4.0, float(_ORACLE_MAX)):
         v = phi_unitary_closed_form(z, _STARVED)
         assert (v.converged, v.error_estimate) == (True, 0.0)
 
 
-def test_malmsten_oracle_fails_when_unconverged():
+def test_malmsten_oracle_fails_when_unconverged(monkeypatch):
+    _starve(monkeypatch)
     with pytest.raises(AssertionError, match="did not converge"):
         log_gamma_malmsten(0.5, _STARVED)
 
@@ -233,7 +260,7 @@ def test_closed_form_reads_oracle_up_to_its_bound():
     assert phi_unitary_closed_form(float(_ORACLE_MAX)).error_estimate == 0.0
     assert phi_unitary_closed_form(float(_ORACLE_MAX + 1)).error_estimate > 0.0
     n = _ORACLE_MAX + 1
-    want = barnesG_integer_oracle(n).value
+    want = barnesG_integer_oracle(n)
     assert abs(log_barnesG_integral(float(n), Tolerance()).value - want) <= 1e-14 * want
 
 
