@@ -1,17 +1,17 @@
 """Command-line interface: volume reports, raw integral values, line scans,
 table reproduction, and the verification suite.
 
-Exit codes: 0 success, 1 numerical check failure or any other library
-error, 2 usage error (non-finite numbers, a malformed LIEVOL_TOL, a relative
-tolerance outside [1e-15, 1] and a scan over more than _MAX_SCAN_ROWS rows
-included), 3 divergence-domain refusal. `main` alone maps errors to codes.
+Exit codes: 0 success, 1 numerical check failure or any other library error,
+2 usage error (non-finite numbers, --rel outside [1e-15, 1], an --abs that is
+not positive and finite, a scan over more than _MAX_SCAN_ROWS rows, and a rank
+or --max-rank above 256 included), 3 divergence-domain refusal. `main` alone
+maps errors to codes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import sys
 from types import SimpleNamespace
@@ -47,18 +47,6 @@ def _resolve_group(group: str, n: int | None) -> SimpleLieType:
     if rank is None:
         raise UnsupportedGroupError(f"--group {group} requires --n (the rank)")
     return SimpleLieType(fam, rank)
-
-
-def _tolerance(args) -> Tolerance:
-    rel = args.rel
-    if rel is None:
-        env = os.environ.get("LIEVOL_TOL")
-        try:
-            rel = float(env) if env else Tolerance.rel
-        except ValueError:
-            raise ParameterDomainError(f"LIEVOL_TOL is not a number: {env!r}") from None
-    abs_tol = args.abs if args.abs is not None else Tolerance.abs
-    return Tolerance(rel=rel, abs=abs_tol)
 
 
 def report_to_dict(r: VolumeReport) -> dict:
@@ -212,8 +200,8 @@ def _format(*choices):
 
 
 _TOL = (
-    _opt("--rel", float, help="relative tolerance"),
-    _opt("--abs", float, help="absolute tolerance"),
+    _opt("--rel", float, Tolerance.rel, help="relative tolerance"),
+    _opt("--abs", float, Tolerance.abs, help="absolute tolerance"),
 )
 _MAX_RANK = _opt("--max-rank", int, 8)
 
@@ -315,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     Only help, usage errors and unusual spellings build the argparse parser."""
     args = _parse(sys.argv[1:] if argv is None else argv) or _parse_with_argparse(argv)
     try:
-        return _COMMANDS[args.command][0](args, _tolerance(args))
+        return _COMMANDS[args.command][0](args, Tolerance(args.rel, args.abs))
     except DivergenceSetError as exc:
         print(str(exc), file=sys.stderr)
         return 3

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -337,20 +338,20 @@ def test_check_detects_injected_fault(capsys, monkeypatch):
     assert lines[-1] == f"{len(lines) - 4}/{len(lines) - 1} checks passed"
 
 
-def test_env_var_overrides_tolerance(capsys, monkeypatch):
-    monkeypatch.setenv("LIEVOL_TOL", "1e-6")
-    code, out, _ = run_cli(
-        capsys, "phi", "--alpha", "-2", "--beta", "2", "--gamma", "5", "--format", "json"
-    )
-    assert code == 0
-    loose = json.loads(out)
-    monkeypatch.delenv("LIEVOL_TOL")
-    code, out, _ = run_cli(
-        capsys, "phi", "--alpha", "-2", "--beta", "2", "--gamma", "5", "--format", "json"
-    )
-    tight = json.loads(out)
-    assert loose["phi"] == pytest.approx(tight["phi"], rel=1e-6)
-    assert loose["error_estimate"] >= tight["error_estimate"]
+_PHI_HALF = ("phi", "--alpha", "-2", "--beta", "2", "--gamma", "0.5", "--format", "json")
+
+
+@pytest.mark.parametrize("env_tol", ["1e-6", "abc"])
+def test_tolerance_comes_from_flags_alone(capsys, monkeypatch, env_tol):
+    # at gamma = 0.5 a looser --rel moves error_estimate, so an environment
+    # variable read as a tolerance would show in these bytes
+    monkeypatch.delenv("LIEVOL_TOL", raising=False)
+    plain = run_cli(capsys, *_PHI_HALF)
+    assert plain[0] == 0
+    assert run_cli(capsys, *_PHI_HALF, "--rel", "1e-6") != plain
+    assert run_cli(capsys, *_PHI_HALF, "--rel", "1e-10", "--abs", "1e-12") == plain
+    monkeypatch.setenv("LIEVOL_TOL", env_tol)
+    assert run_cli(capsys, *_PHI_HALF) == plain
 
 
 def test_rel_flag(capsys):
@@ -374,48 +375,50 @@ def exit_code(argv):
 
 
 @pytest.mark.parametrize(
-    "argv, env_tol, want",
+    "argv, want",
     [
-        ("volume --group SU --n 3 --rel nan", None, 2),
-        ("volume --group SU --n 3 --rel inf", None, 2),
-        ("phi --alpha nan --beta 2 --gamma 3", None, 2),
-        ("phi --alpha -2 --beta inf --gamma 3", None, 2),
-        ("scan --from 0.5 --to 2 --step nan", None, 2),
-        ("scan --from 0.5 --to 2 --step inf", None, 2),
-        ("scan --from 0.5 --to inf --step 0.5", None, 2),
-        ("scan --from=-1e308 --to 1e308 --step 1", None, 2),
-        ("volume --group SU --n 3", "abc", 2),
+        ("volume --group SU --n 3 --rel nan", 2),
+        ("volume --group SU --n 3 --rel inf", 2),
+        ("phi --alpha nan --beta 2 --gamma 3", 2),
+        ("phi --alpha -2 --beta inf --gamma 3", 2),
+        ("scan --from 0.5 --to 2 --step nan", 2),
+        ("scan --from 0.5 --to 2 --step inf", 2),
+        ("scan --from 0.5 --to inf --step 0.5", 2),
+        ("scan --from=-1e308 --to 1e308 --step 1", 2),
         # rel is capped at 1; a huge rel let the route agreement bound overflow to inf
-        ("volume --group SU --n 3 --rel 1e308", None, 2),
-        ("volume --group SU --n 3 --rel 2", None, 2),
-        ("volume --group SU --n 3", "1e308", 2),
+        ("volume --group SU --n 3 --rel 1e308", 2),
+        ("volume --group SU --n 3 --rel 2", 2),
         # rel below double resolution ran the quadrature to its evaluation budget
-        ("volume --group SU --n 3 --rel 1e-16 --abs 1e-300", None, 2),
-        ("volume --group SU --n 3", "1e-16", 2),
-        ("scan --from 0 --to 1e300 --step 1", None, 2),
+        ("volume --group SU --n 3 --rel 1e-16 --abs 1e-300", 2),
+        ("scan --from 0 --to 1e300 --step 1", 2),
         # a reversed range that overflows to -inf is empty, not an error
-        ("scan --from 1e308 --to=-1e308 --step 1", None, 0),
-        ("volume --group E8 --n 7", None, 2),
+        ("scan --from 1e308 --to=-1e308 --step 1", 0),
+        ("volume --group E8 --n 7", 2),
         # above the rank cap of 256: refused before the rank^2 Cartan matrix
-        ("volume --group SU --n 258", None, 2),
-        ("volume --group SU --n 1000000000", None, 2),
-        ("phi --alpha -2 --beta 2 --gamma 1e300", None, 1),
+        ("volume --group SU --n 258", 2),
+        ("volume --group SU --n 1000000000", 2),
+        ("phi --alpha -2 --beta 2 --gamma 1e300", 1),
         # the start scale 8|t|/|s| (here s = alpha) is inf, and 0: no decay length in double range
-        ("phi --alpha=-1e-300 --beta 1e10 --gamma 1", None, 2),
-        ("phi --alpha=-1e300 --beta 1e300 --gamma 1e-300", None, 2),
+        ("phi --alpha=-1e-300 --beta 1e10 --gamma 1", 2),
+        ("phi --alpha=-1e300 --beta 1e300 --gamma 1e-300", 2),
         # math.exp overflow inside the integrand, found by the fuzz test below
-        ("phi --alpha 1770660 --beta 1770660 --gamma=-5.417501321893715e-10 --rel 1", None, 1),
-        ("phi --alpha 1 --beta 1 --gamma 1", None, 3),
+        ("phi --alpha 1770660 --beta 1770660 --gamma=-5.417501321893715e-10 --rel 1", 1),
+        ("phi --alpha 1 --beta 1 --gamma 1", 3),
     ],
 )
-def test_bad_input_exit_codes(monkeypatch, argv, env_tol, want):
-    monkeypatch.delenv("LIEVOL_TOL", raising=False)
-    if env_tol is not None:
-        monkeypatch.setenv("LIEVOL_TOL", env_tol)
+def test_bad_input_exit_codes(argv, want):
     code, err = exit_code(argv.split())
     assert code == want, err
     assert "Traceback" not in err
     assert err.count("\n") <= 2  # usage line and one message, or the message alone
+
+
+@pytest.mark.parametrize("flag", ["--rel", "--abs"])
+def test_malformed_tolerance_is_usage_error(flag):
+    # argparse's own error, after the volume usage, which wraps at 80 columns
+    code, err = exit_code(["volume", "--group", "SU", "--n", "3", flag, "abc"])
+    assert code == 2, err
+    assert err.endswith(f"lievol volume: error: argument {flag}: invalid float value: 'abc'\n")
 
 
 @pytest.mark.parametrize("command", ["table", "check"])
@@ -603,3 +606,22 @@ def test_plain_commands_skip_argparse(argv):
     args = _parse(argv)
     assert args is not None
     assert _fields(args) == _fields(_argparse(argv))
+    # no tolerance flag here: the option table states Tolerance()'s defaults
+    assert (args.rel, args.abs) == (quad.Tolerance.rel, quad.Tolerance.abs)
+
+
+_LISTED = Path(__file__).resolve().parents[1] / "tools" / "cli_commands.txt"
+
+
+def _listed_commands():
+    lines = _LISTED.read_text().splitlines()
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("line", _listed_commands())
+def test_listed_commands_keep_exit_code_contract(line):
+    # split on whitespace, as tools/cmp_parent.sh does; that script compares
+    # the list with a parent tree, so a crash in both would pass it
+    code, err = exit_code(line.split())
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
