@@ -35,6 +35,8 @@ _GROUP_CHOICES = ("SU", "Spin", "Sp") + tuple(f.value for f in (*_RANK_FLOOR, *E
 # Largest row count `scan` accepts; a longer grid is a usage error.
 _MAX_SCAN_ROWS = 100_000
 _PROG = "lievol"
+# argparse's own width where `COLUMNS` is unset and stdout is not a terminal
+_HELP_WIDTH = 78
 
 
 def _resolve_group(group: str, n: int | None) -> SimpleLieType:
@@ -144,9 +146,8 @@ def cmd_scan(args, tol: Tolerance) -> int:
             # (alpha, -alpha, gamma) is (-2, 2, z) scaled by gamma / z, alpha and
             # beta swapped if needed; on the default line z = |gamma|
             z = abs(gamma) / (0.5 * abs(alpha))
-            ref = special.phi_unitary_closed_form(z, tol)
-            converged = converged and ref.converged
-            print(f"{gamma!r},{qr.value!r},{ref.value!r},{abs(qr.value - ref.value)!r}")
+            ref = special.phi_unitary_closed_form(z)
+            print(f"{gamma!r},{qr.value!r},{ref!r},{abs(qr.value - ref)!r}")
         else:
             print(f"{gamma!r},{qr.value!r},,")
     return 0 if converged else 1
@@ -269,8 +270,13 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 
 def _build_parser(command: str | None = None):
     """The argparse parser for `_COMMANDS`, or the subparser of one command: the
-    one renderer of help and usage errors."""
+    one renderer of help and usage errors. It wraps at a fixed _HELP_WIDTH, so
+    that its output is a function of argv alone and not of `COLUMNS` or the
+    terminal."""
     import argparse
+
+    def formatter(prog):
+        return argparse.HelpFormatter(prog, width=_HELP_WIDTH)
 
     parser = argparse.ArgumentParser(
         prog=_PROG,
@@ -278,10 +284,11 @@ def _build_parser(command: str | None = None):
             "Volumes of compact simple Lie groups under the Cartan-Killing "
             "metric, by independent routes."
         ),
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line, options) in _COMMANDS.items():
-        subparser = sub.add_parser(name, help=help_line)
+        subparser = sub.add_parser(name, help=help_line, formatter_class=formatter)
         for flag, spec in options:
             subparser.add_argument(flag, **spec)
     return parser if command is None else sub.choices[command]

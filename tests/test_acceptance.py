@@ -76,7 +76,7 @@ def test_criterion_1_cross_route_agreement(reports):
 def test_criterion_2_sun_closed_form(reports):
     worst = max(
         abs(reports[f"SU_{n}"].log_volume
-            - ((n * n - 1) * LOG_VOLUME_BASE - phi_unitary_closed_form(n).value))
+            - ((n * n - 1) * LOG_VOLUME_BASE - phi_unitary_closed_form(n)))
         for n in range(2, 10)
     )
     ok = worst <= 1e-8
@@ -95,7 +95,7 @@ def test_criterion_4_barnes_continuation():
     worst = 0.0
     for z in (0.5, 1.0, 2.0, 3.0, 5.5, 9.0):
         phi = integrate_phi(VogelPoint(-2.0, 2.0, z)).value
-        ref = phi_unitary_closed_form(z).value
+        ref = phi_unitary_closed_form(z)
         worst = max(worst, abs(phi - ref))
     ok = worst <= 1e-7
     assert report_line(4, "unitary-line continuation identity", ok, f"worst abs {worst:.2e}")

@@ -2,6 +2,7 @@
 log-Gamma oracle with its Euler reflection residual (kept in tests/malmsten.py)."""
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -170,14 +171,16 @@ def test_oracle_vs_mpmath(n):
 
 
 def test_unitary_closed_form_values():
-    assert phi_unitary_closed_form(1.0).value == 0.0
-    assert phi_unitary_closed_form(2.0).value == pytest.approx(
+    assert phi_unitary_closed_form(1.0) == 0.0
+    assert phi_unitary_closed_form(2.0) == pytest.approx(
         math.log(math.pi / 2.0), rel=1e-14
     )
     want = math.log(2.0) - 4.5 * math.log(3.0) + 3.0 * LOG_2PI
-    assert phi_unitary_closed_form(3.0).value == pytest.approx(want, rel=1e-13)
-    with pytest.raises(ParameterDomainError):
-        phi_unitary_closed_form(0.0)
+    assert phi_unitary_closed_form(3.0) == pytest.approx(want, rel=1e-13)
+    # z <= 0, and a z whose square is not finite, where the formula reads inf - inf
+    for z in (0.0, -1.0, math.inf, math.nan, 1.4e154):
+        with pytest.raises(ParameterDomainError):
+            phi_unitary_closed_form(z)
 
 
 def test_unitary_closed_form_sign_layout():
@@ -188,7 +191,7 @@ def test_unitary_closed_form_sign_layout():
             - 0.5 * (n * n - n) * LOG_2PI
             - barnesG_integer_oracle(n)
         )
-        assert phi_unitary_closed_form(float(n)).value == pytest.approx(
+        assert phi_unitary_closed_form(float(n)) == pytest.approx(
             -neg_log, rel=1e-12, abs=1e-12
         )
 
@@ -196,7 +199,7 @@ def test_unitary_closed_form_sign_layout():
 @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 3.0, 5.5, 9.0])
 def test_integral_matches_closed_form_on_unitary_line(z):
     phi = integrate_phi(VogelPoint(-2.0, 2.0, z)).value
-    ref = phi_unitary_closed_form(z).value
+    ref = phi_unitary_closed_form(z)
     assert abs(phi - ref) <= 1e-7
 
 
@@ -233,19 +236,32 @@ def test_barnes_integral_keeps_quadrature_fields():
     assert got.value == 0.25 * LOG_2PI + special._ZETA_PRIME_MINUS_ONE - raw.value
 
 
+def _closed_form_from(lng, z):
+    # the closed form written out on a given ln G(z+1)
+    return lng - 0.5 * z * z * math.log(z) + 0.5 * (z * z - z) * LOG_2PI
+
+
+def _no_barnes_integral(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Barnes' integral was called")
+
+    monkeypatch.setattr(special, "log_barnesG_integral", refuse)
+    monkeypatch.setattr(special, "integrate_semiinfinite", refuse)
+
+
 def test_closed_form_uses_oracle_at_integers(monkeypatch):
-    # the exact oracle's convention: no error, converged, no evaluations, no cutoff
-    assert _fields(phi_unitary_closed_form(4.0)) == (0.0, True, 0, 0.0)
-    # off the integers, the fields of the ln G integral it read
-    v = phi_unitary_closed_form(4.5)
-    assert v.error_estimate > 0.0
-    assert _fields(v) == _fields(log_barnesG_integral(4.5))
-    # the Barnes flag is passed on; the oracle is exact whatever the budget
-    _starve(monkeypatch)
-    assert phi_unitary_closed_form(2.5, _STARVED).converged is False
-    for z in (4.0, float(_ORACLE_MAX)):
-        v = phi_unitary_closed_form(z, _STARVED)
-        assert (v.converged, v.error_estimate) == (True, 0.0)
+    # a plain float from sums alone: Barnes' integral is never called
+    _no_barnes_integral(monkeypatch)
+    # an integer reads the exact oracle, bit for bit
+    for n in (1, 2, 4, 7, 100, 1000):
+        want = _closed_form_from(barnesG_integer_oracle(n), float(n))
+        for z in (n, float(n)):
+            got = phi_unitary_closed_form(z)
+            assert type(got) is float and got.hex() == want.hex(), z
+    # off the integers, the asymptotic series
+    for z in (0.5, 2.5, 4.5, 1e10 + 0.5):
+        want = _closed_form_from(special._log_barnesG_series(z), z)
+        assert phi_unitary_closed_form(z).hex() == want.hex(), z
 
 
 def test_malmsten_oracle_fails_when_unconverged(monkeypatch):
@@ -255,12 +271,16 @@ def test_malmsten_oracle_fails_when_unconverged(monkeypatch):
 
 
 def test_closed_form_reads_oracle_up_to_its_bound():
-    # past the bound the integer rows take Barnes' integral, which meets the
-    # oracle there
-    assert phi_unitary_closed_form(float(_ORACLE_MAX)).error_estimate == 0.0
-    assert phi_unitary_closed_form(float(_ORACLE_MAX + 1)).error_estimate > 0.0
-    n = _ORACLE_MAX + 1
+    # past the bound the integer rows take the series, which meets the oracle
+    # there, and so does Barnes' integral
+    n = _ORACLE_MAX
+    want = _closed_form_from(barnesG_integer_oracle(n), float(n))
+    assert phi_unitary_closed_form(float(n)).hex() == want.hex()
+    n += 1
     want = barnesG_integer_oracle(n)
+    series = special._log_barnesG_series(float(n))
+    assert phi_unitary_closed_form(float(n)) == _closed_form_from(series, float(n))
+    assert abs(series - want) <= 1e-14 * want
     assert abs(log_barnesG_integral(float(n), Tolerance()).value - want) <= 1e-14 * want
 
 
@@ -275,7 +295,7 @@ def test_oracle_memory_stays_flat():
     assert peak < 2**20
 
 
-# Non-integer arguments, so the Barnes integral is the only route. z = 0.3
+# Non-integer arguments, where the oracle cannot check the integral. z = 0.3
 # is left out: at _TIGHT its summed |K - G| stays near 6e-14, above the
 # target 1e-12 * 0.043 (the integral's value), and it does not converge.
 # From z = 19 on the small-y series is read below y = 0.01; with a switch of
@@ -296,6 +316,44 @@ def test_barnes_integral_vs_mpmath(z, tol):
     assert abs(got.value - want) <= got.error_estimate, (z, got)
     if z > 4.0:  # past the zeros of ln G(z+1) at z = 0, 1 and 2
         assert abs(got.value - want) <= 1e-13 * want, (z, got)
+
+
+# Barnes' asymptotic series against mpmath: 400 seeded z in (0, 10), each
+# z in (0, 1) moved up by N = 8, the ends of the series' shift at 8, small
+# z, and large z up to 1e15 (the closed form reads the series at every
+# non-integer z and at the integers above _ORACLE_MAX)
+_SERIES_ZS = (
+    *(random.Random(20).uniform(0.0, 10.0) for _ in range(400)),
+    1e-300, 1e-6, 0.18, 0.3, 0.395, 4.5, 4.55, 7.999999, 8.0, 8.000001, 60.5,
+    *(10.0**e + 0.5 for e in range(4, 16)), 1e15,
+)
+
+
+# the series' error bound, relative to max(1, |ln G|)
+_SERIES_BOUND = 5e-14
+
+
+def test_barnes_series_vs_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for z in _SERIES_ZS:
+            want = mp.log(mp.barnesg(mp.mpf(z) + 1))
+            err = abs(mp.mpf(special._log_barnesG_series(z)) - want)
+            assert err <= _SERIES_BOUND * max(1, abs(want)), (z, float(err))
+
+
+@pytest.mark.parametrize("tol", [_TIGHT, Tolerance()], ids=["tight", "default"])
+@pytest.mark.parametrize("z", _BARNES_GRID)
+def test_barnes_integral_vs_series(z, tol):
+    # two routes that share only zeta'(-1) and ln 2pi, within the sum of their
+    # bounds: the integral's own estimate and the series' bound. At z = 0.1
+    # and _TIGHT the series is the farther from mpmath (6.4e-15 against 1.1e-15)
+    # and the two differ by more than the integral's estimate alone.
+    got = log_barnesG_integral(z, tol)
+    series = special._log_barnesG_series(z)
+    assert got.converged, (z, got)
+    bound = got.error_estimate + _SERIES_BOUND * max(1.0, abs(series))
+    assert abs(got.value - series) <= bound, (z, got)
 
 
 def test_barnes_tail_cutoff_stays_small(monkeypatch):

@@ -26,7 +26,7 @@ SU2_VOLUME = 32.0 * math.sqrt(2.0) * math.pi**2
 
 def macdonald_log_volume(n):
     """ln Vol(SU_n) from the factorial closed form at the unitary point z = n."""
-    return (n * n - 1) * LOG_VOLUME_BASE - phi_unitary_closed_form(n).value
+    return (n * n - 1) * LOG_VOLUME_BASE - phi_unitary_closed_form(n)
 
 
 def test_phi_kp_a1():

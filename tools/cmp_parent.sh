@@ -52,9 +52,10 @@ while IFS= read -r cmd; do
         eval "src=\$$tree/src"
         # $cmd is split into words on purpose: each line is one argument list.
         # A command that runs away in one tree ends at 1 GB of address space
-        # or after 120 s (exit 124), and shows as a difference
+        # or after 120 s (exit 124), and shows as a difference. COLUMNS is
+        # unset so that a tree whose help reads it wraps at argparse's default
         (cd "$work" && ulimit -v 1000000 \
-            && env -u LIEVOL_TOL PYTHONPATH="$src" timeout 120 python3 -B -m lievol $cmd \
+            && env -u LIEVOL_TOL -u COLUMNS PYTHONPATH="$src" timeout 120 python3 -B -m lievol $cmd \
             >"$tree.out" 2>"$tree.err" </dev/null; echo $? >"$tree.code")
     done
     for part in out err code; do
