@@ -7,7 +7,9 @@ with ``C`` the Cartan matrix and ``d_j`` half the squared length of the
 j-th simple root. Every d_j is an integer over the common denominator D
 (1; 2 for B, C, F4; 3 for G2). The positive roots are generated from the
 simple ones by the simple reflections that raise height, since s_i permutes
-the positive roots other than a_i. The Weyl vector rho is their half sum,
+the positive roots other than a_i; the walk deduplicates a root by one
+integer, its coordinates as base-8 digits, and builds its coordinate tuple
+only when it is new. The Weyl vector rho is their half sum,
 checked against (rho, a_i^vee) = 1, which gives (rho, a_i) = d_i: pairings
 (rho, mu) are d-weighted heights sum_i d_i mu_i (Humphreys, Lie Algebras,
 10.1-10.2). All of this runs on Python integers, and the record keeps the
@@ -72,9 +74,10 @@ _RANK_FLOOR = {Family.A: 1, Family.B: 2, Family.C: 1, Family.D: 4}
 
 # Largest rank `build_root_system` builds; it refuses a larger one before
 # allocating the rank^2 Cartan matrix. At rank 256 every family has at most
-# 65,536 positive roots, and a build with its report takes a few seconds and
-# under 200 MB (Spin_513, the slowest); SU_3000 ran out of memory under a
-# 1 GB limit. `SimpleLieType` itself has no cap.
+# 65,536 positive roots; `volume` at the cap takes 1.0 s and 98 MB peak RSS
+# for SU_257 and 2.6 s and 180 MB for Spin_513, the slowest (2-core Linux
+# box, Python 3.11). SU_3000 ran out of memory under a 1 GB limit.
+# `SimpleLieType` itself has no cap.
 _MAX_RANK = 256
 
 
@@ -262,20 +265,36 @@ def _positive_roots(lie_type, rows, limit):
     positive root from the simple ones. Each root keeps its nonzero pairings
     <beta, a_j^vee>; raising by c a_i adds c C[i][j], so only the nonzero
     entries rows[i] = ((j, C[i][j]), ...) of Cartan row i are touched.
+    A root is deduplicated by one int, its coordinates as base-8 digits
+    (mu_i << 3i), so a raise by c a_i adds c << 3i to it and the coordinate
+    tuple is built only for a new root. The key is injective while every
+    coordinate is below 8: two vectors with digits in 0..7 have the same
+    base-8 value only if they are equal. Every finite root system keeps its
+    coordinates at most 6 (E8's highest root), so a raise to a coordinate of
+    8 or more means C is no Cartan matrix of finite type, and is refused
+    before its key is read.
     A lowering reflection that leaves the positive roots means C is no
     Cartan matrix. More than `limit` roots means C is not of finite type, or
     the exponent table is wrong; the bound also ends a walk that would
     otherwise never stop.
     """
     rank = len(rows)
-    simples = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
-    roots = list(simples)
+    zeros = (0,) * rank
+    roots = [zeros[:i] + (1,) + zeros[i + 1:] for i in range(rank)]
+    keys = [1 << 3 * i for i in range(rank)]
     pairings = [dict(row) for row in rows]
-    seen = set(roots)
-    for beta, pairing in zip(roots, pairings):  # both grow while they are walked
+    seen = set(keys)
+    # all three lists grow while they are walked
+    for beta, key, pairing in zip(roots, keys, pairings):
         for i, p in pairing.items():
             if p < 0:
-                up = beta[:i] + (beta[i] - p,) + beta[i + 1:]
+                coord = beta[i] - p
+                if coord > 7:
+                    raise InvariantViolationError(
+                        f"{lie_type}: reflection {i} raises {beta} to coordinate {coord},"
+                        " above any root of finite type"
+                    )
+                up = key - (p << 3 * i)
                 if up in seen:
                     continue
                 if len(roots) == limit:
@@ -288,9 +307,10 @@ def _positive_roots(lie_type, rows, limit):
                     if q:
                         raised[j] = q
                 seen.add(up)
-                roots.append(up)
+                roots.append(beta[:i] + (coord,) + beta[i + 1:])
+                keys.append(up)
                 pairings.append(raised)
-            elif p > beta[i] and beta != simples[i]:
+            elif p > beta[i] and key != 1 << 3 * i:
                 raise InvariantViolationError(
                     f"{lie_type}: reflection {i} sends positive root {beta} negative"
                 )
@@ -324,7 +344,10 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
 
     exps = exponents(lie_type)
     rows = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
-    positive = sorted(_positive_roots(lie_type, rows, sum(exps)), key=lambda v: (sum(v), v))
+    # by height, then coordinates; each height is summed once
+    roots = _positive_roots(lie_type, rows, sum(exps))
+    ranked = sorted(zip(map(sum, roots), roots))
+    positive = [v for _, v in ranked]
     if sum(exps) != len(positive):
         raise InvariantViolationError(
             f"{lie_type}: {len(positive)} positive roots but exponent sum {sum(exps)}"
@@ -340,8 +363,12 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
     if two_rho_pairings != [2] * rank:
         raise InvariantViolationError(f"{lie_type}: Weyl vector != half sum of positive roots")
 
-    # D (rho, mu) = sum_i D d_i mu_i, since (rho, a_i) = d_i
-    heights = [sum(map(operator.mul, weights, mu)) for mu in positive]
+    # D (rho, mu) = sum_i D d_i mu_i, since (rho, a_i) = d_i; that is D times
+    # the height when every D d_i is D (A, D, E and C1)
+    if min(weights) == denom:
+        heights = [denom * height for height, _ in ranked]
+    else:
+        heights = [sum(map(operator.mul, weights, mu)) for mu in positive]
     if heights[-1] % denom:
         raise InvariantViolationError(f"{lie_type}: non-integer dual Coxeter number")
     h_vee = heights[-1] // denom + 1

@@ -269,8 +269,12 @@ def key_relation_residual(rs: "rootsys.RootSystem", x: float) -> float:
     each positive root contributes e^{2qx} + e^{-2qx} - 2 = 4 sinh^2(qx).
     Identically zero in exact arithmetic; the float residual measures how
     consistently the table row and the root system describe one group.
+    One sinh is taken per distinct weighted height, and `math.fsum` adds
+    the per-root list of those terms: the same floats as one sinh per root,
+    whose exact sum fsum rounds once, so the result is the same bit for bit.
     """
     point = vogel_point(rs.lie_type)
     den = rs.height_denominator
-    root_sum = math.fsum(4.0 * math.sinh(h / den * x) ** 2 for h in rs.weighted_heights)
+    term = {h: 4.0 * math.sinh(h / den * x) ** 2 for h in set(rs.weighted_heights)}
+    root_sum = math.fsum(map(term.__getitem__, rs.weighted_heights))
     return root_sum - sinh_product_excess(x, point)

@@ -63,19 +63,22 @@ def phi_kp(rs: RootSystem) -> float:
     each float is the exact argument rounded once; each sine is taken at the
     reduced argument min(h, m - h) / m so factors near the upper end keep
     full precision. Every factor is verified to lie in (0, 1] before its log
-    is taken.
+    is taken. One sine is taken per distinct weighted height, and
+    `math.fsum` adds the per-root list of those terms: the same floats as
+    one sine per root, whose exact sum fsum rounds once, so the result is
+    the same bit for bit.
     """
     m = rs.height_denominator // 2
-    terms = []
-    for h in rs.weighted_heights:
+    term = {}
+    for h in dict.fromkeys(rs.weighted_heights):
         sin_val = math.sin(math.pi * (min(h, m - h) / m))
         arg = math.pi * (h / m)
         if not 0.0 < sin_val <= arg:
             raise InvariantViolationError(
                 f"sinc factor out of (0, 1] for argument {h}/{m} of {rs.lie_type}"
             )
-        terms.append(math.log(arg) - math.log(sin_val))
-    return math.fsum(terms)
+        term[h] = math.log(arg) - math.log(sin_val)
+    return math.fsum(map(term.__getitem__, rs.weighted_heights))
 
 
 def _checked_dim(rs: RootSystem, point: vogel.VogelPoint) -> int:

@@ -221,13 +221,22 @@ def test_reflection_closure_idempotent():
         assert again == full
 
 
-@pytest.mark.parametrize("lie_type", default_groups(8), ids=str)
+# the large-rank ladder's top rungs too, where the raising walk's integer
+# keys are longest
+@pytest.mark.parametrize(
+    "lie_type", default_groups(8) + [su(25), sp(32), spin(33), spin(34)], ids=str
+)
 def test_positive_roots_match_orbit_closure(lie_type):
     rs = build_root_system(lie_type)
     simples = [tuple(int(k == i) for k in range(rs.rank)) for i in range(rs.rank)]
     orbit = weyl_orbit_closure(simples, rs.cartan_matrix)
     assert len(orbit) == 2 * len(rs.positive_roots)
     assert set(rs.positive_roots) == {v for v in orbit if min(v) >= 0}
+    assert list(rs.positive_roots) == sorted(rs.positive_roots, key=lambda v: (sum(v), v))
+    weights = rootsys._symmetrizer(lie_type)
+    assert rs.weighted_heights == tuple(
+        sum(w * c for w, c in zip(weights, mu)) for mu in rs.positive_roots
+    )
 
 
 # Each injected fault below must trip its own InvariantViolationError in
@@ -262,6 +271,18 @@ def test_asymmetric_symmetrizer_rejected(monkeypatch):
 def test_non_finite_cartan_matrix_rejected(monkeypatch, cartan, match):
     monkeypatch.setattr(rootsys, "cartan_matrix", lambda t: cartan)
     with pytest.raises(InvariantViolationError, match=match):
+        build_root_system(su(4))
+
+
+def test_coordinate_above_seven_rejected(monkeypatch):
+    # a_0 and a_1 pair to -5: the walk raises a_0 to (1, 5, 0), whose pairing
+    # -23 with a_0 would give coordinate 24, past the 3 bits of its digit in
+    # the dedup key. The guard refuses it before the root limit 6 is reached.
+    monkeypatch.setattr(rootsys, "cartan_matrix", lambda t: ((2, -5, 0), (-5, 2, 0), (0, 0, 2)))
+    with pytest.raises(
+        InvariantViolationError,
+        match=r"reflection 0 raises \(1, 5, 0\) to coordinate 24, above any root of finite type",
+    ):
         build_root_system(su(4))
 
 

@@ -284,6 +284,18 @@ def test_key_relation_g2():
     assert abs(key_relation_residual(rs, 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("lie_type", default_groups(9), ids=str)
+def test_key_relation_matches_per_root_sum(lie_type):
+    # one sinh per distinct height, summed by fsum, equals one sinh per root
+    # exactly, at the abscissas `check` uses
+    rs = build_root_system(lie_type)
+    den = rs.height_denominator
+    for x in (0.1, 1.0, 5.0):
+        root_sum = math.fsum(4.0 * math.sinh(h / den * x) ** 2 for h in rs.weighted_heights)
+        want = root_sum - sinh_product_excess(x, vogel_point(lie_type))
+        assert key_relation_residual(rs, x) == want
+
+
 @pytest.mark.parametrize("lie_type", default_groups(8), ids=str)
 def test_key_relation_all_rows(lie_type):
     rs = build_root_system(lie_type)

@@ -57,7 +57,10 @@ def _phi_kp_from_fractions(rs):
     return math.fsum(terms)
 
 
-@pytest.mark.parametrize("lie_type", default_groups(12), ids=str)
+# bit for bit also where many roots share a height, which phi_kp evaluates once
+@pytest.mark.parametrize(
+    "lie_type", default_groups(12) + [su(25), sp(32), spin(33), spin(34), su(120)], ids=str
+)
 def test_phi_kp_matches_fraction_reference(lie_type):
     rs = build_root_system(lie_type)
     assert phi_kp(rs) == _phi_kp_from_fractions(rs)
