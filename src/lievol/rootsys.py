@@ -5,15 +5,21 @@ The invariant bilinear form is normalized so long roots have squared length
 2; the Gram matrix of the simple roots under this form is ``d_j * C[i][j]``
 with ``C`` the Cartan matrix and ``d_j`` half the squared length of the
 j-th simple root. Every d_j is an integer over the common denominator D
-(1; 2 for B, C, F4; 3 for G2). The positive roots are generated from the
-simple ones by the simple reflections that raise height, since s_i permutes
-the positive roots other than a_i; the walk deduplicates a root by one
-integer, its coordinates as base-8 digits, and builds its coordinate tuple
-only when it is new. The Weyl vector rho is their half sum,
-checked against (rho, a_i^vee) = 1, which gives (rho, a_i) = d_i: pairings
-(rho, mu) are d-weighted heights sum_i d_i mu_i (Humphreys, Lie Algebras,
-10.1-10.2). All of this runs on Python integers, and the record keeps the
-heights over the one denominator 2 D h_vee. Two exact helpers stay:
+(1; 2 for B, C, F4; 3 for G2). The Cartan matrix is checked once, on its
+nonzero entries: diagonal 2, off-diagonal entries <= 0, and a symmetric
+form. For such a matrix s_i permutes the positive roots other than a_i, so
+the positive roots are generated from the simple ones by the simple
+reflections that raise height. The walk deduplicates a root by one integer
+key that carries its height, its coordinates as base-8 digits and its
+d-weighted height in separate bit fields, builds its coordinate tuple only
+when it is new, and sums the pairings <beta, a_i^vee> as it reads them.
+Sorting the keys sorts the roots by height, then coordinates, and their low
+bits are the weighted heights. The Weyl vector rho is the half sum of the
+positive roots, checked against (rho, a_i^vee) = 1 through those pairing
+sums, which gives (rho, a_i) = d_i: pairings (rho, mu) are d-weighted
+heights sum_i d_i mu_i (Humphreys, Lie Algebras, 10.1-10.2). All of this
+runs on Python integers, and the record keeps the heights over the one
+denominator 2 D h_vee. Two exact helpers stay:
 `minimal_pairing`, which every build calls once to check that the highest
 root is long, and `rho_pairings_killing`, which no command calls.
 `fractions.Fraction` is imported only for a pairing that is not an
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from itertools import compress
 
 from ._record import Record
 from .errors import InvariantViolationError, UnsupportedGroupError
@@ -74,10 +81,10 @@ _RANK_FLOOR = {Family.A: 1, Family.B: 2, Family.C: 1, Family.D: 4}
 
 # Largest rank `build_root_system` builds; it refuses a larger one before
 # allocating the rank^2 Cartan matrix. At rank 256 every family has at most
-# 65,536 positive roots; `volume` at the cap takes 1.0 s and 98 MB peak RSS
-# for SU_257 and 2.6 s and 180 MB for Spin_513, the slowest (2-core Linux
-# box, Python 3.11). SU_3000 ran out of memory under a 1 GB limit.
-# `SimpleLieType` itself has no cap.
+# 65,536 positive roots; `volume` at the cap takes 0.5 s and 98 MB peak RSS
+# for SU_257, and 1.0 s and 181 MB for Sp_512 and Spin_513, the slowest
+# (2-core Linux box, Python 3.11). SU_3000 ran out of memory under a 1 GB
+# limit. `SimpleLieType` itself has no cap.
 _MAX_RANK = 256
 
 
@@ -160,36 +167,40 @@ def default_groups(max_rank: int = 8) -> list[SimpleLieType]:
 def cartan_matrix(lie_type: SimpleLieType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix with the convention C[i][j] = 2(a_i, a_j)/(a_j, a_j)."""
     fam, r = lie_type.family, lie_type.rank
-    c = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+    off = {}  # the nonzero entries off the diagonal, (i, j) -> C[i][j]
 
     def chain(pairs):
         for i, j in pairs:
-            c[i][j] = -1
-            c[j][i] = -1
+            off[i, j] = off[j, i] = -1
 
     if fam is Family.A:
         chain((i, i + 1) for i in range(r - 1))
     elif fam is Family.B:
         chain((i, i + 1) for i in range(r - 1))
-        c[r - 2][r - 1] = -2  # last simple root is short
+        off[r - 2, r - 1] = -2  # last simple root is short
     elif fam is Family.C:
         if r >= 2:
             chain((i, i + 1) for i in range(r - 1))
-            c[r - 1][r - 2] = -2  # last simple root is long
+            off[r - 1, r - 2] = -2  # last simple root is long
     elif fam is Family.D:
         chain((i, i + 1) for i in range(r - 2))
         chain([(r - 3, r - 1)])
     elif fam is Family.G2:
-        c[0][1] = -1
-        c[1][0] = -3
+        off[0, 1] = -1
+        off[1, 0] = -3
     elif fam is Family.F4:
         chain([(0, 1), (2, 3)])
-        c[1][2] = -2
-        c[2][1] = -1
+        off[1, 2] = -2
+        off[2, 1] = -1
     else:  # E6, E7, E8: chain 0-2-3-4-... with node 1 attached to node 3
         chain([(0, 2), (1, 3)])
         chain((i, i + 1) for i in range(2, r - 1))
-    return tuple(tuple(row) for row in c)
+    c = [[0] * r for _ in range(r)]
+    for i in range(r):
+        c[i][i] = 2
+    for (i, j), entry in off.items():
+        c[i][j] = entry
+    return tuple(map(tuple, c))
 
 
 def _symmetrizer(lie_type: SimpleLieType) -> tuple[int, ...]:
@@ -256,37 +267,48 @@ class RootSystem(Record):
         return self.rank + 2 * len(self.positive_roots)
 
 
-def _positive_roots(lie_type, rows, limit):
+def _positive_roots(lie_type, rows, steps, limit):
     """The positive roots, found by raising the simple roots with reflections.
 
-    s_i permutes the positive roots other than a_i, and every non-simple
-    positive root has a simple reflection that lowers its height, so the
-    raising reflections s_i(beta) = beta - <beta, a_i^vee> a_i reach every
-    positive root from the simple ones. Each root keeps its nonzero pairings
-    <beta, a_j^vee>; raising by c a_i adds c C[i][j], so only the nonzero
-    entries rows[i] = ((j, C[i][j]), ...) of Cartan row i are touched.
-    A root is deduplicated by one int, its coordinates as base-8 digits
-    (mu_i << 3i), so a raise by c a_i adds c << 3i to it and the coordinate
-    tuple is built only for a new root. The key is injective while every
-    coordinate is below 8: two vectors with digits in 0..7 have the same
-    base-8 value only if they are equal. Every finite root system keeps its
-    coordinates at most 6 (E8's highest root), so a raise to a coordinate of
-    8 or more means C is no Cartan matrix of finite type, and is refused
-    before its key is read.
-    A lowering reflection that leaves the positive roots means C is no
-    Cartan matrix. More than `limit` roots means C is not of finite type, or
-    the exponent table is wrong; the bound also ends a walk that would
-    otherwise never stop.
+    C has passed `_check_cartan`, so s_i permutes the positive roots other
+    than a_i, and every non-simple positive root has a simple reflection
+    that lowers its height: the raising reflections
+    s_i(beta) = beta - <beta, a_i^vee> a_i reach every positive root from
+    the simple ones. Each root keeps its
+    nonzero pairings <beta, a_j^vee>; raising by c a_i adds c C[i][j], so
+    only the nonzero entries rows[i] = ((j, C[i][j]), ...) of Cartan row i
+    are touched. The pairings are summed over the roots as the walk reads
+    them: the sums are <2 rho, a_j^vee> for the half sum rho.
+    A root is deduplicated by one int, its key sum_i mu_i steps[i], and its
+    coordinate tuple is built only when it is new; a raise by c a_i adds
+    c steps[i] to the key. `build_root_system` sets steps[i] to
+    2^(3 rank + W) + 2^(W + 3(rank - 1 - i)) + D d_i, so a key is
+    height * 2^(3 rank + W) + sum_i mu_i 2^(W + 3(rank - 1 - i))
+    + sum_i D d_i mu_i: the height on top, the coordinates below it as
+    base-8 digits with mu_0 the most significant, and the D-weighted height
+    in the low W bits, W the bit length of 7 D rank. No field carries into
+    the next while every coordinate is below 8: each digit then fits its 3
+    bits, and the weighted height is at most 7 D rank < 2^W. So the key is
+    injective, sorting keys as ints sorts the roots by height, then
+    coordinates, and key & (2^W - 1) is the weighted height. Every finite
+    root system keeps its coordinates at most 6 (E8's highest root), so a
+    raise to a coordinate of 8 or more means C is no Cartan matrix of finite
+    type, and is refused before its key is read. More than `limit` roots
+    means C is not of finite type, or the exponent table is wrong; the
+    bound also ends a walk that would otherwise never stop.
+    Returns the roots by key and the pairing sums.
     """
     rank = len(rows)
     zeros = (0,) * rank
     roots = [zeros[:i] + (1,) + zeros[i + 1:] for i in range(rank)]
-    keys = [1 << 3 * i for i in range(rank)]
+    keys = list(steps)
     pairings = [dict(row) for row in rows]
-    seen = set(keys)
+    by_key = dict(zip(keys, roots))
+    sums = [0] * rank
     # all three lists grow while they are walked
     for beta, key, pairing in zip(roots, keys, pairings):
         for i, p in pairing.items():
+            sums[i] += p
             if p < 0:
                 coord = beta[i] - p
                 if coord > 7:
@@ -294,8 +316,8 @@ def _positive_roots(lie_type, rows, limit):
                         f"{lie_type}: reflection {i} raises {beta} to coordinate {coord},"
                         " above any root of finite type"
                     )
-                up = key - (p << 3 * i)
-                if up in seen:
+                up = key - p * steps[i]
+                if up in by_key:
                     continue
                 if len(roots) == limit:
                     raise InvariantViolationError(
@@ -306,15 +328,42 @@ def _positive_roots(lie_type, rows, limit):
                     q = raised.pop(j, 0) - p * c
                     if q:
                         raised[j] = q
-                seen.add(up)
-                roots.append(beta[:i] + (coord,) + beta[i + 1:])
+                root = beta[:i] + (coord,) + beta[i + 1:]
+                by_key[up] = root
+                roots.append(root)
                 keys.append(up)
                 pairings.append(raised)
-            elif p > beta[i] and key != 1 << 3 * i:
+    return by_key, sums
+
+
+def _check_cartan(lie_type, cartan, rows, weights):
+    """Refuse C unless C[i][i] = 2, C[i][j] <= 0 off the diagonal, and the
+    form D (a_i, a_j) = D d_j C[i][j] is symmetric, read on the nonzero
+    entries rows[i] = ((j, C[i][j]), ...).
+
+    For such a C, s_i permutes the positive roots other than a_i (Humphreys,
+    Lie Algebras, 10.2 Lemma B; Kac, Infinite-dimensional Lie Algebras,
+    Lemma 3.7), so no reflection in the walk can send a root negative. The
+    symmetry test on the nonzero entries covers the zero ones too: a zero
+    facing a nonzero entry fails at the nonzero one.
+    """
+    for i, row in enumerate(rows):
+        if cartan[i][i] != 2:
+            raise InvariantViolationError(
+                f"{lie_type}: Cartan diagonal C[{i}][{i}] = {cartan[i][i]}, not 2"
+            )
+        for j, c in row:
+            if j == i:
+                continue
+            if c > 0:
                 raise InvariantViolationError(
-                    f"{lie_type}: reflection {i} sends positive root {beta} negative"
+                    f"{lie_type}: reflection {j} sends positive root a_{i} negative"
+                    f" (C[{i}][{j}] = {c})"
                 )
-    return roots
+            if weights[j] * c != weights[i] * cartan[j][i]:
+                raise InvariantViolationError(
+                    f"symmetrized form asymmetric for {lie_type} at ({i},{j})"
+                )
 
 
 def build_root_system(lie_type: SimpleLieType) -> RootSystem:
@@ -323,9 +372,8 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
     Positive roots come from raising reflections of the simple roots; the
     Weyl vector is their half sum, checked against (rho, a_i^vee) = 1, and
     pairings are D-weighted heights. Everything runs on integers, and the
-    record holds only integers. Internal invariants (positive reflections,
-    root count, pairing bounds, highest root long) are checked at linear
-    cost.
+    record holds only integers. Internal invariants (the Cartan matrix, root
+    count, pairing bounds, highest root long) are checked at linear cost.
     """
     rank = lie_type.rank
     if rank > _MAX_RANK:
@@ -333,59 +381,49 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
     cartan = cartan_matrix(lie_type)
     weights = _symmetrizer(lie_type)
     denom = max(weights)
-    # D (a_i, a_j) = D d_j C[i][j]; its symmetry guards the (cartan, d) tables
-    gram = [[w * c for w, c in zip(weights, row)] for row in cartan]
-    for i in range(rank):
-        for j in range(i):
-            if gram[i][j] != gram[j][i]:
-                raise InvariantViolationError(
-                    f"symmetrized form asymmetric for {lie_type} at ({i},{j})"
-                )
+    # the nonzero entries ((j, C[i][j]), ...) of each row, read at C speed
+    rows = [list(zip(compress(range(rank), row), filter(None, row))) for row in cartan]
+    _check_cartan(lie_type, cartan, rows, weights)
 
-    exps = exponents(lie_type)
-    rows = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
-    # by height, then coordinates; each height is summed once
-    roots = _positive_roots(lie_type, rows, sum(exps))
-    ranked = sorted(zip(map(sum, roots), roots))
-    positive = [v for _, v in ranked]
-    if sum(exps) != len(positive):
+    # the key layout of `_positive_roots`: height, base-8 coordinates and
+    # D-weighted height, with W = width bits for the last
+    width = (7 * denom * rank).bit_length()
+    top = 1 << 3 * rank + width
+    steps = [top + (1 << width + 3 * (rank - 1 - i)) + w for i, w in enumerate(weights)]
+    limit = sum(exponents(lie_type))
+    by_key, sums = _positive_roots(lie_type, rows, steps, limit)
+    keys = sorted(by_key)
+    if len(keys) != limit:
         raise InvariantViolationError(
-            f"{lie_type}: {len(positive)} positive roots but exponent sum {sum(exps)}"
+            f"{lie_type}: {len(keys)} positive roots but exponent sum {limit}"
         )
-
-    # (rho, a_i^vee) = 1 reads sum_k 2rho_k C[k][i] = 2; C is invertible, so
-    # this holds for the half sum exactly when the half sum is the Weyl vector.
-    two_rho = [sum(coords) for coords in zip(*positive)]
-    two_rho_pairings = [0] * rank
-    for t, row in zip(two_rho, rows):
-        for i, c in row:
-            two_rho_pairings[i] += t * c
-    if two_rho_pairings != [2] * rank:
+    # (rho, a_i^vee) = 1 reads sum_beta <beta, a_i^vee> = 2; C is invertible,
+    # so this holds for the half sum exactly when the half sum is the Weyl
+    # vector
+    if sums != [2] * rank:
         raise InvariantViolationError(f"{lie_type}: Weyl vector != half sum of positive roots")
 
-    # D (rho, mu) = sum_i D d_i mu_i, since (rho, a_i) = d_i; that is D times
-    # the height when every D d_i is D (A, D, E and C1)
-    if min(weights) == denom:
-        heights = [denom * height for height, _ in ranked]
-    else:
-        heights = [sum(map(operator.mul, weights, mu)) for mu in positive]
+    # D (rho, mu) = sum_i D d_i mu_i, since (rho, a_i) = d_i
+    mask = (1 << width) - 1
+    heights = tuple(map(mask.__and__, keys))
     if heights[-1] % denom:
         raise InvariantViolationError(f"{lie_type}: non-integer dual Coxeter number")
     h_vee = heights[-1] // denom + 1
-    for h in heights:
-        if not 0 < h < denom * h_vee:
-            from fractions import Fraction
+    if min(heights) <= 0 or max(heights) >= denom * h_vee:
+        from fractions import Fraction
 
-            raise InvariantViolationError(
-                f"{lie_type}: pairing {Fraction(h, denom)} escapes (0, h_vee)"
-            )
+        h = next(h for h in heights if not 0 < h < denom * h_vee)
+        raise InvariantViolationError(
+            f"{lie_type}: pairing {Fraction(h, denom)} escapes (0, h_vee)"
+        )
 
+    positive = tuple(map(by_key.__getitem__, keys))
     rs = RootSystem(
         lie_type=lie_type,
         cartan_matrix=cartan,
-        positive_roots=tuple(positive),
+        positive_roots=positive,
         dual_coxeter=h_vee,
-        weighted_heights=tuple(heights),
+        weighted_heights=heights,
         height_denominator=2 * denom * h_vee,
     )
     # h_vee = (rho, theta) + 1 above holds only for a long theta
@@ -398,18 +436,18 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
 def minimal_pairing(rs: RootSystem, u, v) -> int | Fraction:
     """(u, v) under the long-root-squared-length-2 normalization, exact.
 
-    (a_i, a_j) = d_j C[i][j] is summed over the nonzero coordinates and
-    Cartan entries only, in integers over the common denominator D when u
-    and v are integer vectors (rational coordinates give a Fraction sum).
-    An integral pairing, such as (theta, theta) = 2, is returned as an int;
-    only a non-integral one is built as a Fraction.
+    (a_i, a_j) = d_j C[i][j] is summed over the nonzero coordinates of u,
+    each Cartan row dotted with (D d_j v_j) at C speed, in integers over the
+    common denominator D when u and v are integer vectors (rational
+    coordinates give a Fraction sum). An integral pairing, such as
+    (theta, theta) = 2, is returned as an int; only a non-integral one is
+    built as a Fraction.
     """
     weights = _symmetrizer(rs.lie_type)
     denom = max(weights)
+    wv = list(map(operator.mul, weights, v))
     total = sum(
-        ui * c * weights[j] * v[j]
-        for ui, row in zip(u, rs.cartan_matrix) if ui
-        for j, c in enumerate(row) if c and v[j]
+        ui * sum(map(operator.mul, row, wv)) for ui, row in zip(u, rs.cartan_matrix) if ui
     )
     if total % denom == 0:
         return total // denom

@@ -1,5 +1,6 @@
 """Root-system construction: exact examples and structural invariants."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -57,11 +58,15 @@ def weyl_vector(rs):
     for col in range(n):
         pivot = next(r for r in range(col, n) if rows[r][col])
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(n):
-            if r != col and rows[r][col]:
+        for r in range(col + 1, n):
+            if rows[r][col]:
                 f = rows[r][col] / rows[col][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return tuple(rows[i][n] / rows[i][i] for i in range(n))
+    rho = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        known = sum(rows[i][j] * rho[j] for j in range(i + 1, n) if rows[i][j])
+        rho[i] = (rows[i][n] - known) / rows[i][i]
+    return tuple(rho)
 
 
 def symmetrized_form(rs):
@@ -239,6 +244,23 @@ def test_positive_roots_match_orbit_closure(lie_type):
     )
 
 
+# Ranks well past 8, where the key's weighted-height field sits below 3 * rank
+# bits of coordinates, each checked against a dense reference.
+@pytest.mark.parametrize(
+    "lie_type",
+    [SimpleLieType(fam, r) for fam in (Family.A, Family.B, Family.C, Family.D)
+     for r in (10, 17, 24, 64)] + [SimpleLieType(Family.E8, 8)],
+    ids=str,
+)
+def test_key_fields_match_dense_references(lie_type):
+    rs = build_root_system(lie_type)
+    roots = rs.positive_roots
+    assert list(roots) == sorted(roots, key=lambda v: (sum(v), v))
+    weights = rootsys._symmetrizer(lie_type)
+    assert rs.weighted_heights == tuple(sum(map(operator.mul, weights, mu)) for mu in roots)
+    assert weyl_vector(rs) == tuple(Fraction(sum(coords), 2) for coords in zip(*roots))
+
+
 # Each injected fault below must trip its own InvariantViolationError in
 # build_root_system, at the message fragment given.
 
@@ -264,8 +286,11 @@ def test_asymmetric_symmetrizer_rejected(monkeypatch):
     [
         # affine A2: a 3-cycle, infinitely many positive real roots
         (((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), "more than 6 positive roots"),
-        # a positive off-diagonal entry: s_0 sends a_1 to a_1 - a_0
+        # a positive off-diagonal entry: s_1 sends a_0 to a_0 - a_1, refused
+        # before the walk
         (((2, 1, 0), (1, 2, -1), (0, -1, 2)), "sends positive root"),
+        # a diagonal entry other than 2, refused before the walk
+        (((2, -1, 0), (-1, 1, -1), (0, -1, 2)), r"Cartan diagonal C\[1\]\[1\] = 1, not 2"),
     ],
 )
 def test_non_finite_cartan_matrix_rejected(monkeypatch, cartan, match):
@@ -286,19 +311,30 @@ def test_coordinate_above_seven_rejected(monkeypatch):
         build_root_system(su(4))
 
 
-# B2 has 2 rho = (3, 4) and D = 2; each list keeps the root count 4, and all
-# but the first keep the half sum, so the later checks are reached.
+# B2 has 2 rho = (3, 4) and D = 2; each list keeps the root count 4 with
+# distinct roots, and all but the first keep the half sum, so the later
+# checks are reached. The stand-in walk returns what the real one does: the
+# roots by key sum_i mu_i steps[i], and the pairing sums sum_beta <beta, a_j^vee>.
 @pytest.mark.parametrize(
     "roots, match",
     [
         ([(1, 0), (0, 1), (1, 1), (2, 2)], "half sum"),
-        ([(0, 1), (0, 1), (1, 1), (2, 1)], "non-integer dual Coxeter"),
-        ([(0, 0), (0, 0), (3, 0), (0, 4)], "escapes"),
-        ([(1, 0), (0, 2), (0, 2), (2, 0)], "not long"),
+        ([(0, 0), (0, 1), (1, 2), (2, 1)], "non-integer dual Coxeter"),
+        ([(0, 0), (1, 0), (2, 0), (0, 4)], "escapes"),
+        ([(0, 1), (1, 1), (0, 2), (2, 0)], "not long"),
     ],
 )
 def test_corrupted_roots_rejected(monkeypatch, roots, match):
-    monkeypatch.setattr(rootsys, "_positive_roots", lambda *args: list(roots))
+    def walk(lie_type, rows, steps, limit):
+        by_key = {sum(map(operator.mul, mu, steps)): mu for mu in roots}
+        sums = [0] * len(rows)
+        for mu in roots:
+            for i, row in enumerate(rows):
+                for j, c in row:
+                    sums[j] += mu[i] * c
+        return by_key, sums
+
+    monkeypatch.setattr(rootsys, "_positive_roots", walk)
     with pytest.raises(InvariantViolationError, match=match):
         build_root_system(spin(5))
 
@@ -327,8 +363,8 @@ def test_rank_above_cap_refused_before_cartan_matrix(monkeypatch, family, rank):
 
 
 def test_rank_cap_admits_its_own_rank(monkeypatch):
-    # rank 256 builds (SU_257, Sp_512 and Spin_513 take seconds); the same
-    # boundary at a small cap
+    # rank 256 builds (SU_257, Sp_512 and Spin_513 take about a second at
+    # most); the same boundary at a small cap
     assert rootsys._MAX_RANK == 256
     monkeypatch.setattr(rootsys, "_MAX_RANK", 5)
     for family in (Family.A, Family.B, Family.C, Family.D):
