@@ -1,24 +1,24 @@
 """Root systems of the compact simple types, in exact integer arithmetic.
 
-Roots are stored in simple-root coordinates (simple roots = unit vectors).
-The invariant bilinear form is normalized so long roots have squared length
-2; the Gram matrix of the simple roots under this form is ``d_j * C[i][j]``
-with ``C`` the Cartan matrix and ``d_j`` half the squared length of the
-j-th simple root. Every d_j is an integer over the common denominator D
-(1; 2 for B, C, F4; 3 for G2). The Cartan matrix is checked once, on its
-nonzero entries: diagonal 2, off-diagonal entries <= 0, and a symmetric
-form. For such a matrix s_i permutes the positive roots other than a_i, so
-the positive roots are generated from the simple ones by the simple
-reflections that raise height. The walk deduplicates a root by one integer
-key that carries its height, its coordinates as base-8 digits and its
-d-weighted height in separate bit fields, builds its coordinate tuple only
-when it is new, and sums the pairings <beta, a_i^vee> as it reads them.
-Sorting the keys sorts the roots by height, then coordinates, and their low
-bits are the weighted heights. The Weyl vector rho is the half sum of the
-positive roots, checked against (rho, a_i^vee) = 1 through those pairing
-sums, which gives (rho, a_i) = d_i: pairings (rho, mu) are d-weighted
-heights sum_i d_i mu_i (Humphreys, Lie Algebras, 10.1-10.2). All of this
-runs on Python integers, and the record keeps the heights over the one
+Roots have simple-root coordinates (simple roots = unit vectors). The
+invariant form is normalized so long roots have squared length 2; the Gram
+matrix of the simple roots is ``d_j * C[i][j]`` with ``C`` the Cartan
+matrix and ``d_j`` half the squared length of the j-th simple root, an
+integer over the common denominator D (1; 2 for B, C, F4; 3 for G2). The
+Cartan matrix is checked once, on its nonzero entries: diagonal 2,
+off-diagonal entries <= 0, and a symmetric form. Then s_i permutes the
+positive roots other than a_i, so the simple reflections that raise height
+generate the positive roots from the simple ones. A root is one integer
+key, with its height, its coordinates as base-8 digits and its d-weighted
+height in separate bit fields: the walk deduplicates on it and sums the
+pairings <beta, a_i^vee> as it reads them. Sorted keys order the roots by
+height, then coordinates, and their low bits are the weighted heights; the
+record keeps each key without those bits, and coordinates are read off its
+digits on demand. The Weyl vector rho is the half sum of the positive
+roots, checked against (rho, a_i^vee) = 1 through the pairing sums, which
+gives (rho, a_i) = d_i: pairings (rho, mu) are d-weighted heights
+sum_i d_i mu_i (Humphreys, Lie Algebras, 10.1-10.2). All of this runs on
+Python integers, and the record keeps the heights over the one
 denominator 2 D h_vee. Two exact helpers stay:
 `minimal_pairing`, which every build calls once to check that the highest
 root is long, and `rho_pairings_killing`, which no command calls.
@@ -81,10 +81,10 @@ _RANK_FLOOR = {Family.A: 1, Family.B: 2, Family.C: 1, Family.D: 4}
 
 # Largest rank `build_root_system` builds; it refuses a larger one before
 # allocating the rank^2 Cartan matrix. At rank 256 every family has at most
-# 65,536 positive roots; `volume` at the cap takes 0.5 s and 98 MB peak RSS
-# for SU_257, and 1.0 s and 181 MB for Sp_512 and Spin_513, the slowest
-# (2-core Linux box, Python 3.11). SU_3000 ran out of memory under a 1 GB
-# limit. `SimpleLieType` itself has no cap.
+# 65,536 positive roots; `volume` at the cap takes 0.16 s and 34 MB peak RSS
+# for SU_257, and 0.25 s and 50 MB for Sp_512, Spin_513 and Spin_512, the
+# slowest (medians, 2-core Linux box, Python 3.11). SU_3000 ran out of memory
+# under a 1 GB limit. `SimpleLieType` itself has no cap.
 _MAX_RANK = 256
 
 
@@ -97,7 +97,7 @@ class SimpleLieType(Record):
     def __post_init__(self):
         if self.family in EXCEPTIONAL_RANK:
             want = EXCEPTIONAL_RANK[self.family]
-            if self.rank != want:
+            if not isinstance(self.rank, int) or self.rank != want:
                 raise UnsupportedGroupError(
                     f"{self.family.value} has fixed rank {want}, got {self.rank}"
                 )
@@ -242,18 +242,20 @@ def exponents(lie_type: SimpleLieType) -> tuple[int, ...]:
 class RootSystem(Record):
     """Positive roots and pairing data for one simple type, all integers.
 
-    positive_roots are integer coordinate vectors in the simple-root basis,
-    sorted by height; their half sum is the Weyl vector rho, checked
-    against (rho, a_i^vee) = 1 when the record is built.
+    root_codes[k] = height * 8^rank + sum_i mu_i 8^(rank - 1 - i) is the
+    k-th positive root mu (height >= 1), its coordinates as base-8 digits.
+    The codes are sorted (by height, then coordinates), and
+    `positive_roots` decodes them on demand. The half sum of the roots is the Weyl vector rho,
+    checked against (rho, a_i^vee) = 1 when the record is built.
     weighted_heights[k] / height_denominator is <rho, mu> under the
-    Cartan-Killing normalization for mu = positive_roots[k]: the numerators
-    are D-weighted heights sum_i D d_i mu_i, and the denominator is
-    2 D h_vee, with D the common denominator of the d_i.
+    Cartan-Killing normalization: the numerators are D-weighted heights
+    sum_i D d_i mu_i, and the denominator is 2 D h_vee, with D the common
+    denominator of the d_i.
     """
 
     lie_type: SimpleLieType
     cartan_matrix: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
+    root_codes: tuple[int, ...]
     dual_coxeter: int
     weighted_heights: tuple[int, ...]
     height_denominator: int
@@ -263,63 +265,69 @@ class RootSystem(Record):
         return self.lie_type.rank
 
     @property
+    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
+        """The coordinate vectors of the positive roots, decoded from root_codes."""
+        return tuple(_coordinates(code, self.rank) for code in self.root_codes)
+
+    @property
     def dim(self) -> int:
-        return self.rank + 2 * len(self.positive_roots)
+        return self.rank + 2 * len(self.root_codes)
 
 
-def _positive_roots(lie_type, rows, steps, limit):
+def _coordinates(code, rank):
+    """The coordinates of a root: the last rank octal digits of its code."""
+    return tuple(map(int, format(code, "o")[-rank:]))
+
+
+def _positive_roots(lie_type, rows, steps, width, limit):
     """The positive roots, found by raising the simple roots with reflections.
 
     C has passed `_check_cartan`, so s_i permutes the positive roots other
     than a_i, and every non-simple positive root has a simple reflection
     that lowers its height: the raising reflections
     s_i(beta) = beta - <beta, a_i^vee> a_i reach every positive root from
-    the simple ones. Each root keeps its
-    nonzero pairings <beta, a_j^vee>; raising by c a_i adds c C[i][j], so
-    only the nonzero entries rows[i] = ((j, C[i][j]), ...) of Cartan row i
-    are touched. The pairings are summed over the roots as the walk reads
-    them: the sums are <2 rho, a_j^vee> for the half sum rho.
-    A root is deduplicated by one int, its key sum_i mu_i steps[i], and its
-    coordinate tuple is built only when it is new; a raise by c a_i adds
-    c steps[i] to the key. `build_root_system` sets steps[i] to
+    the simple ones. Each root keeps its nonzero pairings <beta, a_j^vee>;
+    raising by c a_i adds c C[i][j], so only the nonzero entries
+    rows[i] = ((j, C[i][j]), ...) of Cartan row i are touched. The walk sums
+    the pairings as it reads them: the sums are <2 rho, a_j^vee>.
+    A root is one int, its key sum_i mu_i steps[i]; a raise by c a_i adds
+    c steps[i]. `build_root_system` sets steps[i] to
     2^(3 rank + W) + 2^(W + 3(rank - 1 - i)) + D d_i, so a key is
     height * 2^(3 rank + W) + sum_i mu_i 2^(W + 3(rank - 1 - i))
     + sum_i D d_i mu_i: the height on top, the coordinates below it as
     base-8 digits with mu_0 the most significant, and the D-weighted height
-    in the low W bits, W the bit length of 7 D rank. No field carries into
-    the next while every coordinate is below 8: each digit then fits its 3
-    bits, and the weighted height is at most 7 D rank < 2^W. So the key is
-    injective, sorting keys as ints sorts the roots by height, then
-    coordinates, and key & (2^W - 1) is the weighted height. Every finite
-    root system keeps its coordinates at most 6 (E8's highest root), so a
-    raise to a coordinate of 8 or more means C is no Cartan matrix of finite
-    type, and is refused before its key is read. More than `limit` roots
-    means C is not of finite type, or the exponent table is wrong; the
-    bound also ends a walk that would otherwise never stop.
-    Returns the roots by key and the pairing sums.
+    in the low W = width bits, the bit length of 7 D rank. No field carries
+    into the next while every coordinate is below 8: each digit then fits
+    its 3 bits, and the weighted height is at most 7 D rank < 2^W. So the
+    key is injective, sorting keys sorts the roots by height, then
+    coordinates, and key & (2^W - 1) is the weighted height. No finite root
+    system has a coordinate above 6 (E8's highest root), so a raise to a
+    digit of 8 or more means C is not of finite type, and is refused before
+    the raised key is used. So is a walk past `limit` roots (C not of finite
+    type, or a wrong exponent table), which would otherwise never stop.
+    Returns the keys in walk order, and the pairing sums.
     """
     rank = len(rows)
-    zeros = (0,) * rank
-    roots = [zeros[:i] + (1,) + zeros[i + 1:] for i in range(rank)]
+    shifts = [width + 3 * (rank - 1 - i) for i in range(rank)]
     keys = list(steps)
     pairings = [dict(row) for row in rows]
-    by_key = dict(zip(keys, roots))
+    seen = set(keys)
     sums = [0] * rank
-    # all three lists grow while they are walked
-    for beta, key, pairing in zip(roots, keys, pairings):
+    # both lists grow while they are walked
+    for key, pairing in zip(keys, pairings):
         for i, p in pairing.items():
             sums[i] += p
             if p < 0:
-                coord = beta[i] - p
+                coord = (key >> shifts[i] & 7) - p
                 if coord > 7:
                     raise InvariantViolationError(
-                        f"{lie_type}: reflection {i} raises {beta} to coordinate {coord},"
-                        " above any root of finite type"
+                        f"{lie_type}: reflection {i} raises {_coordinates(key >> width, rank)}"
+                        f" to coordinate {coord}, above any root of finite type"
                     )
                 up = key - p * steps[i]
-                if up in by_key:
+                if up in seen:
                     continue
-                if len(roots) == limit:
+                if len(keys) == limit:
                     raise InvariantViolationError(
                         f"{lie_type}: more than {limit} positive roots, the exponent sum"
                     )
@@ -328,12 +336,10 @@ def _positive_roots(lie_type, rows, steps, limit):
                     q = raised.pop(j, 0) - p * c
                     if q:
                         raised[j] = q
-                root = beta[:i] + (coord,) + beta[i + 1:]
-                by_key[up] = root
-                roots.append(root)
+                seen.add(up)
                 keys.append(up)
                 pairings.append(raised)
-    return by_key, sums
+    return keys, sums
 
 
 def _check_cartan(lie_type, cartan, rows, weights):
@@ -391,8 +397,8 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
     top = 1 << 3 * rank + width
     steps = [top + (1 << width + 3 * (rank - 1 - i)) + w for i, w in enumerate(weights)]
     limit = sum(exponents(lie_type))
-    by_key, sums = _positive_roots(lie_type, rows, steps, limit)
-    keys = sorted(by_key)
+    keys, sums = _positive_roots(lie_type, rows, steps, width, limit)
+    keys.sort()
     if len(keys) != limit:
         raise InvariantViolationError(
             f"{lie_type}: {len(keys)} positive roots but exponent sum {limit}"
@@ -417,17 +423,19 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
             f"{lie_type}: pairing {Fraction(h, denom)} escapes (0, h_vee)"
         )
 
-    positive = tuple(map(by_key.__getitem__, keys))
+    # the record keeps each key without its weighted height: the code
+    # height * 8^rank + base-8 coordinates
+    codes = tuple(map(width.__rrshift__, keys))
     rs = RootSystem(
         lie_type=lie_type,
         cartan_matrix=cartan,
-        positive_roots=positive,
+        root_codes=codes,
         dual_coxeter=h_vee,
         weighted_heights=heights,
         height_denominator=2 * denom * h_vee,
     )
     # h_vee = (rho, theta) + 1 above holds only for a long theta
-    theta = positive[-1]
+    theta = _coordinates(codes[-1], rank)
     if minimal_pairing(rs, theta, theta) != 2:
         raise InvariantViolationError(f"{lie_type}: highest root is not long")
     return rs

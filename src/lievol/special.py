@@ -150,11 +150,11 @@ def log_barnesG_integral(z: float, tol: Tolerance | None = None) -> QuadResult:
 
     The engine stops doubling the cutoff once a block matches that form and
     adds tail(cutoff), so the cutoff stays at 64 or 128 instead of running
-    out to ~z/abs_tol. z = 0 is admitted (the bracket stays integrable and
-    the value is 0). It returns the engine's result, its value mapped.
+    out to ~z/abs_tol. z must be finite; z = 0 is admitted (the bracket
+    stays integrable and the value is 0). It returns the engine's result, its value mapped.
     """
-    if z < 0.0:
-        raise ParameterDomainError(f"log_barnesG_integral requires z >= 0, got {z}")
+    if not 0.0 <= z < math.inf:
+        raise ParameterDomainError(f"log_barnesG_integral requires finite z >= 0, got {z}")
     tol = tol or _TIGHT
 
     def tail(x: float) -> float:

@@ -24,7 +24,7 @@ CASES = [
      lambda: VogelPoint(-2.0, 2.0, 3.0), lambda: VogelPoint(-2.0, 2.0, 4.0)),
     (SimpleLieType, ("family", "rank"),
      lambda: SimpleLieType(Family.B, 3), lambda: SimpleLieType(Family.C, 3)),
-    (RootSystem, ("lie_type", "cartan_matrix", "positive_roots", "dual_coxeter",
+    (RootSystem, ("lie_type", "cartan_matrix", "root_codes", "dual_coxeter",
                   "weighted_heights", "height_denominator"),
      lambda: build_root_system(su(3)), lambda: build_root_system(su(4))),
     (VolumeReport, ("group", "dim", "phi_universal", "phi_kp", "log_volume", "volume",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lievol import rootsys
 from lievol.errors import InvariantViolationError, UnsupportedGroupError
 from lievol.rootsys import (
+    EXCEPTIONAL_RANK,
     Family,
     SimpleLieType,
     build_root_system,
@@ -314,7 +315,7 @@ def test_coordinate_above_seven_rejected(monkeypatch):
 # B2 has 2 rho = (3, 4) and D = 2; each list keeps the root count 4 with
 # distinct roots, and all but the first keep the half sum, so the later
 # checks are reached. The stand-in walk returns what the real one does: the
-# roots by key sum_i mu_i steps[i], and the pairing sums sum_beta <beta, a_j^vee>.
+# root keys sum_i mu_i steps[i], and the pairing sums sum_beta <beta, a_j^vee>.
 @pytest.mark.parametrize(
     "roots, match",
     [
@@ -325,14 +326,14 @@ def test_coordinate_above_seven_rejected(monkeypatch):
     ],
 )
 def test_corrupted_roots_rejected(monkeypatch, roots, match):
-    def walk(lie_type, rows, steps, limit):
-        by_key = {sum(map(operator.mul, mu, steps)): mu for mu in roots}
+    def walk(lie_type, rows, steps, width, limit):
+        keys = [sum(map(operator.mul, mu, steps)) for mu in roots]
         sums = [0] * len(rows)
         for mu in roots:
             for i, row in enumerate(rows):
                 for j, c in row:
                     sums[j] += mu[i] * c
-        return by_key, sums
+        return keys, sums
 
     monkeypatch.setattr(rootsys, "_positive_roots", walk)
     with pytest.raises(InvariantViolationError, match=match):
@@ -363,8 +364,8 @@ def test_rank_above_cap_refused_before_cartan_matrix(monkeypatch, family, rank):
 
 
 def test_rank_cap_admits_its_own_rank(monkeypatch):
-    # rank 256 builds (SU_257, Sp_512 and Spin_513 take about a second at
-    # most); the same boundary at a small cap
+    # rank 256 builds (SU_257, Sp_512 and Spin_513 take at most ~0.3 s and
+    # 50 MB peak RSS); the same boundary at a small cap
     assert rootsys._MAX_RANK == 256
     monkeypatch.setattr(rootsys, "_MAX_RANK", 5)
     for family in (Family.A, Family.B, Family.C, Family.D):
@@ -391,8 +392,9 @@ def test_default_groups_refuse_max_rank_above_cap(monkeypatch):
 
 
 def test_exceptional_rank_fixed():
-    with pytest.raises(UnsupportedGroupError):
-        SimpleLieType(Family.E6, 5)
+    for family, rank in ((Family.E6, 5), (Family.E8, 8.0)):
+        with pytest.raises(UnsupportedGroupError, match=f"fixed rank {EXCEPTIONAL_RANK[family]}"):
+            SimpleLieType(family, rank)
     assert SimpleLieType(Family.F4, 4).compact_name == "F4"
 
 

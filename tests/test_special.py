@@ -91,8 +91,10 @@ def test_barnes_integral_vs_oracle():
 
 
 def test_barnes_domain():
-    with pytest.raises(ParameterDomainError):
-        log_barnesG_integral(-0.5)
+    for z in (-0.5, math.nan, math.inf):
+        with pytest.raises(ParameterDomainError, match="requires finite z >= 0"):
+            log_barnesG_integral(z)
+    assert log_barnesG_integral(-0.0) == log_barnesG_integral(0.0)
 
 
 def test_barnes_recurrence_through_malmsten():
