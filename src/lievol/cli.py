@@ -30,7 +30,9 @@ from .volume import VolumeReport
 
 __all__ = ["main"]
 
-_GROUP_CHOICES = ("SU", "Spin", "Sp") + tuple(f.value for f in (*_RANK_FLOOR, *EXCEPTIONAL_RANK))
+# the matrix-group names, each read with --n as its matrix size
+_NAMED_GROUPS = {"SU": su, "Spin": spin, "Sp": sp}
+_GROUP_CHOICES = (*_NAMED_GROUPS, *(f.value for f in (*_RANK_FLOOR, *EXCEPTIONAL_RANK)))
 
 # Largest row count `scan` accepts; a longer grid is a usage error.
 _MAX_SCAN_ROWS = 100_000
@@ -40,10 +42,10 @@ _HELP_WIDTH = 78
 
 
 def _resolve_group(group: str, n: int | None) -> SimpleLieType:
-    if group in ("SU", "Spin", "Sp"):
+    if group in _NAMED_GROUPS:
         if n is None:
             raise UnsupportedGroupError(f"--group {group} requires --n")
-        return {"SU": su, "Spin": spin, "Sp": sp}[group](n)
+        return _NAMED_GROUPS[group](n)
     fam = Family(group)
     rank = EXCEPTIONAL_RANK.get(fam) if n is None else n
     if rank is None:

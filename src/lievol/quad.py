@@ -63,8 +63,7 @@ class Tolerance(Record):
 
 
 class QuadResult(Record):
-    """An integral's result. An exact value (a finite sum) reports error_estimate
-    0.0, converged True, 0 evaluations and tail_cutoff 0.0."""
+    """An integral's result."""
 
     value: float
     error_estimate: float

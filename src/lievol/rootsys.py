@@ -22,10 +22,10 @@ Python integers, and the record keeps the heights over the one
 denominator 2 D h_vee. Two exact helpers stay:
 `minimal_pairing`, which every build calls once to check that the highest
 root is long, and `rho_pairings_killing`, which no command calls.
-`fractions.Fraction` is imported only for a pairing that is not an
-integer, never on that check, so a run never loads it. Floating point
-enters only in the downstream volume/quadrature modules, so the
-transcendental evaluation is the sole numerical error source.
+`fractions.Fraction` is loaded only by `rho_pairings_killing` and for a
+non-integral pairing, never on that check. Floating point enters only in
+the downstream volume/quadrature modules, so the transcendental
+evaluation is the sole numerical error source.
 """
 
 from __future__ import annotations
@@ -416,11 +416,9 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
         raise InvariantViolationError(f"{lie_type}: non-integer dual Coxeter number")
     h_vee = heights[-1] // denom + 1
     if min(heights) <= 0 or max(heights) >= denom * h_vee:
-        from fractions import Fraction
-
         h = next(h for h in heights if not 0 < h < denom * h_vee)
         raise InvariantViolationError(
-            f"{lie_type}: pairing {Fraction(h, denom)} escapes (0, h_vee)"
+            f"{lie_type}: weighted height {h} escapes (0, {denom * h_vee})"
         )
 
     # the record keeps each key without its weighted height: the code

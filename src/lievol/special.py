@@ -1,15 +1,15 @@
 """Classical special functions: log Barnes-G by three independent routes,
 and the unitary-line closed form read from them.
 
-Barnes' integral representation is driven by the quadrature engine; the
-integrand decays only like z/y^2, so its tail beyond the cutoff is
-integrated in closed form. At the integers a sum of logarithms of the
-factorial product gives exact values. Barnes' asymptotic series, read at
-w = z + N >= 8 and stepped down to z by ln Gamma, gives the closed form's
-values off the integers and past the sum's bound. The routes share only
-the constants zeta'(-1) and ln 2pi, so their agreement is a genuine check.
-The integral returns the engine's `QuadResult`, value mapped; the sums
-are floats.
+Barnes' integral representation is driven by the quadrature engine; its
+integrand, built with its small-y series, decays only like z/y^2, so its
+tail beyond the cutoff is integrated in closed form. At the integers a
+sum of logarithms of the factorial product gives exact values. Barnes'
+asymptotic series, read at w = z + N >= 8 and stepped down to z by
+ln Gamma, gives the closed form's values off the integers and past the
+sum's bound. The routes share only the constants zeta'(-1) and ln 2pi, so
+their agreement is a genuine check. The integral returns the engine's
+`QuadResult`, value mapped; the sums are floats.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ _TIGHT = Tolerance(rel=1e-12, abs=1e-14)
 # Small-y expansion machinery for the Barnes integrand. With
 # 1/(1-e^{-y}) = sum c_k y^k (k >= -1), built from Bernoulli numbers with
 # B1 = +1/2, the square S = (sum c_k y^k)^2 is formed by exact convolution
-# once at import; the e^{-(z+1)y} factor is folded in numerically on the
-# first small-y sample of an integral.
+# once at import; the e^{-(z+1)y} factor is folded in numerically when an
+# integrand is built.
 
 # B_k as (numerator, denominator)
 _BERNOULLI_PLUS = (
@@ -99,21 +99,16 @@ def _series_brackets(w: float, q: float) -> tuple[float, ...]:
 
 def _barnes_integrand(z: float):
     """The bracket over y at z. Below the switch it is its series, whose
-    coefficients are built on the first such sample, at most once per
-    integrand: the nodes of the first panel [0, 8] stay above 0.03, so an
-    integral samples y that small only where refinement splits that panel
-    near 0. The math functions are bound as locals."""
+    coefficients are built with the closure, once per integrand. The math
+    functions are bound as locals."""
     w = z + 1.0
     switch = min(_Y_SWITCH, _U_SWITCH / w)
     q = 0.5 * (z * z - 1.0 / 6.0)
     exp, expm1 = math.exp, math.expm1
-    series = None
+    series = _series_brackets(w, q)
 
     def g(y: float) -> float:
-        nonlocal series
         if y < switch:
-            if series is None:
-                series = _series_brackets(w, q)
             acc = 0.0
             for c in series:
                 acc = acc * y + c

@@ -139,8 +139,6 @@ SINHC_SERIES_CUTOFF = 0.15
 def log_sinhc(y: float) -> float:
     """log(sinh(y)/y), even in y, 0 at y = 0; stable over the whole real line."""
     y = abs(y)
-    if y == 0.0:
-        return 0.0
     if y < SINHC_SERIES_CUTOFF:
         # integral of coth(y) - 1/y; truncation < 1e-16 relative at the cutoff
         y2 = y * y
@@ -171,12 +169,15 @@ def sinh_product_excess(x: float, p: VogelPoint) -> float:
 
     Evaluated in log space as dim * expm1(l), l the log of the product over
     dim: the sum over i of log_sinhc(a_i x) - log_sinhc(b_i x), the
-    product's definition, which phi_integrand's band form is held to.
+    product's definition, which phi_integrand's band form is held to. The
+    terms are added by `+`, left to right, as `sum` did before Python 3.12.
     Cancellation-free near 0, overflow-free until the rescaled product
     itself leaves double range. Even in x.
     """
     k = dim_from_vogel(p)
-    ell = sum(log_sinhc(a * x) - log_sinhc(b * x) for a, b in _ratio_slopes(p))
+    (a1, b1), (a2, b2), (a3, b3) = _ratio_slopes(p)
+    ell = (log_sinhc(a1 * x) - log_sinhc(b1 * x)) + (log_sinhc(a2 * x) - log_sinhc(b2 * x)) + (
+        log_sinhc(a3 * x) - log_sinhc(b3 * x))
     if ell > 709.0:
         raise OverflowError(
             f"sinh ratio product exceeds double-precision range at x = {x!r}"
@@ -225,7 +226,8 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     x_lo = x_hi = r1 = r2 = r3 = 0.0
     if min(sizes) > 0.0:
         x_lo = SINHC_SERIES_CUTOFF / min(sizes)
-        x_hi = _BAND_LOG_MAX / max(sum(sizes[0::2]), sum(sizes[1::2]))
+        # by `+` on every interpreter: `sum` of floats is compensated from 3.12 on
+        x_hi = _BAND_LOG_MAX / max(abs(a1) + abs(a2) + abs(a3), abs(b1) + abs(b2) + abs(b3))
         r1, r2, r3 = b1 / a1, b2 / a2, b3 / a3
     # the x -> 0 limit, k/6 sum(a_i^2 - b_i^2): k/12 in exact arithmetic (the
     # strange formula), but summed from the rounded slopes. Where t is tiny

@@ -10,6 +10,7 @@ volume is attached only when it is representable in double precision.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from . import quad, rootsys, special, vogel
@@ -108,7 +109,7 @@ def _checked_dim(rs: RootSystem, point: vogel.VogelPoint) -> int:
 
 def cross_check(lie_type: SimpleLieType, tol: Tolerance | None = None) -> VolumeReport:
     """Report for one group: the integral route is the headline value, and
-    every applicable route is compared against it.
+    every pair of applicable routes is compared.
 
     The agreement bound is 10 * tol.rel * max(1, |phi_kp|); the factorial
     closed form joins the comparison on the unitary family only. Any
@@ -124,20 +125,16 @@ def _report(rs: RootSystem, tol: Tolerance) -> VolumeReport:
     dim = _checked_dim(rs, point)
     qr = quad.integrate_phi(point, tol)
     pkp = phi_kp(rs)
-    disc = abs(qr.value - pkp)
-    bound = 10.0 * tol.rel * max(1.0, abs(pkp))
-    failures = []
-    if disc > bound:
-        failures.append(f"universal vs product routes differ by {disc:.3e}")
+    routes = {"universal": qr.value, "product": pkp}
     if lie_type.family is Family.A:
         # n <= 257 < 2^16 at every buildable SU_n, so this reads the exact
         # factorial oracle
-        phi_mac = special.phi_unitary_closed_form(lie_type.rank + 1)
-        for route, phi in (("universal", qr.value), ("product", pkp)):
-            if abs(phi - phi_mac) > bound:
-                failures.append(
-                    f"{route} vs factorial routes differ by {abs(phi - phi_mac):.3e}"
-                )
+        routes["factorial"] = special.phi_unitary_closed_form(lie_type.rank + 1)
+    bound = 10.0 * tol.rel * max(1.0, abs(pkp))
+    failures = []
+    for (name_a, phi_a), (name_b, phi_b) in itertools.combinations(routes.items(), 2):
+        if abs(phi_a - phi_b) > bound:
+            failures.append(f"{name_a} vs {name_b} routes differ by {abs(phi_a - phi_b):.3e}")
     if not qr.converged:
         failures.append("quadrature did not converge")
     notes = [_SPIN_NOTE] if lie_type.family in (Family.B, Family.D) else []
@@ -149,7 +146,7 @@ def _report(rs: RootSystem, tol: Tolerance) -> VolumeReport:
         phi_kp=pkp,
         log_volume=log_volume,
         volume=math.exp(log_volume) if abs(log_volume) <= 700.0 else None,
-        route_discrepancy=disc,
+        route_discrepancy=abs(qr.value - pkp),
         converged=qr.converged,
         agreed=not failures,
         notes="; ".join(notes + failures),

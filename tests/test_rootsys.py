@@ -321,7 +321,7 @@ def test_coordinate_above_seven_rejected(monkeypatch):
     [
         ([(1, 0), (0, 1), (1, 1), (2, 2)], "half sum"),
         ([(0, 0), (0, 1), (1, 2), (2, 1)], "non-integer dual Coxeter"),
-        ([(0, 0), (1, 0), (2, 0), (0, 4)], "escapes"),
+        ([(0, 0), (1, 0), (2, 0), (0, 4)], r"weighted height 0 escapes \(0, 6\)"),
         ([(0, 1), (1, 1), (0, 2), (2, 0)], "not long"),
     ],
 )

@@ -11,6 +11,7 @@ from lievol.errors import DivergenceSetError, ParameterDomainError
 from lievol.rootsys import Family, SimpleLieType, build_root_system, default_groups, sp, spin, su
 from lievol.vogel import (
     VogelPoint,
+    _ratio_slopes,
     dim_from_vogel,
     key_relation_residual,
     log_sinhc,
@@ -245,6 +246,20 @@ def test_integrand_limit_is_dim_over_twelve():
         assert phi_integrand(p)(0.0) == pytest.approx(dim_from_vogel(p) / 12.0, rel=1e-14), g
 
 
+@pytest.mark.parametrize("lie_type", [SimpleLieType(Family.F4, 4), spin(13)], ids=str)
+def test_excess_adds_its_terms_left_to_right(lie_type):
+    # the three log-ratio terms are added with `+`, left to right, on every
+    # interpreter: the built-in sum of floats is compensated from Python 3.12
+    # on, and would move `check`'s key-relation residuals of these rows
+    p = vogel_point(lie_type)
+    (a1, b1), (a2, b2), (a3, b3) = _ratio_slopes(p)
+    for x in (0.1, 1.0, 5.0):
+        ell = log_sinhc(a1 * x) - log_sinhc(b1 * x)
+        ell = ell + (log_sinhc(a2 * x) - log_sinhc(b2 * x))
+        ell = ell + (log_sinhc(a3 * x) - log_sinhc(b3 * x))
+        assert sinh_product_excess(x, p) == dim_from_vogel(p) * math.expm1(ell), x
+
+
 def test_excess_overflow_reports_threshold():
     p = vogel_point(su(3))
     with pytest.raises(OverflowError) as err:
@@ -260,6 +275,8 @@ def test_log_sinhc_branch_continuity():
         lo = log_sinhc(math.nextafter(y, 0.0))
         hi = log_sinhc(math.nextafter(y, math.inf))
         assert hi == pytest.approx(lo, rel=1e-12, abs=1e-18)
+    # the series branch reads 0 at both zeros
+    assert math.copysign(1.0, log_sinhc(0.0)) == math.copysign(1.0, log_sinhc(-0.0)) == 1.0
     assert log_sinhc(0.0) == 0.0
     assert log_sinhc(-3.0) == log_sinhc(3.0)
 

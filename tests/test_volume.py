@@ -237,6 +237,30 @@ def test_unconverged_quadrature_flags_report(monkeypatch):
     assert "converge" in report.notes
 
 
+@pytest.mark.parametrize(
+    "route, notes",
+    [
+        ("factorial", "universal vs factorial routes differ by 1.000e+00; "
+                      "product vs factorial routes differ by 1.000e+00"),
+        ("product", "universal vs product routes differ by 1.000e+00; "
+                    "product vs factorial routes differ by 1.000e+00"),
+    ],
+)
+def test_report_notes_every_disagreeing_route_pair(monkeypatch, route, notes):
+    # one route of SU_3 moved by 1 disagrees with both others, in report order
+    import lievol.special as special_mod
+    import lievol.volume as volume_mod
+
+    module, name = {
+        "factorial": (special_mod, "phi_unitary_closed_form"), "product": (volume_mod, "phi_kp")
+    }[route]
+    true_route = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda arg: true_route(arg) + 1.0)
+    report = cross_check(su(3))
+    assert report.notes == notes
+    assert not report.agreed
+
+
 def test_check_suite_reports_faulty_build(monkeypatch):
     # one exponent too many for G2 makes its build raise; the suite goes on
     import lievol.rootsys as rootsys_mod

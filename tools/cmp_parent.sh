@@ -9,6 +9,12 @@
 #
 #   git archive PARENT_COMMIT | tar -x -C PARENT_DIR
 #   tools/cmp_parent.sh PARENT_DIR
+#
+# This tree runs under $PYTHON (default python3), the parent always under
+# python3. Given this tree as PARENT_DIR, that compares interpreters: this
+# tree under another Python against itself under python3.
+#
+#   PYTHON=/path/to/python3.12 tools/cmp_parent.sh .
 set -u -f
 if [ $# -ne 1 ] || [ ! -d "$1/src/lievol" ]; then
     echo "usage: $0 PARENT_DIR  (a copy of the parent commit, with src/lievol)" >&2
@@ -50,12 +56,14 @@ while IFS= read -r cmd; do
     case $cmd in '' | '#'*) continue ;; esac
     for tree in here parent; do
         eval "src=\$$tree/src"
+        python=python3
+        [ $tree = here ] && python=${PYTHON:-python3}
         # $cmd is split into words on purpose: each line is one argument list.
         # A command that runs away in one tree ends at 1 GB of address space
         # or after 120 s (exit 124), and shows as a difference. COLUMNS is
         # unset so that a tree whose help reads it wraps at argparse's default
         (cd "$work" && ulimit -v 1000000 \
-            && env -u LIEVOL_TOL -u COLUMNS PYTHONPATH="$src" timeout 120 python3 -B -m lievol $cmd \
+            && env -u LIEVOL_TOL -u COLUMNS PYTHONPATH="$src" timeout 120 "$python" -B -m lievol $cmd \
             >"$tree.out" 2>"$tree.err" </dev/null; echo $? >"$tree.code")
     done
     for part in out err code; do
