@@ -169,8 +169,10 @@ def sinh_product_excess(x: float, p: VogelPoint) -> float:
 
     Evaluated in log space as dim * expm1(l), l the log of the product over
     dim: the sum over i of log_sinhc(a_i x) - log_sinhc(b_i x), the
-    product's definition, which phi_integrand's band form is held to. The
-    terms are added by `+`, left to right, as `sum` did before Python 3.12.
+    product's definition, which phi_integrand's band form is held to. It
+    stays the unreduced sum of all six terms on the unitary line too, where
+    phi_integrand drops the pair that adds 0.0. The terms are added by `+`,
+    left to right, as `sum` did before Python 3.12.
     Cancellation-free near 0, overflow-free until the rescaled product
     itself leaves double range. Even in x.
     """
@@ -218,6 +220,24 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     empty where x_lo >= x_hi, and where a slope is 0: an a_i = 0 (q_i = 2t,
     dim = 0) has no ratio b_i/a_i, and a b_i that underflowed to 0 never
     reaches the cutoff. One closure per sample, its factors written out.
+
+    On the unitary line a sample takes three sinh (or log_sinhc) instead of
+    six, and the same bits. Where q_i = t, the shifted u q_i is t' = u t,
+    so a_i = (t' - 2t')/4t' = -1/4 and b_i = t'/4t' = 1/4 exactly. For
+    such a pair the ratio r_i is -1.0, a_i x == -(b_i x),
+    and libm's sinh is odd, so sinh(a_i x) r_i == sinh(b_i x): the band
+    factor is exactly 1.0 (sinh(x/4) is finite and nonzero in the band, as
+    B >= 1/4), and the product of the other two, in whichever order, is
+    unchanged by it. Outside the band log_sinhc(a_i x) == log_sinhc(b_i x),
+    as log_sinhc reads |y|, and both are finite for every finite x, so the
+    pair adds 0.0; log_sinhc is never negative or -0.0, so no difference of
+    two is -0.0, and adding 0.0 changes no sum. Where the other two pairs
+    also have b_k == -b_j (q_j + q_k = 0 in floats, as on every table row),
+    sinh(b_k x) == -sinh(b_j x) and log_sinhc(b_k x) == log_sinhc(b_j x),
+    so one call serves both denominators. k, limit0, x_lo and x_hi still
+    come from all six slopes, so every sample takes the same branch. Off
+    the line, and where t absorbs the rounding of q_j + q_k (q_i == t but
+    b_k != -b_j), the three-pair closure runs.
     """
     k = dim_from_vogel(p)
     slopes = _ratio_slopes(p)
@@ -237,6 +257,32 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     # quadrature reports it unconverged
     limit0 = k * math.fsum(a * a - b * b for a, b in slopes) / 6.0
     sinh, log, exp, expm1, lsc = math.sinh, math.log, math.exp, math.expm1, log_sinhc
+    # the unitary line (see above): no pair (-1/4, 1/4), and one denominator
+    # for the other two
+    live = [(a, b, r) for (a, b), r in zip(slopes, (r1, r2, r3)) if (a, b) != (-0.25, 0.25)]
+    if len(live) == 2 and live[1][1] == -live[0][1]:
+        (aj, bj, rj), (ak, _, rk) = live
+
+        def f_unitary(x: float) -> float:
+            if x < 1e-12:
+                return limit0
+            if x_lo <= x < x_hi:
+                s = sinh(bj * x)
+                ell = log(sinh(aj * x) * rj / s * (sinh(ak * x) * rk / -s))
+            else:
+                lb = lsc(bj * x)
+                ell = (lsc(aj * x) - lb) + (lsc(ak * x) - lb)
+            # as in f below
+            try:
+                if ell > 45.0 and x > 45.0:
+                    return k * exp(ell - x) / x
+                return k * expm1(ell) / (x * expm1(x))
+            except OverflowError:
+                if ell <= 45.0:
+                    return k * expm1(ell) * exp(-x) / x
+                return math.inf
+
+        return f_unitary
 
     def f(x: float) -> float:
         if x < 1e-12:

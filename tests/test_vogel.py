@@ -4,12 +4,15 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lievol import vogel
 from lievol.errors import DivergenceSetError, ParameterDomainError
 from lievol.rootsys import Family, SimpleLieType, build_root_system, default_groups, sp, spin, su
 from lievol.vogel import (
+    _BAND_LOG_MAX,
+    SINHC_SERIES_CUTOFF,
     VogelPoint,
     _ratio_slopes,
     dim_from_vogel,
@@ -244,6 +247,159 @@ def test_integrand_limit_is_dim_over_twelve():
     for g in default_groups(12):
         p = vogel_point(g)
         assert phi_integrand(p)(0.0) == pytest.approx(dim_from_vogel(p) / 12.0, rel=1e-14), g
+
+
+def _three_pair_phi(p, branches):
+    """phi_integrand as the three-pair closure: every factor's sinh (or
+    log_sinhc) taken, the unitary line's unit factor among them. Adds the
+    name of each branch a sample takes to the set `branches`."""
+    k = dim_from_vogel(p)
+    slopes = _ratio_slopes(p)
+    (a1, b1), (a2, b2), (a3, b3) = slopes
+    sizes = [abs(s) for ab in slopes for s in ab]
+    x_lo = x_hi = r1 = r2 = r3 = 0.0
+    if min(sizes) > 0.0:
+        x_lo = SINHC_SERIES_CUTOFF / min(sizes)
+        x_hi = _BAND_LOG_MAX / max(abs(a1) + abs(a2) + abs(a3), abs(b1) + abs(b2) + abs(b3))
+        r1, r2, r3 = b1 / a1, b2 / a2, b3 / a3
+    limit0 = k * math.fsum(a * a - b * b for a, b in slopes) / 6.0
+
+    def f(x):
+        if x < 1e-12:
+            branches.add("limit")
+            return limit0
+        if x_lo <= x < x_hi:
+            branches.add("band")
+            ell = math.log(math.sinh(a1 * x) * r1 / math.sinh(b1 * x)
+                           * (math.sinh(a2 * x) * r2 / math.sinh(b2 * x))
+                           * (math.sinh(a3 * x) * r3 / math.sinh(b3 * x)))
+        else:
+            branches.add("below band" if x < x_lo else "above band")
+            ell = (log_sinhc(a1 * x) - log_sinhc(b1 * x)) + (
+                log_sinhc(a2 * x) - log_sinhc(b2 * x)) + (log_sinhc(a3 * x) - log_sinhc(b3 * x))
+        try:
+            if ell > 45.0 and x > 45.0:
+                branches.add("exp(l - x)")
+                return k * math.exp(ell - x) / x
+            return k * math.expm1(ell) / (x * math.expm1(x))
+        except OverflowError:
+            branches.add("overflow")
+            if ell <= 45.0:
+                return k * math.expm1(ell) * math.exp(-x) / x
+            return math.inf
+
+    return f, x_lo, x_hi
+
+
+def _branch_abscissae(x_lo, x_hi, extra):
+    xs = [0.0, 5e-13, 1e-12, 1e-6, 0.3, 2.0, 50.0, 100.0, 700.0, 720.0, 800.0, 5000.0, extra]
+    if x_lo < x_hi:
+        xs += [0.5 * x_lo, math.nextafter(x_lo, 0.0), x_lo, math.sqrt(x_lo * x_hi),
+               math.nextafter(x_hi, 0.0), x_hi, 2.0 * x_hi]
+    return xs
+
+
+def _unitary_point(position, order, j, num, e):
+    """A point on the unitary line, its parameters j 2^e, -j 2^e and
+    num 2^e (= t, placed at `position`), all of whose sums are exact, so
+    that t equals the third parameter wherever it sits."""
+    pair = [math.ldexp(j, e), math.ldexp(-j, e)][::order]
+    pair.insert(position, math.ldexp(num, e))
+    return VogelPoint(*pair)
+
+
+# (-2, 2, 1/2), where l stays below 45 and expm1(x) overflows, and
+# (-2, 2, 9) up to order and scale, where l - x reaches the e^{l - x} form:
+# between them every branch of the integrand (test below)
+_BRANCH_EXAMPLES = [(2, 1, 4, 1, 0), (0, -1, 2, 9, 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@example(*_BRANCH_EXAMPLES[0], 3.7)
+@example(*_BRANCH_EXAMPLES[1], 3.7)
+@given(
+    st.integers(0, 2),
+    st.sampled_from([1, -1]),
+    st.integers(1, 2**20),
+    st.integers(-(2**20), 2**20).filter(bool),
+    st.integers(-1000, 996),
+    st.floats(1e-14, 1e6),
+)
+def test_phi_integrand_bit_equal_to_three_pair_form_on_unitary_line(position, order, j, num, e, x):
+    # the unitary-line closure drops the unit factor and shares one
+    # denominator between the two others; the cancelling parameter in each
+    # position, at scales 2^-1000 ~ 1e-301 to 2^1016 ~ 1e306, and both signs of t
+    p = _unitary_point(position, order, j, num, e)
+    assert p.t == p.params[position]
+    f = phi_integrand(p)
+    ref, x_lo, x_hi = _three_pair_phi(p, set())
+    for y in _branch_abscissae(x_lo, x_hi, x):
+        assert f(y).hex() == ref(y).hex(), y
+
+
+@pytest.mark.parametrize(
+    "base",
+    [vogel_point(g).params for g in default_groups(12)]
+    # t rounds to 1.0, but the other two parameters do not cancel
+    + [(1.0, 0.3, -math.nextafter(0.3, 0.0)), (1.0, 0.7, -math.nextafter(0.7, 0.0))],
+    ids=repr,
+)
+def test_phi_integrand_bit_equal_to_three_pair_form_off_unitary_line(base):
+    # SU rows take the unitary-line closure, Sp, SO and exceptional rows
+    # and the points where t absorbs a parameter the three-pair one; each
+    # rescaled and permuted
+    for e, perm in ((0, (0, 1, 2)), (-1000, (2, 0, 1)), (990, (1, 2, 0))):
+        p = VogelPoint(*(math.ldexp(base[i], e) for i in perm))
+        f = phi_integrand(p)
+        ref, x_lo, x_hi = _three_pair_phi(p, set())
+        for y in _branch_abscissae(x_lo, x_hi, 3.7):
+            assert f(y).hex() == ref(y).hex(), (e, y)
+
+
+def test_three_pair_reference_reaches_every_branch():
+    seen = set()
+    for args in _BRANCH_EXAMPLES:
+        ref, x_lo, x_hi = _three_pair_phi(_unitary_point(*args), seen)
+        for y in _branch_abscissae(x_lo, x_hi, 3.7):
+            ref(y)
+    assert seen == {"limit", "below band", "band", "above band", "exp(l - x)", "overflow"}
+
+
+def test_sinh_is_odd_bit_for_bit():
+    # the unitary-line closure reads sinh(b_k x) as -sinh(b_j x) where b_k == -b_j
+    for y in (0.15, 0.37, 1.0, 22.0, 350.0, 599.9):
+        assert math.sinh(-y) == -math.sinh(y)
+
+
+@pytest.mark.parametrize("p, per_sample", [
+    (VogelPoint(-2.0, 2.0, 5.0), 3),  # SU_5's row, the unitary line
+    (VogelPoint(3.0, -1.5, 1.5), 3),  # the cancelling parameter first
+    (VogelPoint(-2.0, 4.0, 5.0), 6),  # Spin_9's row
+    (VogelPoint(-2.0, 1.0, 5.0), 6),  # Sp_6's row
+], ids=repr)
+def test_phi_integrand_sinh_count(monkeypatch, p, per_sample):
+    # three sinh per band sample on the unitary line, six off it; as many
+    # log_sinhc calls per sample outside the band
+    calls = {"sinh": 0, "log_sinhc": 0}
+    sinh, lsc = math.sinh, vogel.log_sinhc
+
+    def count(name, fn):
+        def counted(y):
+            calls[name] += 1
+            return fn(y)
+        return counted
+
+    monkeypatch.setattr(math, "sinh", count("sinh", sinh))
+    monkeypatch.setattr(vogel, "log_sinhc", count("log_sinhc", lsc))
+    f = phi_integrand(p)
+    _, x_lo, x_hi = _three_pair_phi(p, set())
+    assert 0.0 < x_lo < x_hi
+    for x, name in ((math.sqrt(x_lo * x_hi), "sinh"), (0.5 * x_lo, "log_sinhc")):
+        calls.update(sinh=0, log_sinhc=0)
+        f(x)
+        assert calls[name] == per_sample, x
+        if name == "sinh":
+            assert calls["log_sinhc"] == 0
 
 
 @pytest.mark.parametrize("lie_type", [SimpleLieType(Family.F4, 4), spin(13)], ids=str)
