@@ -6,10 +6,11 @@ integrand, built with its small-y series, decays only like z/y^2, so its
 tail beyond the cutoff is integrated in closed form. At the integers a
 sum of logarithms of the factorial product gives exact values. Barnes'
 asymptotic series, read at w = z + N >= 8 and stepped down to z by
-ln Gamma, gives the closed form's values off the integers and past the
-sum's bound. The routes share only the constants zeta'(-1) and ln 2pi, so
-their agreement is a genuine check. The integral returns the engine's
-`QuadResult`, value mapped; the sums are floats.
+ln Gamma, gives the closed form's values except at the integers below 8,
+where the step-down is ten times less accurate than the sum. The routes
+share only the constants zeta'(-1) and ln 2pi, so their agreement is a
+genuine check. The integral returns the engine's `QuadResult`, value
+mapped; the sums are floats.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ _TIGHT = Tolerance(rel=1e-12, abs=1e-14)
 # once at import; the e^{-(z+1)y} factor is folded in numerically when an
 # integrand is built.
 
-# B_k as (numerator, denominator)
+# B_k as (numerator, denominator), k = 0..18, for both series
 _BERNOULLI_PLUS = (
     (1, 1), (1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1),
     (-1, 30), (0, 1), (5, 66), (0, 1), (-691, 2730), (0, 1), (7, 6),
+    (0, 1), (-3617, 510), (0, 1), (43867, 798),
 )
 # _C[i] / _C_DENOM is the coefficient of y^(i-1) in 1/(1 - e^{-y}), that is
 # B_i / i!, over one common denominator so the convolution runs in integers
@@ -184,11 +186,7 @@ def barnesG_integer_oracle(n: int) -> float:
 _STIRLING_SHIFT = 8.0
 # B_{2k+2} / (4k(k+1)) for k = 1..8, each quotient of integers rounded once
 _STIRLING = tuple(
-    n / (4 * k * (k + 1) * d)
-    for k, (n, d) in enumerate(
-        ((-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510), (43867, 798)),
-        start=1,
-    )
+    n / (4 * k * (k + 1) * d) for k, (n, d) in enumerate(_BERNOULLI_PLUS[4::2], start=1)
 )
 
 
@@ -208,27 +206,28 @@ def _log_barnesG_series(z: float) -> float:
     ])
 
 
-# Largest integer z whose closed form reads the oracle, which is exact to
-# ~1e-16 relative where the series is within ~3e-14. Its n logs take ~20 ms
-# at 2^16 and grow linearly in n; the series takes a few microseconds at
-# every z.
-_ORACLE_MAX = 2**16
-
-
+# The closed form reads the factorial sum at the integers below
+# _STIRLING_SHIFT and the series everywhere else. Against mpmath, relative to
+# max(1, |phi|), the step-down costs the series ten times the sum's error at
+# z = 1..7 (worst 7.9e-15 against 8.1e-16). From 8 on the series is as
+# accurate (worst 2.9e-15 against 3.7e-15, mean 7.6e-16 against 9.8e-16, over
+# z = 8..299 and five integers up to 2^16) and takes a few microseconds at
+# every z, where the sum's z logs take ~15 ms at 2^16 and grow linearly.
 def phi_unitary_closed_form(z: float) -> float:
     """Closed form of the universal integral on the line alpha + beta = 0:
 
         ln G(z+1) - (1/2) z^2 ln z + (1/2)(z^2 - z) ln 2pi,  z > 0,
 
-    with ln G from the factorial oracle at integers up to _ORACLE_MAX and
-    from Barnes' asymptotic series elsewhere. This is the reference the
-    integral route is checked against. Both sources are sums with no
-    tolerance, so it is a plain float. A z whose square overflows is refused,
-    since the formula would read inf - inf there.
+    with ln G from the factorial oracle at the integers below
+    _STIRLING_SHIFT, where the series' step-down by ln Gamma loses ten times
+    the sum's accuracy, and from Barnes' asymptotic series elsewhere. It is
+    the integral route's reference: a plain float, as both sources are sums
+    with no tolerance. A z whose square overflows is refused, since the
+    formula would read inf - inf there.
     """
     if not (z > 0.0 and z * z < math.inf):
         raise ParameterDomainError(f"closed form requires z > 0 with a finite z^2, got {z}")
-    if float(z).is_integer() and z <= _ORACLE_MAX:
+    if float(z).is_integer() and z < _STIRLING_SHIFT:
         lng = barnesG_integer_oracle(int(z))
     else:
         lng = _log_barnesG_series(z)

@@ -1,10 +1,10 @@
 """Group volumes by independent routes, reconciled into one report.
 
 Route 1 integrates the universal parameter integral, route 2 takes the
-product of sine factors over positive roots, and on the unitary family the
-Macdonald factorial formula, the unitary-line closed form at an integer
-point, gives a third. All volume arithmetic stays in log space; the raw
-volume is attached only when it is representable in double precision.
+product of sine factors over positive roots, and on the unitary family
+Macdonald's factorial formula, the unitary-line closed form at an integer
+point with ln G read by `special`, gives a third. Volume arithmetic stays
+in log space; the raw volume is attached only where a double holds it.
 """
 
 from __future__ import annotations
@@ -127,8 +127,6 @@ def _report(rs: RootSystem, tol: Tolerance) -> VolumeReport:
     pkp = phi_kp(rs)
     routes = {"universal": qr.value, "product": pkp}
     if lie_type.family is Family.A:
-        # n <= 257 < 2^16 at every buildable SU_n, so this reads the exact
-        # factorial oracle
         routes["factorial"] = special.phi_unitary_closed_form(lie_type.rank + 1)
     bound = 10.0 * tol.rel * max(1.0, abs(pkp))
     failures = []

@@ -164,7 +164,7 @@ def test_scan_unitary_line(capsys):
 
 @pytest.mark.parametrize("start, stop, step, count", [
     ("300.5", "1000.5", "350", 3),  # Barnes' series at large z
-    ("65536", "65537", "1", 2),  # each side of the oracle bound
+    ("65536", "65537", "1", 2),  # integers far past the oracle's range
 ])
 def test_scan_unitary_line_far_out(capsys, start, stop, step, count):
     code, out, _ = run_cli(capsys, "scan", "--from", start, "--to", stop, "--step", step)
@@ -176,16 +176,17 @@ def test_scan_unitary_line_far_out(capsys, start, stop, step, count):
 
 
 def test_scan_unitary_line_at_huge_integer_gamma(capsys, monkeypatch):
-    # the reference at gamma = 1e10 comes from Barnes' series; the factorial
-    # oracle would sum 1e10 logs
+    # the reference at an integer gamma >= 8 comes from Barnes' series; the
+    # factorial oracle would sum gamma logs (~15 ms at 65536, 1e10 at 1e10)
     def no_oracle(n):
         raise AssertionError(f"oracle called at n = {n}")
 
     monkeypatch.setattr(special, "barnesG_integer_oracle", no_oracle)
-    code, out, _ = run_cli(capsys, "scan", "--from", "1e10", "--to", "1e10", "--step", "1")
-    assert code == 0
-    gamma, phi, ref, residual = (float(v) for v in out.splitlines()[1].split(","))
-    assert gamma == 1e10 and residual <= 1e-12 * phi
+    for gamma in ("8", "65536", "1e10"):
+        code, out, _ = run_cli(capsys, "scan", "--from", gamma, "--to", gamma, "--step", "1")
+        assert code == 0, gamma
+        row = [float(v) for v in out.splitlines()[1].split(",")]
+        assert row[0] == float(gamma) and row[3] <= 1e-12 * row[1], row
 
 
 @pytest.mark.parametrize("alpha, beta", [("-1", "1"), ("-4", "4"), ("4", "-4")])

@@ -12,7 +12,7 @@ from lievol import quad, special
 from lievol.errors import ParameterDomainError
 from lievol.quad import QuadResult, Tolerance, integrate_phi, integrate_semiinfinite
 from lievol.special import (
-    _ORACLE_MAX,
+    _STIRLING_SHIFT,
     _TIGHT,
     _barnes_integrand,
     barnesG_integer_oracle,
@@ -110,12 +110,17 @@ def test_bernoulli_square_pinned_to_exact_convolution():
     # the square of 1/(1 - e^{-y}) = sum_k B_k y^(k-1) / k! by Fraction
     # convolution, rounded once per coefficient
     bern = [Fraction(1)]
-    for m in range(1, 15):
+    for m in range(1, 19):
         bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
     bern[1] = -bern[1]
     c = [b / math.factorial(k) for k, b in enumerate(bern)]
     want = [float(sum(c[i] * c[m - i] for i in range(m + 1))) for m in range(len(c))]
+    assert len(special._S) == 19
     assert [x.hex() for x in special._S] == [x.hex() for x in want]
+    # Barnes' asymptotic series reads the same list: B_{2k+2} / (4k(k+1)),
+    # k = 1..8, rounded once each
+    want = [float(bern[2 * k + 2] / (4 * k * (k + 1))) for k in range(1, 9)]
+    assert [x.hex() for x in special._STIRLING] == [x.hex() for x in want]
 
 
 def test_barnes_integrand_branch_continuity():
@@ -198,6 +203,24 @@ def test_unitary_closed_form_sign_layout():
         )
 
 
+def test_closed_form_vs_mpmath_at_integers():
+    # the rule's accuracy where it picks a source: every integer 1..300 and
+    # five larger ones, within 4e-15 of max(1, |phi|) at worst and 1e-15 on
+    # average (the factorial sum at every one of them gave 3.7e-15 and
+    # 9.8e-16, the series from 8 on gives 2.9e-15 and 7.5e-16)
+    mp = pytest.importorskip("mpmath")
+    errors = []
+    with mp.workdps(40):
+        for n in (*range(1, 301), 500, 1000, 4096, 20000, 65536):
+            z = mp.mpf(n)
+            want = mp.log(mp.barnesg(z + 1)) - z * z * mp.log(z) / 2
+            want += (z * z - z) * mp.log(2 * mp.pi) / 2
+            err = abs(mp.mpf(phi_unitary_closed_form(float(n))) - want) / max(1, abs(want))
+            errors.append(float(err))
+    assert max(errors) <= 4e-15
+    assert sum(errors) / len(errors) <= 1e-15
+
+
 @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 3.0, 5.5, 9.0])
 def test_integral_matches_closed_form_on_unitary_line(z):
     phi = integrate_phi(VogelPoint(-2.0, 2.0, z)).value
@@ -254,16 +277,22 @@ def _no_barnes_integral(monkeypatch):
 def test_closed_form_uses_oracle_at_integers(monkeypatch):
     # a plain float from sums alone: Barnes' integral is never called
     _no_barnes_integral(monkeypatch)
-    # an integer reads the exact oracle, bit for bit
-    for n in (1, 2, 4, 7, 100, 1000):
+    # an integer below the series' shift reads the exact oracle, bit for bit
+    for n in (1, 2, 4, 7):
         want = _closed_form_from(barnesG_integer_oracle(n), float(n))
         for z in (n, float(n)):
             got = phi_unitary_closed_form(z)
             assert type(got) is float and got.hex() == want.hex(), z
-    # off the integers, the asymptotic series
-    for z in (0.5, 2.5, 4.5, 1e10 + 0.5):
-        want = _closed_form_from(special._log_barnesG_series(z), z)
-        assert phi_unitary_closed_form(z).hex() == want.hex(), z
+    # from the shift on, and off the integers, the asymptotic series; a
+    # refusing oracle shows the larger integers never sum logs
+    def no_oracle(n):
+        raise AssertionError(f"oracle called at n = {n}")
+
+    monkeypatch.setattr(special, "barnesG_integer_oracle", no_oracle)
+    for z in (8, 9, 100, 1000, 2**16, 2**16 + 1, 0.5, 2.5, 4.5, 1e10 + 0.5):
+        want = _closed_form_from(special._log_barnesG_series(float(z)), float(z))
+        got = phi_unitary_closed_form(z)
+        assert type(got) is float and got.hex() == want.hex(), z
 
 
 def test_malmsten_oracle_fails_when_unconverged(monkeypatch):
@@ -273,16 +302,18 @@ def test_malmsten_oracle_fails_when_unconverged(monkeypatch):
 
 
 def test_closed_form_reads_oracle_up_to_its_bound():
-    # past the bound the integer rows take the series, which meets the oracle
-    # there, and so does Barnes' integral
-    n = _ORACLE_MAX
+    # the integers below the series' shift read the oracle; from the shift on
+    # they take the series, which meets the oracle there, and far out, where
+    # Barnes' integral meets it too
+    assert _STIRLING_SHIFT == 8.0
+    n = 7
     want = _closed_form_from(barnesG_integer_oracle(n), float(n))
     assert phi_unitary_closed_form(float(n)).hex() == want.hex()
-    n += 1
-    want = barnesG_integer_oracle(n)
-    series = special._log_barnesG_series(float(n))
-    assert phi_unitary_closed_form(float(n)) == _closed_form_from(series, float(n))
-    assert abs(series - want) <= 1e-14 * want
+    for n in (8, 2**16 + 1):
+        want = barnesG_integer_oracle(n)
+        series = special._log_barnesG_series(float(n))
+        assert phi_unitary_closed_form(float(n)) == _closed_form_from(series, float(n))
+        assert abs(series - want) <= 1e-14 * want, n
     assert abs(log_barnesG_integral(float(n), Tolerance()).value - want) <= 1e-14 * want
 
 
@@ -323,7 +354,7 @@ def test_barnes_integral_vs_mpmath(z, tol):
 # Barnes' asymptotic series against mpmath: 400 seeded z in (0, 10), each
 # z in (0, 1) moved up by N = 8, the ends of the series' shift at 8, small
 # z, and large z up to 1e15 (the closed form reads the series at every
-# non-integer z and at the integers above _ORACLE_MAX)
+# non-integer z and at the integers from 8 on)
 _SERIES_ZS = (
     *(random.Random(20).uniform(0.0, 10.0) for _ in range(400)),
     1e-300, 1e-6, 0.18, 0.3, 0.395, 4.5, 4.55, 7.999999, 8.0, 8.000001, 60.5,
