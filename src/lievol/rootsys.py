@@ -26,12 +26,20 @@ root is long, and `rho_pairings_killing`, which no command calls.
 non-integral pairing, never on that check. Floating point enters only in
 the downstream volume/quadrature modules, so the transcendental
 evaluation is the sole numerical error source.
+
+Route 2 and the dimension read only the multiset of weighted heights, and
+on A-D `height_counts` gives it in closed form from a second model of the
+roots (the epsilon basis), in O(rank) steps. `volume` and `table` read it
+there and walk only G2, F4 and E6-E8; the walk is the independent check on
+the counts, which `check` and the tests run on every group. Both refuse a
+rank above the cap with the same message.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
+from collections import Counter
 from itertools import compress
 
 from ._record import Record
@@ -41,10 +49,12 @@ __all__ = [
     "Family",
     "SimpleLieType",
     "RootSystem",
+    "HeightCounts",
     "build_root_system",
     "cartan_matrix",
     "default_groups",
     "exponents",
+    "height_counts",
     "minimal_pairing",
     "rho_pairings_killing",
     "su",
@@ -79,12 +89,15 @@ EXCEPTIONAL_RANK = {
 # so Sp_2 is available as its own presentation (isomorphic to SU_2).
 _RANK_FLOOR = {Family.A: 1, Family.B: 2, Family.C: 1, Family.D: 4}
 
-# Largest rank `build_root_system` builds; it refuses a larger one before
-# allocating the rank^2 Cartan matrix. At rank 256 every family has at most
-# 65,536 positive roots; `volume` at the cap takes 0.16 s and 34 MB peak RSS
-# for SU_257, and 0.25 s and 50 MB for Sp_512, Spin_513 and Spin_512, the
-# slowest (medians, 2-core Linux box, Python 3.11). SU_3000 ran out of memory
-# under a 1 GB limit. `SimpleLieType` itself has no cap.
+# Largest rank `build_root_system` and `height_counts` admit; both refuse a
+# larger one with the same message, the walk before it allocates the rank^2
+# Cartan matrix. At rank 256 every family has at most 65,536 positive roots.
+# The walk there takes 0.09 s for SU_257 and 0.18-0.22 s for Sp_512,
+# Spin_513 and Spin_512, at up to 50 MB peak RSS; `volume`, which reads the
+# counts, takes 0.6-1.7 ms in process, and 6-8 ms and 14 MB peak RSS as a
+# fresh `python -m lievol` (0.12-0.24 s and 33-50 MB when it walked).
+# Medians, 2-core Linux box, Python 3.11. The walk for SU_3000 ran out of
+# memory under a 1 GB limit. `SimpleLieType` itself has no cap.
 _MAX_RANK = 256
 
 
@@ -273,6 +286,85 @@ class RootSystem(Record):
     def dim(self) -> int:
         return self.rank + 2 * len(self.root_codes)
 
+    @property
+    def counts(self) -> tuple[tuple[int, int], ...]:
+        """The multiset of weighted heights, as `HeightCounts.counts`."""
+        return tuple(sorted(Counter(self.weighted_heights).items()))
+
+
+class HeightCounts(Record):
+    """What route 2, the key relation and the dimension read of a group.
+
+    counts holds (weighted height, number of positive roots of that height)
+    pairs in increasing height; as in `RootSystem`, a height over
+    height_denominator = 2 D h_vee is <rho, mu> under the Cartan-Killing
+    normalization. A `RootSystem` has the same attributes.
+    """
+
+    lie_type: SimpleLieType
+    dual_coxeter: int
+    counts: tuple[tuple[int, int], ...]
+    height_denominator: int
+
+    @property
+    def dim(self) -> int:
+        return self.lie_type.rank + 2 * sum(map(operator.itemgetter(1), self.counts))
+
+
+def _refuse_above_cap(lie_type):
+    if lie_type.rank > _MAX_RANK:
+        raise UnsupportedGroupError(
+            f"{lie_type}: rank {lie_type.rank} is above {_MAX_RANK}, the cap"
+        )
+
+
+def height_counts(lie_type: SimpleLieType) -> HeightCounts:
+    """The weighted heights of the positive roots of A_r, B_r, C_r or D_r,
+    with h_vee, in closed form from the epsilon basis (Bourbaki, Lie Groups
+    and Lie Algebras, ch. VI, Planches I-IV), with 1 <= i < j <= r:
+
+    - A_r (D = 1): eps_i - eps_j, j <= r + 1, has height j - i, so height k
+      has r + 1 - k roots; h_vee = r + 1.
+    - B_r (D = 2): eps_i - eps_j -> 2(j - i), eps_i + eps_j ->
+      2(2r + 1 - i - j), eps_i -> 2(r - i) + 1; h_vee = 2r - 1.
+    - C_r (D = 2): eps_i - eps_j -> j - i, eps_i + eps_j -> 2r + 2 - i - j,
+      2 eps_i -> 2(r - i + 1); h_vee = r + 1.
+    - D_r (D = 1): eps_i - eps_j -> j - i, eps_i + eps_j -> 2r - i - j;
+      h_vee = 2r - 2.
+
+    A height is sum_i D d_i mu_i, as in the walk: the simple roots
+    eps_i - eps_{i+1}, eps_r and 2 eps_r weigh D if long and 1 if short. A
+    difference j - i = k is taken by r - k pairs, and a sum i + j = s by
+    (s - 1) // 2 - max(1, s - r) + 1 pairs (i from max(1, s - r) to
+    (s - 1) // 2), so a family costs O(r) steps for its O(r) distinct
+    heights. Neither `exponents` nor the Cartan matrix is read: `check`
+    and the tests hold these counts against the walk's. The exceptional
+    types have no closed form here, and a rank above the cap is refused
+    with the walk's message.
+    """
+    fam, r = lie_type.family, lie_type.rank
+    if fam in EXCEPTIONAL_RANK:
+        raise UnsupportedGroupError(f"{lie_type} has no closed-form height counts")
+    _refuse_above_cap(lie_type)
+    denom = 2 if fam in (Family.B, Family.C) else 1
+    h_vee = {Family.A: r + 1, Family.B: 2 * r - 1, Family.C: r + 1, Family.D: 2 * r - 2}[fam]
+    # heights[h] counts the roots of weighted height h, 0 < h < D h_vee
+    heights = [0] * (denom * h_vee)
+    if fam is Family.A:
+        heights[1:] = range(r, 0, -1)
+    else:
+        step = 2 if fam is Family.B else 1  # the weight of eps_i - eps_{i+1}
+        for k in range(1, r):
+            heights[step * k] += r - k
+        top = {Family.B: 4 * r + 2, Family.C: 2 * r + 2, Family.D: 2 * r}[fam]
+        for s in range(3, 2 * r):
+            heights[top - step * s] += (s - 1) // 2 - max(1, s - r) + 1
+        if fam is not Family.D:  # eps_i of B_r, 2 eps_i of C_r
+            for i in range(1, r + 1):
+                heights[2 * (r - i) + (1 if fam is Family.B else 2)] += 1
+    counts = tuple((h, c) for h, c in enumerate(heights) if c)
+    return HeightCounts(lie_type, h_vee, counts, 2 * denom * h_vee)
+
 
 def _coordinates(code, rank):
     """The coordinates of a root: the last rank octal digits of its code."""
@@ -381,9 +473,8 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
     record holds only integers. Internal invariants (the Cartan matrix, root
     count, pairing bounds, highest root long) are checked at linear cost.
     """
+    _refuse_above_cap(lie_type)
     rank = lie_type.rank
-    if rank > _MAX_RANK:
-        raise UnsupportedGroupError(f"{lie_type}: rank {rank} is above {_MAX_RANK}, the cap")
     cartan = cartan_matrix(lie_type)
     weights = _symmetrizer(lie_type)
     denom = max(weights)

@@ -24,6 +24,7 @@ __all__ = [
     "log_sinhc",
     "sinh_product_excess",
     "phi_integrand",
+    "counted_fsum",
     "key_relation_residual",
 ]
 
@@ -310,19 +311,44 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     return f
 
 
-def key_relation_residual(rs: "rootsys.RootSystem", x: float) -> float:
+def counted_fsum(terms, counts) -> float:
+    """The sum of count * term over paired terms and integer counts, rounded once.
+
+    `math.frexp` writes a finite float t as m 2^e with 2^53 m an integer, so
+    t = M 2^(e - 53) exactly, M = int(2^53 m). With low the least of 53 and
+    every e, the sum is the integer sum of count * M * 2^(e - low) over
+    2^(53 - low), exact, and int/int true division rounds that quotient
+    correctly (half to even), once. `math.fsum` of the list that
+    repeats each term count times rounds the same exact sum correctly too,
+    so the two give the same float bit for bit, in any order, while the
+    cost here does not grow with the counts. (`math.fsum` of the products
+    count * term does not: it rounds each product first.) A non-finite
+    term raises, as its integer mantissa does.
+    """
+    total, low = 0, 53
+    for term, count in zip(terms, counts):
+        m, e = math.frexp(term)
+        if e < low:
+            total <<= low - e
+            low = e
+        total += int(m * 2.0**53) * count << e - low
+    return total / (1 << 53 - low)
+
+
+def key_relation_residual(heights: "rootsys.HeightCounts", x: float) -> float:
     """Exponential root sum minus the sinh-ratio product, at one abscissa.
 
     The sum runs over the full root set (both signs of each pairing), so
     each positive root contributes e^{2qx} + e^{-2qx} - 2 = 4 sinh^2(qx).
     Identically zero in exact arithmetic; the float residual measures how
-    consistently the table row and the root system describe one group.
-    One sinh is taken per distinct weighted height, and `math.fsum` adds
-    the per-root list of those terms: the same floats as one sinh per root,
-    whose exact sum fsum rounds once, so the result is the same bit for bit.
+    consistently the table row and the root data describe one group.
+    `heights` is a `rootsys.HeightCounts` or a `rootsys.RootSystem`. One
+    sinh is taken per distinct weighted height, and `counted_fsum` adds
+    them with their counts: the same float as `math.fsum` of one sinh per
+    root.
     """
-    point = vogel_point(rs.lie_type)
-    den = rs.height_denominator
-    term = {h: 4.0 * math.sinh(h / den * x) ** 2 for h in set(rs.weighted_heights)}
-    root_sum = math.fsum(map(term.__getitem__, rs.weighted_heights))
+    point = vogel_point(heights.lie_type)
+    den = heights.height_denominator
+    hs, counts = zip(*heights.counts)
+    root_sum = counted_fsum([4.0 * math.sinh(h / den * x) ** 2 for h in hs], counts)
     return root_sum - sinh_product_excess(x, point)

@@ -5,6 +5,12 @@ product of sine factors over positive roots, and on the unitary family
 Macdonald's factorial formula, the unitary-line closed form at an integer
 point with ln G read by `special`, gives a third. Volume arithmetic stays
 in log space; the raw volume is attached only where a double holds it.
+
+Route 2 and the dimension read one `rootsys.HeightCounts` record, from the
+closed form on A-D and from the walk on G2, F4 and E6-E8. So on A-D a
+report walks no roots and raises none of the walk's invariant errors;
+`check` runs the walk on every group and fails its structure item unless
+the record equals the walk's.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ class CheckItem(Record):
     detail: str
 
 
-def phi_kp(rs: RootSystem) -> float:
+def phi_kp(heights: rootsys.HeightCounts | RootSystem) -> float:
     """Minus the log of the product of sinc factors over positive roots.
 
     Each argument s = 2 <rho, mu> = h / m, with h the root's weighted height
@@ -64,45 +70,47 @@ def phi_kp(rs: RootSystem) -> float:
     each float is the exact argument rounded once; each sine is taken at the
     reduced argument min(h, m - h) / m so factors near the upper end keep
     full precision. Every factor is verified to lie in (0, 1] before its log
-    is taken. One sine is taken per distinct weighted height, and
-    `math.fsum` adds the per-root list of those terms: the same floats as
-    one sine per root, whose exact sum fsum rounds once, so the result is
-    the same bit for bit.
+    is taken. `heights` is a `rootsys.HeightCounts` or a `RootSystem`. One
+    sine is taken per distinct weighted height, and `vogel.counted_fsum`
+    adds the terms with their counts, exactly, and rounds once: the same
+    float as `math.fsum` of one term per root, at a cost that does not grow
+    with the number of roots.
     """
-    m = rs.height_denominator // 2
-    term = {}
-    for h in dict.fromkeys(rs.weighted_heights):
+    m = heights.height_denominator // 2
+    hs, counts = zip(*heights.counts)
+    terms = []
+    for h in hs:
         sin_val = math.sin(math.pi * (min(h, m - h) / m))
         arg = math.pi * (h / m)
         if not 0.0 < sin_val <= arg:
             raise InvariantViolationError(
-                f"sinc factor out of (0, 1] for argument {h}/{m} of {rs.lie_type}"
+                f"sinc factor out of (0, 1] for argument {h}/{m} of {heights.lie_type}"
             )
-        term[h] = math.log(arg) - math.log(sin_val)
-    return math.fsum(map(term.__getitem__, rs.weighted_heights))
+        terms.append(math.log(arg) - math.log(sin_val))
+    return vogel.counted_fsum(terms, counts)
 
 
-def _checked_dim(rs: RootSystem, point: vogel.VogelPoint) -> int:
-    """The dimension, once the root system and the parameter point agree on it
+def _checked_dim(heights: rootsys.HeightCounts, point: vogel.VogelPoint) -> int:
+    """The dimension, once the root data and the parameter point agree on it
     and on the dual Coxeter number; the one structural check of a group."""
-    dim_roots = rs.dim
+    dim_roots = heights.dim
     dim_formula = vogel.dim_from_vogel(point)
     if abs(dim_formula - round(dim_formula)) > 1e-12 * max(1.0, abs(dim_formula)):
         raise InvariantViolationError(
-            f"{rs.lie_type}: dimension formula gave non-integer {dim_formula!r}"
+            f"{heights.lie_type}: dimension formula gave non-integer {dim_formula!r}"
         )
     if round(dim_formula) != dim_roots:
         raise InvariantViolationError(
-            f"{rs.lie_type}: root count dim {dim_roots} != formula dim {dim_formula}"
+            f"{heights.lie_type}: root count dim {dim_roots} != formula dim {dim_formula}"
         )
-    expected = _EXCEPTIONAL_DIM.get(rs.lie_type.family)
+    expected = _EXCEPTIONAL_DIM.get(heights.lie_type.family)
     if expected is not None and dim_roots != expected:
         raise InvariantViolationError(
-            f"{rs.lie_type}: dim {dim_roots}, expected {expected}"
+            f"{heights.lie_type}: dim {dim_roots}, expected {expected}"
         )
-    if float(rs.dual_coxeter) != point.t:
+    if float(heights.dual_coxeter) != point.t:
         raise InvariantViolationError(
-            f"{rs.lie_type}: h_vee {rs.dual_coxeter} != table t {point.t!r}"
+            f"{heights.lie_type}: h_vee {heights.dual_coxeter} != table t {point.t!r}"
         )
     return dim_roots
 
@@ -116,15 +124,27 @@ def cross_check(lie_type: SimpleLieType, tol: Tolerance | None = None) -> Volume
     disagreement, or an unconverged integral, clears `agreed` and is
     described in `notes`.
     """
-    return _report(rootsys.build_root_system(lie_type), tol or Tolerance())
+    return _report(_heights(lie_type, rootsys.build_root_system), tol or Tolerance())
 
 
-def _report(rs: RootSystem, tol: Tolerance) -> VolumeReport:
-    lie_type = rs.lie_type
+def _heights(lie_type: SimpleLieType, build) -> rootsys.HeightCounts:
+    """The record a report reads: the closed-form height counts on A-D, and
+    those of the walk `build` on the exceptional types."""
+    if lie_type.family in rootsys.EXCEPTIONAL_RANK:
+        return _walk_counts(build(lie_type))
+    return rootsys.height_counts(lie_type)
+
+
+def _walk_counts(rs: RootSystem) -> rootsys.HeightCounts:
+    return rootsys.HeightCounts(rs.lie_type, rs.dual_coxeter, rs.counts, rs.height_denominator)
+
+
+def _report(heights: rootsys.HeightCounts, tol: Tolerance) -> VolumeReport:
+    lie_type = heights.lie_type
     point = vogel.vogel_point(lie_type)
-    dim = _checked_dim(rs, point)
+    dim = _checked_dim(heights, point)
     qr = quad.integrate_phi(point, tol)
-    pkp = phi_kp(rs)
+    pkp = phi_kp(heights)
     routes = {"universal": qr.value, "product": pkp}
     if lie_type.family is Family.A:
         routes["factorial"] = special.phi_unitary_closed_form(lie_type.rank + 1)
@@ -167,22 +187,31 @@ def _guarded(name: str, fn) -> CheckItem:
 def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[CheckItem]:
     """Full verification battery used by the command-line `check` command.
 
-    Each group's root system and report are made once, on first use, and
-    shared by every item that reads them, the isomorphism items included.
-    A step that raised is run again, with the same error, by each item
-    that needs it."""
+    Each group's root system, height record and report are made once, on
+    first use, and shared by every item that reads them, the isomorphism
+    items included. The reports read the record `volume` reads; the
+    structure item also runs the walk on every group and requires the
+    record to equal the walk's heights, counts and h_vee. A step that
+    raised is run again, with the same error, by each item that needs
+    it."""
     tol = tol or Tolerance()
     items: list[CheckItem] = []
     root_system = functools.cache(rootsys.build_root_system)
-    report = functools.cache(lambda lie_type: _report(root_system(lie_type), tol))
+    heights = functools.cache(lambda lie_type: _heights(lie_type, root_system))
+    report = functools.cache(lambda lie_type: _report(heights(lie_type), tol))
 
     for lie_type in rootsys.default_groups(max_rank):
         name = lie_type.compact_name
 
         def structural(lie_type=lie_type):
-            rs = root_system(lie_type)
-            _checked_dim(rs, vogel.vogel_point(lie_type))
-            return True, f"dim={rs.dim}, h_vee={rs.dual_coxeter}"
+            walk = _walk_counts(root_system(lie_type))
+            record = heights(lie_type)
+            if record != walk:
+                raise InvariantViolationError(
+                    f"{lie_type}: height counts, m or h_vee differ from the walk's"
+                )
+            _checked_dim(record, vogel.vogel_point(lie_type))
+            return True, f"dim={record.dim}, h_vee={record.dual_coxeter}"
 
         def routes(lie_type=lie_type):
             r = report(lie_type)
@@ -195,9 +224,9 @@ def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[Che
             return ok, f"|phi_universal - phi_kp| = {r.route_discrepancy:.3e}"
 
         def key_relation(lie_type=lie_type):
-            rs = root_system(lie_type)
-            worst = max(abs(vogel.key_relation_residual(rs, x)) for x in _KEY_RELATION_XS)
-            return worst <= 1e-9 * rs.dim, f"max residual = {worst:.3e}"
+            record = heights(lie_type)
+            worst = max(abs(vogel.key_relation_residual(record, x)) for x in _KEY_RELATION_XS)
+            return worst <= 1e-9 * record.dim, f"max residual = {worst:.3e}"
 
         items.append(_guarded(f"structure {name}", structural))
         items.append(_guarded(f"route agreement {name}", routes))

@@ -8,7 +8,15 @@ import pytest
 from lievol._record import Record
 from lievol.errors import ParameterDomainError, UnsupportedGroupError
 from lievol.quad import QuadResult, Tolerance
-from lievol.rootsys import Family, RootSystem, SimpleLieType, build_root_system, su
+from lievol.rootsys import (
+    Family,
+    HeightCounts,
+    RootSystem,
+    SimpleLieType,
+    build_root_system,
+    height_counts,
+    su,
+)
 from lievol.vogel import VogelPoint
 from lievol.volume import CheckItem, VolumeReport
 
@@ -27,6 +35,8 @@ CASES = [
     (RootSystem, ("lie_type", "cartan_matrix", "root_codes", "dual_coxeter",
                   "weighted_heights", "height_denominator"),
      lambda: build_root_system(su(3)), lambda: build_root_system(su(4))),
+    (HeightCounts, ("lie_type", "dual_coxeter", "counts", "height_denominator"),
+     lambda: height_counts(su(3)), lambda: height_counts(su(4))),
     (VolumeReport, ("group", "dim", "phi_universal", "phi_kp", "log_volume", "volume",
                     "route_discrepancy", "converged", "agreed", "notes"),
      lambda: VolumeReport("SU_2", 3, 1.0, 1.0, 2.0, 7.3, 0.0, True, True, ""),

@@ -1,6 +1,7 @@
 """Root-system construction: exact examples and structural invariants."""
 
 import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,15 @@ from lievol.rootsys import (
     cartan_matrix,
     default_groups,
     exponents,
+    height_counts,
     minimal_pairing,
     rho_pairings_killing,
     sp,
     spin,
     su,
 )
+from lievol.vogel import key_relation_residual
+from lievol.volume import phi_kp
 
 
 def _reflect(root, cartan, i):
@@ -364,14 +368,53 @@ def test_rank_above_cap_refused_before_cartan_matrix(monkeypatch, family, rank):
 
 
 def test_rank_cap_admits_its_own_rank(monkeypatch):
-    # rank 256 builds (SU_257, Sp_512 and Spin_513 take at most ~0.3 s and
-    # 50 MB peak RSS); the same boundary at a small cap
+    # rank 256 builds (the walk takes at most ~0.2 s and 50 MB peak RSS, at
+    # Sp_512, Spin_513 and Spin_512; `volume` there reads the counts in
+    # ~1.5 ms); the same boundary at a small cap, for the walk and the counts
     assert rootsys._MAX_RANK == 256
     monkeypatch.setattr(rootsys, "_MAX_RANK", 5)
     for family in (Family.A, Family.B, Family.C, Family.D):
         assert build_root_system(SimpleLieType(family, 5)).rank == 5
+        assert height_counts(SimpleLieType(family, 5)).lie_type.rank == 5
         with pytest.raises(UnsupportedGroupError):
             build_root_system(SimpleLieType(family, 6))
+        with pytest.raises(UnsupportedGroupError):
+            height_counts(SimpleLieType(family, 6))
+
+
+@pytest.mark.parametrize("family", [Family.A, Family.B, Family.C, Family.D])
+def test_height_counts_match_walk(family):
+    # the closed form against the walk's multiset, m and h_vee at every rank
+    # from the floor to 64 and at the cap; route 2 and the key relation read
+    # either record to the same bit
+    for rank in [*range(rootsys._RANK_FLOOR[family], 65), 256]:
+        lie_type = SimpleLieType(family, rank)
+        counts, rs = height_counts(lie_type), build_root_system(lie_type)
+        assert dict(counts.counts) == Counter(rs.weighted_heights), lie_type
+        assert counts.height_denominator == rs.height_denominator, lie_type  # 2 m
+        assert counts.dual_coxeter == rs.dual_coxeter, lie_type
+        assert counts.dim == rs.dim, lie_type
+        assert phi_kp(counts) == phi_kp(rs), lie_type
+        assert key_relation_residual(counts, 1.0) == key_relation_residual(rs, 1.0), lie_type
+
+
+@pytest.mark.parametrize("family", [Family.A, Family.B, Family.C, Family.D])
+@pytest.mark.parametrize("rank", [257, 10**9])
+def test_height_counts_refuse_rank_above_cap_as_the_walk(family, rank):
+    lie_type = SimpleLieType(family, rank)
+    with pytest.raises(UnsupportedGroupError) as walk:
+        build_root_system(lie_type)
+    with pytest.raises(UnsupportedGroupError) as counts:
+        height_counts(lie_type)
+    assert str(counts.value) == str(walk.value)
+    assert str(counts.value).endswith(f"rank {rank} is above 256, the cap")
+
+
+@pytest.mark.parametrize("family", list(EXCEPTIONAL_RANK))
+def test_height_counts_refuse_exceptional_types(family):
+    lie_type = SimpleLieType(family, EXCEPTIONAL_RANK[family])
+    with pytest.raises(UnsupportedGroupError, match=f"^{family.value} has no closed-form"):
+        height_counts(lie_type)
 
 
 def test_default_groups_refuse_max_rank_above_cap(monkeypatch):

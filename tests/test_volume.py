@@ -1,9 +1,12 @@
 """Volume reports: route agreement, closed forms, isomorphism checks."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lievol.errors import InvariantViolationError
 from lievol.quad import Tolerance
@@ -18,7 +21,13 @@ from lievol.rootsys import (
     su,
 )
 from lievol.special import phi_unitary_closed_form
-from lievol.vogel import VogelPoint, key_relation_residual, sinh_product_excess, vogel_point
+from lievol.vogel import (
+    VogelPoint,
+    counted_fsum,
+    key_relation_residual,
+    sinh_product_excess,
+    vogel_point,
+)
 from lievol.volume import LOG_VOLUME_BASE, cross_check, phi_kp, run_check_suite
 
 SU2_VOLUME = 32.0 * math.sqrt(2.0) * math.pi**2
@@ -64,6 +73,20 @@ def _phi_kp_from_fractions(rs):
 def test_phi_kp_matches_fraction_reference(lie_type):
     rs = build_root_system(lie_type)
     assert phi_kp(rs) == _phi_kp_from_fractions(rs)
+
+
+# non-negative terms from the subnormals up, below 1e300 so that 4 * 10^6 of
+# them stay finite, as phi_kp's and the key relation's terms are
+@settings(max_examples=40, deadline=None)
+@given(st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=1e300), st.integers(1, 10**6)),
+    min_size=1, max_size=4,
+))
+def test_counted_fsum_is_fsum_of_the_expanded_list(pairs):
+    terms, counts = zip(*pairs)
+    expanded = itertools.chain.from_iterable(map(itertools.repeat, terms, counts))
+    assert counted_fsum(terms, counts).hex() == math.fsum(expanded).hex()
+    assert counted_fsum(terms[::-1], counts[::-1]).hex() == counted_fsum(terms, counts).hex()
 
 
 @pytest.mark.parametrize("lie_type", [su(60), sp(60), spin(61)], ids=str)
@@ -281,11 +304,12 @@ def test_check_suite_reports_faulty_build(monkeypatch):
         assert item.detail == f"error: {err.value}"
 
 
-@pytest.mark.parametrize("max_rank, builds, integrals", [(2, 11, 18), (0, 8, 15)])
+@pytest.mark.parametrize("max_rank, builds, integrals", [(2, 10, 18), (0, 5, 15)])
 def test_check_suite_makes_each_root_system_once(monkeypatch, max_rank, builds, integrals):
-    # max rank 2 has ten groups, and SU_4 is built for the Spin_6 item alone;
-    # each group's report is one phi integral, plus six unitary-line points
-    # and the Spin_6 row
+    # max rank 2 has ten groups, each walked once by its structure item; the
+    # SU_2, Sp_2 and SU_4 reports of the isomorphism items read closed-form
+    # counts and walk nothing. Each group's report is one phi integral, plus
+    # six unitary-line points and the Spin_6 row
     import lievol.quad as quad_mod
     import lievol.rootsys as rootsys_mod
 
@@ -305,3 +329,57 @@ def test_check_suite_makes_each_root_system_once(monkeypatch, max_rank, builds, 
     items = run_check_suite(max_rank=max_rank)
     assert all(i.passed for i in items)
     assert calls == {"build": builds, "phi": integrals}
+
+
+def test_cross_check_reads_counts_on_classical_types(monkeypatch):
+    # A-D reports read the closed-form counts and walk nothing; the
+    # exceptional types still walk, once a report
+    import lievol.rootsys as rootsys_mod
+
+    true_build = rootsys_mod.build_root_system
+    walked = []
+
+    def walk_exceptional_only(lie_type):
+        if lie_type.family not in rootsys_mod.EXCEPTIONAL_RANK:
+            raise AssertionError(f"build_root_system called at {lie_type}")
+        walked.append(lie_type)
+        return true_build(lie_type)
+
+    monkeypatch.setattr(rootsys_mod, "build_root_system", walk_exceptional_only)
+    groups = default_groups(6) + [su(257), sp(512), spin(513), spin(512)]
+    for lie_type in groups:
+        report = cross_check(lie_type)
+        assert report.agreed, (lie_type, report.notes)
+    assert walked == [g for g in groups if g.family in rootsys_mod.EXCEPTIONAL_RANK]
+    assert [g.compact_name for g in walked] == ["G2", "F4", "E6", "E7", "E8"]
+
+
+def test_check_suite_reports_wrong_height_count(monkeypatch):
+    # one count of SU_3 off by one: its structure item fails against the
+    # walk, and the suite goes on to every other item
+    import lievol.rootsys as rootsys_mod
+
+    true_counts = rootsys_mod.height_counts
+
+    def off_by_one(lie_type):
+        record = true_counts(lie_type)
+        if lie_type != su(3):
+            return record
+        (h, c), *rest = record.counts
+        return rootsys_mod.HeightCounts(
+            lie_type, record.dual_coxeter, ((h, c + 1), *rest), record.height_denominator
+        )
+
+    good = run_check_suite(max_rank=3)
+    monkeypatch.setattr(rootsys_mod, "height_counts", off_by_one)
+    items = run_check_suite(max_rank=3)
+    assert [i.name for i in items] == [i.name for i in good]
+    failed = {i.name: i.detail for i in items if not i.passed}
+    assert failed["structure SU_3"] == (
+        "error: SU_3: height counts, m or h_vee differ from the walk's"
+    )
+    assert failed["route agreement SU_3"] == "error: SU_3: root count dim 10 != formula dim 8.0"
+    assert set(failed) == {"structure SU_3", "route agreement SU_3", "key relation SU_3"}
+    assert {i.name: i.detail for i in items if "SU_3" not in i.name} == {
+        i.name: i.detail for i in good if "SU_3" not in i.name
+    }

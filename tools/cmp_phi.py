@@ -1,17 +1,24 @@
-"""Compare integrate_phi and unitary closed-form records between this tree
-and the one in PARENT_DIR, at full precision, on a seeded point set, and
-list every point whose record differs. An integrate_phi record is the value
-and error estimate as hex, the converged flag, the evaluation count and the
-cutoff as hex; a closed-form record is special.phi_unitary_closed_form(z) as
-hex. Either is the error the point raises, where it raises one.
+"""Compare integrate_phi, unitary closed-form, route-2 and key-relation
+records between this tree and the one in PARENT_DIR, at full precision, on
+a seeded point set and a fixed group list, and list every record that
+differs. An integrate_phi record is the value and error estimate as hex,
+the converged flag, the evaluation count and the cutoff as hex; a
+closed-form record is special.phi_unitary_closed_form(z) as hex; a route-2
+record is volume.cross_check(g)'s phi_kp as hex, its dim and the h_vee of
+the root data its dimension check reads; a key-relation record is
+vogel.key_relation_residual as hex at each abscissa `check` uses, on that
+same root data. Each is the error the point or group raises, where it
+raises one.
 
 The integrate_phi points: the three lines `scan` runs (alpha, beta = (-2, 2),
 (-2, 4) and (-2, 1)) at seeded gammas, the table rows of default_groups(12),
 and 2,000 unitary points (-m, m, m*z), permuted and rescaled across the
 double range. The closed-form points: the integers 1..300 and
 2^16 - 1 .. 2^16 + 1, 1e10, and the 40 seeded gammas of the line (-2, 2),
-where z = gamma. Exit status: 0 if no record differs, 1 if one does, 2 on
-bad usage.
+where z = gamma. The route-2 groups: every A-D group from its rank floor to
+64, rank 256 in each family, and the five exceptional groups; the
+key-relation groups are default_groups(12). Exit status: 0 if no record
+differs, 1 if one does, 2 on bad usage.
 
     git archive PARENT_COMMIT | tar -x -C PARENT_DIR
     python3 tools/cmp_phi.py PARENT_DIR
@@ -34,7 +41,6 @@ UNITARY_POINTS = 2000
 
 def points() -> tuple[list[tuple[float, float, float]], list[float]]:
     """The integrate_phi points and the closed-form arguments z."""
-    sys.path.insert(0, str(HERE / "src"))
     from lievol.rootsys import default_groups
     from lievol.vogel import vogel_point
 
@@ -54,17 +60,52 @@ def points() -> tuple[list[tuple[float, float, float]], list[float]]:
     return out, zs
 
 
+def groups() -> tuple[list[str], list[str]]:
+    """The route-2 groups and the key-relation groups, as 'FAMILY RANK'."""
+    from lievol.rootsys import _RANK_FLOOR, EXCEPTIONAL_RANK, default_groups
+
+    route2 = [f"{fam.value} {r}" for fam, floor in _RANK_FLOOR.items()
+              for r in [*range(floor, 65), 256]]
+    route2 += [f"{fam.value} {r}" for fam, r in EXCEPTIONAL_RANK.items()]
+    return route2, [f"{g.family.value} {g.rank}" for g in default_groups(12)]
+
+
+def root_data(lie_type):
+    """volume.cross_check(lie_type), and the root data it read: the first
+    argument of its dimension check, whichever record a tree passes."""
+    from lievol import volume
+
+    seen = []
+    checked_dim = volume._checked_dim
+    volume._checked_dim = lambda heights, point: seen.append(heights) or checked_dim(heights, point)
+    try:
+        return volume.cross_check(lie_type), seen[0]
+    finally:
+        volume._checked_dim = checked_dim
+
+
 def dump() -> None:
     """Read one point a line on stdin, print its record: three hex floats
-    are an integrate_phi point, one is a closed-form argument z."""
+    are an integrate_phi point, one is a closed-form argument z, and
+    'route2 FAMILY RANK' or 'key FAMILY RANK' a group."""
     from lievol.errors import LievolError
     from lievol.quad import integrate_phi
+    from lievol.rootsys import Family, SimpleLieType
     from lievol.special import phi_unitary_closed_form
-    from lievol.vogel import VogelPoint
+    from lievol.vogel import VogelPoint, key_relation_residual
+    from lievol.volume import _KEY_RELATION_XS
 
     for line in sys.stdin:
-        xs = [float.fromhex(x) for x in line.split()]
+        kind, *words = line.split()
         try:
+            if kind in ("route2", "key"):
+                report, heights = root_data(SimpleLieType(Family(words[0]), int(words[1])))
+                if kind == "route2":
+                    print(report.phi_kp.hex(), report.dim, heights.dual_coxeter)
+                else:
+                    print(*(key_relation_residual(heights, x).hex() for x in _KEY_RELATION_XS))
+                continue
+            xs = [float.fromhex(x) for x in line.split()]
             if len(xs) == 1:
                 print(phi_unitary_closed_form(xs[0]).hex())
                 continue
@@ -91,22 +132,33 @@ def main() -> int:
         print(f"usage: {sys.argv[0]} PARENT_DIR  (a copy of the parent commit, with src/lievol)",
               file=sys.stderr)
         return 2
+    sys.path.insert(0, str(HERE / "src"))  # points and groups are read off this tree
     pts, zs = points()
-    keys = [*pts, *zs]
-    stdin = "".join(" ".join(q.hex() for q in p) + "\n" for p in pts)
-    stdin += "".join(z.hex() + "\n" for z in zs)
+    route2, key = groups()
+    # each kind of record: its stdin lines for --dump, and how a difference is labelled
+    kinds = {
+        "integrate_phi": [(" ".join(q.hex() for q in p), repr(p)) for p in pts],
+        "phi_unitary_closed_form": [(z.hex(), f"z = {z!r}") for z in zs],
+        "route-2 (cross_check)": [(f"route2 {g}", f"route 2 of {g}") for g in route2],
+        "key_relation_residual": [(f"key {g}", f"key relation of {g}") for g in key],
+    }
+    lines = [line for group in kinds.values() for line, _ in group]
+    stdin = "".join(line + "\n" for line in lines)
     old = records(pathlib.Path(sys.argv[1]).resolve(), stdin)
     new = records(HERE, stdin)
-    assert len(old) == len(new) == len(keys)
-    differ = [0, 0]
-    for i, (key, a, b) in enumerate(zip(keys, old, new)):
-        if a != b:
-            closed_form = i >= len(pts)
-            differ[closed_form] += 1
-            print(f"{'z = ' if closed_form else ''}{key!r}\n  < {a}\n  > {b}")
-    print(f"{differ[0]} of {len(pts)} integrate_phi records differ")
-    print(f"{differ[1]} of {len(zs)} phi_unitary_closed_form records differ")
-    return 1 if any(differ) else 0
+    assert len(old) == len(new) == len(lines)
+    old, new = iter(old), iter(new)
+    status = 0
+    for name, group in kinds.items():
+        differ = 0
+        # zip reads `group` first, so it stops there without a record too many
+        for (_, label), a, b in zip(group, old, new):
+            if a != b:
+                differ += 1
+                print(f"{label}\n  < {a}\n  > {b}")
+        print(f"{differ} of {len(group)} {name} records differ")
+        status |= differ > 0
+    return status
 
 
 if __name__ == "__main__":
