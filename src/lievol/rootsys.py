@@ -20,8 +20,9 @@ gives (rho, a_i) = d_i: pairings (rho, mu) are d-weighted heights
 sum_i d_i mu_i (Humphreys, Lie Algebras, 10.1-10.2). All of this runs on
 Python integers, and the record keeps the heights over the one
 denominator 2 D h_vee. Two exact helpers stay:
-`minimal_pairing`, which every build calls once to check that the highest
-root is long, and `rho_pairings_killing`, which no command calls.
+`minimal_pairing`, which every build and every set of closed-form counts
+calls once to check that the highest root is long, and
+`rho_pairings_killing`, which no command calls.
 `fractions.Fraction` is loaded only by `rho_pairings_killing` and for a
 non-integral pairing, never on that check. Floating point enters only in
 the downstream volume/quadrature modules, so the transcendental
@@ -31,8 +32,10 @@ Route 2 and the dimension read only the multiset of weighted heights, and
 on A-D `height_counts` gives it in closed form from a second model of the
 roots (the epsilon basis), in O(rank) steps. `volume` and `table` read it
 there and walk only G2, F4 and E6-E8; the walk is the independent check on
-the counts, which `check` and the tests run on every group. Both refuse a
-rank above the cap with the same message.
+the counts, which `check` and the tests run on every group. The counts also
+hold their top height and h_vee to the highest root in simple-root
+coordinates, under the Cartan matrix. Both refuse a rank above the cap with
+the same message.
 """
 
 from __future__ import annotations
@@ -94,8 +97,9 @@ _RANK_FLOOR = {Family.A: 1, Family.B: 2, Family.C: 1, Family.D: 4}
 # Cartan matrix. At rank 256 every family has at most 65,536 positive roots.
 # The walk there takes 0.09 s for SU_257 and 0.18-0.22 s for Sp_512,
 # Spin_513 and Spin_512, at up to 50 MB peak RSS; `volume`, which reads the
-# counts, takes 0.6-1.7 ms in process, and 6-8 ms and 14 MB peak RSS as a
-# fresh `python -m lievol` (0.12-0.24 s and 33-50 MB when it walked).
+# counts, takes 3.2-4.0 ms in process, ~2.7 ms of it the rank^2 check that
+# the highest root is long, and 15 MB peak RSS as a fresh `python -m lievol`
+# (0.12-0.24 s and 33-50 MB when it walked).
 # Medians, 2-core Linux box, Python 3.11. The walk for SU_3000 ran out of
 # memory under a 1 GB limit. `SimpleLieType` itself has no cap.
 _MAX_RANK = 256
@@ -310,6 +314,11 @@ class HeightCounts(Record):
     def dim(self) -> int:
         return self.lie_type.rank + 2 * sum(map(operator.itemgetter(1), self.counts))
 
+    @property
+    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The Cartan matrix, built on each read; `minimal_pairing` reads it."""
+        return cartan_matrix(self.lie_type)
+
 
 def _refuse_above_cap(lie_type):
     if lie_type.rank > _MAX_RANK:
@@ -337,10 +346,13 @@ def height_counts(lie_type: SimpleLieType) -> HeightCounts:
     difference j - i = k is taken by r - k pairs, and a sum i + j = s by
     (s - 1) // 2 - max(1, s - r) + 1 pairs (i from max(1, s - r) to
     (s - 1) // 2), so a family costs O(r) steps for its O(r) distinct
-    heights. Neither `exponents` nor the Cartan matrix is read: `check`
-    and the tests hold these counts against the walk's. The exceptional
-    types have no closed form here, and a rank above the cap is refused
-    with the walk's message.
+    heights. The counts read neither `exponents` nor the Cartan matrix:
+    `check` and the tests hold them against the walk's. Then, as the walk
+    does for its top root, the highest root theta, written in simple-root
+    coordinates, must have the top weighted height D (h_vee - 1) and be
+    long under the Cartan matrix (`minimal_pairing`), in O(rank^2) steps;
+    else InvariantViolationError. The exceptional types have no closed
+    form here, and a rank above the cap is refused with the walk's message.
     """
     fam, r = lie_type.family, lie_type.rank
     if fam in EXCEPTIONAL_RANK:
@@ -363,7 +375,37 @@ def height_counts(lie_type: SimpleLieType) -> HeightCounts:
             for i in range(1, r + 1):
                 heights[2 * (r - i) + (1 if fam is Family.B else 2)] += 1
     counts = tuple((h, c) for h, c in enumerate(heights) if c)
-    return HeightCounts(lie_type, h_vee, counts, 2 * denom * h_vee)
+    record = HeightCounts(lie_type, h_vee, counts, 2 * denom * h_vee)
+    # the top of the counts is theta's weighted height D (h_vee - 1) in the
+    # simple-root model too, and theta is long there
+    theta = _highest_root(lie_type)
+    top = sum(map(operator.mul, _symmetrizer(lie_type), theta))
+    if not top == counts[-1][0] == denom * (h_vee - 1):
+        raise InvariantViolationError(
+            f"{lie_type}: highest root has weighted height {top}, the counts"
+            f" top out at {counts[-1][0]}, D (h_vee - 1) = {denom * (h_vee - 1)}"
+        )
+    _refuse_short(record, theta)
+    return record
+
+
+def _highest_root(lie_type):
+    """theta of A_r-D_r in simple-root coordinates: eps_1 - eps_{r+1} on A,
+    eps_1 + eps_2 on B and D, 2 eps_1 on C (Bourbaki, Planches I-IV)."""
+    fam, r = lie_type.family, lie_type.rank
+    if fam is Family.A:
+        return (1,) * r
+    if fam is Family.B:
+        return (1,) + (2,) * (r - 1)
+    if fam is Family.C:
+        return (2,) * (r - 1) + (1,)
+    return (1,) + (2,) * (r - 3) + (1, 1)
+
+
+def _refuse_short(record, theta):
+    # h_vee = (rho, theta) + 1 holds only for a long highest root theta
+    if minimal_pairing(record, theta, theta) != 2:
+        raise InvariantViolationError(f"{record.lie_type}: highest root is not long")
 
 
 def _coordinates(code, rank):
@@ -523,10 +565,7 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
         weighted_heights=heights,
         height_denominator=2 * denom * h_vee,
     )
-    # h_vee = (rho, theta) + 1 above holds only for a long theta
-    theta = _coordinates(codes[-1], rank)
-    if minimal_pairing(rs, theta, theta) != 2:
-        raise InvariantViolationError(f"{lie_type}: highest root is not long")
+    _refuse_short(rs, _coordinates(codes[-1], rank))
     return rs
 
 

@@ -8,9 +8,10 @@ in log space; the raw volume is attached only where a double holds it.
 
 Route 2 and the dimension read one `rootsys.HeightCounts` record, from the
 closed form on A-D and from the walk on G2, F4 and E6-E8. So on A-D a
-report walks no roots and raises none of the walk's invariant errors;
-`check` runs the walk on every group and fails its structure item unless
-the record equals the walk's.
+report walks no roots, and of the walk's invariant errors raises only
+"highest root is not long", which the counts check too; `check` runs the
+walk on every group and fails its structure item unless the record equals
+the walk's.
 """
 
 from __future__ import annotations

@@ -370,7 +370,7 @@ def test_rank_above_cap_refused_before_cartan_matrix(monkeypatch, family, rank):
 def test_rank_cap_admits_its_own_rank(monkeypatch):
     # rank 256 builds (the walk takes at most ~0.2 s and 50 MB peak RSS, at
     # Sp_512, Spin_513 and Spin_512; `volume` there reads the counts in
-    # ~1.5 ms); the same boundary at a small cap, for the walk and the counts
+    # ~3.5 ms); the same boundary at a small cap, for the walk and the counts
     assert rootsys._MAX_RANK == 256
     monkeypatch.setattr(rootsys, "_MAX_RANK", 5)
     for family in (Family.A, Family.B, Family.C, Family.D):
@@ -391,11 +391,28 @@ def test_height_counts_match_walk(family):
         lie_type = SimpleLieType(family, rank)
         counts, rs = height_counts(lie_type), build_root_system(lie_type)
         assert dict(counts.counts) == Counter(rs.weighted_heights), lie_type
+        assert rootsys._highest_root(lie_type) == rootsys._coordinates(
+            rs.root_codes[-1], rank
+        ), lie_type
         assert counts.height_denominator == rs.height_denominator, lie_type  # 2 m
         assert counts.dual_coxeter == rs.dual_coxeter, lie_type
         assert counts.dim == rs.dim, lie_type
         assert phi_kp(counts) == phi_kp(rs), lie_type
         assert key_relation_residual(counts, 1.0) == key_relation_residual(rs, 1.0), lie_type
+
+
+@pytest.mark.parametrize(
+    "lie_type, theta, match",
+    [
+        (su(4), (1, 1, 0), "highest root has weighted height 2, the counts top out at 3"),
+        (sp(4), (0, 2), "highest root is not long$"),
+    ],
+)
+def test_height_counts_refuse_a_wrong_highest_root(monkeypatch, lie_type, theta, match):
+    # (0, 2) has C_2's top height 4 but (theta, theta) = 8
+    monkeypatch.setattr(rootsys, "_highest_root", lambda t: theta)
+    with pytest.raises(InvariantViolationError, match=match):
+        height_counts(lie_type)
 
 
 @pytest.mark.parametrize("family", [Family.A, Family.B, Family.C, Family.D])
