@@ -34,8 +34,8 @@ roots (the epsilon basis), in O(rank) steps. `volume` and `table` read it
 there and walk only G2, F4 and E6-E8; the walk is the independent check on
 the counts, which `check` and the tests run on every group. The counts also
 hold their top height and h_vee to the highest root in simple-root
-coordinates, under the Cartan matrix. Both refuse a rank above the cap with
-the same message.
+coordinates, long under the Cartan form, in O(rank) steps as well. Both
+refuse a rank above the cap with the same message.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ _RANK_FLOOR = {Family.A: 1, Family.B: 2, Family.C: 1, Family.D: 4}
 # Cartan matrix. At rank 256 every family has at most 65,536 positive roots.
 # The walk there takes 0.09 s for SU_257 and 0.18-0.22 s for Sp_512,
 # Spin_513 and Spin_512, at up to 50 MB peak RSS; `volume`, which reads the
-# counts, takes 3.2-4.0 ms in process, ~2.7 ms of it the rank^2 check that
-# the highest root is long, and 15 MB peak RSS as a fresh `python -m lievol`
+# counts, takes 1.1-2.5 ms in process (0.14-0.38 ms of it the counts and
+# their highest-root check) and 15 MB peak RSS as a fresh `python -m lievol`
 # (0.12-0.24 s and 33-50 MB when it walked).
 # Medians, 2-core Linux box, Python 3.11. The walk for SU_3000 ran out of
 # memory under a 1 GB limit. `SimpleLieType` itself has no cap.
@@ -183,8 +183,20 @@ def default_groups(max_rank: int = 8) -> list[SimpleLieType]:
 
 def cartan_matrix(lie_type: SimpleLieType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix with the convention C[i][j] = 2(a_i, a_j)/(a_j, a_j)."""
+    r = lie_type.rank
+    c = [[0] * r for _ in range(r)]
+    for i in range(r):
+        c[i][i] = 2
+    for (i, j), entry in _cartan_off_diagonal(lie_type).items():
+        c[i][j] = entry
+    return tuple(map(tuple, c))
+
+
+def _cartan_off_diagonal(lie_type):
+    """The nonzero entries off the diagonal of the Cartan matrix, (i, j) -> C[i][j]:
+    one or two per edge of the Dynkin diagram, so O(rank) of them."""
     fam, r = lie_type.family, lie_type.rank
-    off = {}  # the nonzero entries off the diagonal, (i, j) -> C[i][j]
+    off = {}
 
     def chain(pairs):
         for i, j in pairs:
@@ -212,12 +224,7 @@ def cartan_matrix(lie_type: SimpleLieType) -> tuple[tuple[int, ...], ...]:
     else:  # E6, E7, E8: chain 0-2-3-4-... with node 1 attached to node 3
         chain([(0, 2), (1, 3)])
         chain((i, i + 1) for i in range(2, r - 1))
-    c = [[0] * r for _ in range(r)]
-    for i in range(r):
-        c[i][i] = 2
-    for (i, j), entry in off.items():
-        c[i][j] = entry
-    return tuple(map(tuple, c))
+    return off
 
 
 def _symmetrizer(lie_type: SimpleLieType) -> tuple[int, ...]:
@@ -314,11 +321,6 @@ class HeightCounts(Record):
     def dim(self) -> int:
         return self.lie_type.rank + 2 * sum(map(operator.itemgetter(1), self.counts))
 
-    @property
-    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The Cartan matrix, built on each read; `minimal_pairing` reads it."""
-        return cartan_matrix(self.lie_type)
-
 
 def _refuse_above_cap(lie_type):
     if lie_type.rank > _MAX_RANK:
@@ -350,7 +352,7 @@ def height_counts(lie_type: SimpleLieType) -> HeightCounts:
     `check` and the tests hold them against the walk's. Then, as the walk
     does for its top root, the highest root theta, written in simple-root
     coordinates, must have the top weighted height D (h_vee - 1) and be
-    long under the Cartan matrix (`minimal_pairing`), in O(rank^2) steps;
+    long under the Cartan form (`minimal_pairing`), in O(rank) steps;
     else InvariantViolationError. The exceptional types have no closed
     form here, and a rank above the cap is refused with the walk's message.
     """
@@ -572,18 +574,20 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
 def minimal_pairing(rs: RootSystem, u, v) -> int | Fraction:
     """(u, v) under the long-root-squared-length-2 normalization, exact.
 
-    (a_i, a_j) = d_j C[i][j] is summed over the nonzero coordinates of u,
-    each Cartan row dotted with (D d_j v_j) at C speed, in integers over the
-    common denominator D when u and v are integer vectors (rational
-    coordinates give a Fraction sum). An integral pairing, such as
-    (theta, theta) = 2, is returned as an int; only a non-integral one is
-    built as a Fraction.
+    (a_i, a_j) = d_j C[i][j], so D (u, v) is the diagonal sum
+    sum_i 2 D d_i u_i v_i plus u_i C[i][j] D d_j v_j over the nonzero
+    entries off the diagonal, one or two per edge of the Dynkin diagram:
+    O(rank) steps, in integers over the common denominator D when u and v
+    are integer vectors (rational coordinates give a Fraction sum). `rs` is
+    a `RootSystem` or a `HeightCounts`; only its lie_type is read. An
+    integral pairing, such as (theta, theta) = 2, is returned as an int;
+    only a non-integral one is built as a Fraction.
     """
     weights = _symmetrizer(rs.lie_type)
     denom = max(weights)
     wv = list(map(operator.mul, weights, v))
-    total = sum(
-        ui * sum(map(operator.mul, row, wv)) for ui, row in zip(u, rs.cartan_matrix) if ui
+    total = 2 * sum(map(operator.mul, u, wv)) + sum(
+        u[i] * entry * wv[j] for (i, j), entry in _cartan_off_diagonal(rs.lie_type).items()
     )
     if total % denom == 0:
         return total // denom

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from itertools import chain, repeat
 
 from . import rootsys
 from ._record import Record
@@ -24,7 +25,6 @@ __all__ = [
     "log_sinhc",
     "sinh_product_excess",
     "phi_integrand",
-    "counted_fsum",
     "key_relation_residual",
 ]
 
@@ -311,30 +311,6 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     return f
 
 
-def counted_fsum(terms, counts) -> float:
-    """The sum of count * term over paired terms and integer counts, rounded once.
-
-    `math.frexp` writes a finite float t as m 2^e with 2^53 m an integer, so
-    t = M 2^(e - 53) exactly, M = int(2^53 m). With low the least of 53 and
-    every e, the sum is the integer sum of count * M * 2^(e - low) over
-    2^(53 - low), exact, and int/int true division rounds that quotient
-    correctly (half to even), once. `math.fsum` of the list that
-    repeats each term count times rounds the same exact sum correctly too,
-    so the two give the same float bit for bit, in any order, while the
-    cost here does not grow with the counts. (`math.fsum` of the products
-    count * term does not: it rounds each product first.) A non-finite
-    term raises, as its integer mantissa does.
-    """
-    total, low = 0, 53
-    for term, count in zip(terms, counts):
-        m, e = math.frexp(term)
-        if e < low:
-            total <<= low - e
-            low = e
-        total += int(m * 2.0**53) * count << e - low
-    return total / (1 << 53 - low)
-
-
 def key_relation_residual(heights: "rootsys.HeightCounts", x: float) -> float:
     """Exponential root sum minus the sinh-ratio product, at one abscissa.
 
@@ -343,12 +319,13 @@ def key_relation_residual(heights: "rootsys.HeightCounts", x: float) -> float:
     Identically zero in exact arithmetic; the float residual measures how
     consistently the table row and the root data describe one group.
     `heights` is a `rootsys.HeightCounts` or a `rootsys.RootSystem`. One
-    sinh is taken per distinct weighted height, and `counted_fsum` adds
-    them with their counts: the same float as `math.fsum` of one sinh per
-    root.
+    sinh is taken per distinct weighted height and repeated by its count
+    into `math.fsum`, which rounds the exact sum once whatever the order,
+    so this is the same float as one sinh per root in root order.
     """
     point = vogel_point(heights.lie_type)
     den = heights.height_denominator
     hs, counts = zip(*heights.counts)
-    root_sum = counted_fsum([4.0 * math.sinh(h / den * x) ** 2 for h in hs], counts)
+    terms = [4.0 * math.sinh(h / den * x) ** 2 for h in hs]
+    root_sum = math.fsum(chain.from_iterable(map(repeat, terms, counts)))
     return root_sum - sinh_product_excess(x, point)

@@ -9,9 +9,9 @@ in log space; the raw volume is attached only where a double holds it.
 Route 2 and the dimension read one `rootsys.HeightCounts` record, from the
 closed form on A-D and from the walk on G2, F4 and E6-E8. So on A-D a
 report walks no roots, and of the walk's invariant errors raises only
-"highest root is not long", which the counts check too; `check` runs the
-walk on every group and fails its structure item unless the record equals
-the walk's.
+"highest root is not long", which the counts check too, in O(rank);
+`check` runs the walk on every group and fails its structure item unless
+the record equals the walk's.
 """
 
 from __future__ import annotations
@@ -72,10 +72,9 @@ def phi_kp(heights: rootsys.HeightCounts | RootSystem) -> float:
     reduced argument min(h, m - h) / m so factors near the upper end keep
     full precision. Every factor is verified to lie in (0, 1] before its log
     is taken. `heights` is a `rootsys.HeightCounts` or a `RootSystem`. One
-    sine is taken per distinct weighted height, and `vogel.counted_fsum`
-    adds the terms with their counts, exactly, and rounds once: the same
-    float as `math.fsum` of one term per root, at a cost that does not grow
-    with the number of roots.
+    sine is taken per distinct weighted height and its term repeated by its
+    count into `math.fsum`, which rounds the exact sum once whatever the
+    order: the same float as one term per root in root order.
     """
     m = heights.height_denominator // 2
     hs, counts = zip(*heights.counts)
@@ -88,7 +87,7 @@ def phi_kp(heights: rootsys.HeightCounts | RootSystem) -> float:
                 f"sinc factor out of (0, 1] for argument {h}/{m} of {heights.lie_type}"
             )
         terms.append(math.log(arg) - math.log(sin_val))
-    return vogel.counted_fsum(terms, counts)
+    return math.fsum(itertools.chain.from_iterable(map(itertools.repeat, terms, counts)))
 
 
 def _checked_dim(heights: rootsys.HeightCounts, point: vogel.VogelPoint) -> int:

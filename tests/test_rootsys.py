@@ -370,7 +370,7 @@ def test_rank_above_cap_refused_before_cartan_matrix(monkeypatch, family, rank):
 def test_rank_cap_admits_its_own_rank(monkeypatch):
     # rank 256 builds (the walk takes at most ~0.2 s and 50 MB peak RSS, at
     # Sp_512, Spin_513 and Spin_512; `volume` there reads the counts in
-    # ~3.5 ms); the same boundary at a small cap, for the walk and the counts
+    # ~2 ms); the same boundary at a small cap, for the walk and the counts
     assert rootsys._MAX_RANK == 256
     monkeypatch.setattr(rootsys, "_MAX_RANK", 5)
     for family in (Family.A, Family.B, Family.C, Family.D):
