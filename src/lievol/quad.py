@@ -9,12 +9,11 @@ a panel is straight-line code over its 15 nodes with one finiteness test, of
 the Kronrod sum. The doubling stops, unconverged, before the cutoff leaves
 double range. An integrand that decays only algebraically can pass the exact
 integral of its asymptotic form beyond X (`tail`): the doubling then stops
-once a block matches that form, and the tail closes the integral. The panel
-values and errors are kept as exact running sums (Shewchuk partials,
-Adaptive precision floating-point arithmetic, 1997). The partials are exact,
-so the totals read from them are correctly rounded whatever the order of the
-panels; each step and the result read them without re-summing any panel, and
-results are deterministic.
+once a block matches that form, and the tail closes the integral. The
+first refinement target and the result are math.fsum of the live panels,
+correctly rounded in any order; between splits plain running sums steer the
+refinement, as in QUADPACK's DQAGE. A total that leaves double range stops
+the refinement, unconverged. Results are deterministic.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Callable
+from functools import reduce
+from operator import add
 
 from . import vogel
 from ._record import Record
@@ -142,24 +143,6 @@ def _eval_panel(f, a, b):
     return h * kron, abs(h * (kron - gauss))
 
 
-def _add_exact(partials: list[float], x: float) -> None:
-    """Add x to Shewchuk partials in place (the msum recipe). The partials are
-    nonoverlapping and sum exactly to every term added so far, so
-    math.fsum(partials) is the same correctly rounded float as math.fsum
-    over the terms themselves."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 def integrate_semiinfinite(
     f: Callable[[float], float],
     tol: Tolerance | None = None,
@@ -173,27 +156,29 @@ def integrate_semiinfinite(
     below tol.abs, and the integral beyond X is taken as zero. `tail(X)`, if
     given, is the exact integral from X to infinity of f's asymptotic form:
     the doubling then stops once the block matches tail(X/2) - tail(X) to
-    within tol.abs, and tail(X) is added to the panel sum. That sum is the
-    value both in the refinement target and in the result.
+    within tol.abs, and tail(X) is added to the panel sum.
+
+    The first refinement target and the result are math.fsum of the live
+    panels' values (and tail(X)) and of their errors. Each split updates two
+    running sums, which steer the loop. They are not proven to stop it where
+    exact sums would: they can differ only where the running error sum and
+    the exact one fall on opposite sides of the target.
 
     Returns an unconverged result (never raises) when the evaluation budget
-    runs out, and when no block is negligible before the next one's
-    endpoints would sum past the largest double (an integrand that never
-    decays in floating point): the cutoff stays finite. A converged result
-    always has error_estimate within the requested tolerance.
+    runs out; when no block is negligible before the next one's endpoints
+    would sum past the largest double (an integrand that never decays in
+    floating point), with the cutoff finite; and when a total leaves double
+    range, with an inf or nan value or error. A converged result has a
+    finite value and error_estimate within the tolerance.
     """
     tol = tol or Tolerance()
-    if initial_scale <= 0.0:
-        raise ValueError("initial_scale must be positive")
+    if not 0.0 < initial_scale < math.inf:
+        raise ValueError("initial_scale must be positive and finite")
 
     # one heap entry per panel, (-err, n, a, b, val, err): n counts the
     # panels pushed, so ties pop in push order, and 15 n is the evaluations
     panels: list[tuple[float, int, float, float, float, float]] = []
     n = 0
-    # exact running sums of the panel values and errors (the tail included);
-    # math.fsum of them is the correctly rounded total, so they are the result
-    value_parts: list[float] = []
-    err_parts: list[float] = []
 
     # [0, initial_scale], then blocks [X/2, X] as the cutoff X doubles, until
     # a block is negligible (settled), the budget runs out, or the next
@@ -204,8 +189,6 @@ def integrate_semiinfinite(
         val, err = _eval_panel(f, a, cutoff)
         heapq.heappush(panels, (-err, n, a, cutoff, val, err))
         n += 1
-        _add_exact(value_parts, val)
-        _add_exact(err_parts, err)
         if a:
             if tail is not None:
                 val -= tail(a) - tail(cutoff)
@@ -215,30 +198,43 @@ def integrate_semiinfinite(
         if 15 * (n + 1) > _MAX_EVALUATIONS or not 3.0 * cutoff < math.inf:
             break
         a, cutoff = cutoff, 2.0 * cutoff
-    if tail is not None:
-        _add_exact(value_parts, tail(cutoff))
+    beyond = [] if tail is None else [tail(cutoff)]
 
-    value, err_total = math.fsum(value_parts), math.fsum(err_parts)
+    def totals() -> tuple[float, float]:
+        # the live panels' value (and the tail) and error, correctly rounded;
+        # where fsum raises, a total left double range, and the sums in
+        # order, inf or nan there, stop the refinement
+        values, errs = [p[4] for p in panels] + beyond, [p[5] for p in panels]
+        try:
+            return math.fsum(values), math.fsum(errs)
+        except (OverflowError, ValueError):
+            return reduce(add, values), reduce(add, errs)
+
+    value, err_total = totals()
+    doubled = n
     while (
         settled
-        and err_total > max(tol.abs, tol.rel * abs(value))
+        and math.isfinite(value)
+        and max(tol.abs, tol.rel * abs(value)) < err_total < math.inf
         and 15 * (n + 2) <= _MAX_EVALUATIONS
     ):
-        _, _, a, b, val, err = heapq.heappop(panels)
+        _, _, a, b, val, err = panels[0]
         if b - a <= 1e-14 * max(1.0, abs(a)):
-            break  # cannot split further
-        _add_exact(value_parts, -val)
-        _add_exact(err_parts, -err)
+            break  # cannot split further; the panel stays in the result
         m = 0.5 * (a + b)
-        for lo, hi in ((a, m), (m, b)):
-            val, err = _eval_panel(f, lo, hi)
-            heapq.heappush(panels, (-err, n, lo, hi, val, err))
-            n += 1
-            _add_exact(value_parts, val)
-            _add_exact(err_parts, err)
-        value, err_total = math.fsum(value_parts), math.fsum(err_parts)
+        v1, e1 = _eval_panel(f, a, m)
+        heapq.heapreplace(panels, (-e1, n, a, m, v1, e1))  # pops the panel split
+        v2, e2 = _eval_panel(f, m, b)
+        heapq.heappush(panels, (-e2, n + 1, m, b, v2, e2))
+        n += 2
+        # running sums steer the splits; the result is summed afresh below
+        value += (v1 + v2) - val
+        err_total += (e1 + e2) - err
+    if n > doubled:
+        value, err_total = totals()
 
-    converged = settled and err_total <= max(tol.abs, tol.rel * abs(value))
+    converged = (settled and math.isfinite(value)
+                 and err_total <= max(tol.abs, tol.rel * abs(value)))
     return QuadResult(value, err_total, converged, 15 * n, cutoff)
 
 

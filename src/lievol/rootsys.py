@@ -46,7 +46,7 @@ from collections import Counter
 from itertools import compress
 
 from ._record import Record
-from .errors import InvariantViolationError, UnsupportedGroupError
+from .errors import InvariantViolationError, ParameterDomainError, UnsupportedGroupError
 
 __all__ = [
     "Family",
@@ -583,6 +583,8 @@ def minimal_pairing(rs: RootSystem, u, v) -> int | Fraction:
     integral pairing, such as (theta, theta) = 2, is returned as an int;
     only a non-integral one is built as a Fraction.
     """
+    if not len(u) == len(v) == rs.lie_type.rank:
+        raise ParameterDomainError(f"{rs.lie_type}: u and v need one coordinate per simple root")
     weights = _symmetrizer(rs.lie_type)
     denom = max(weights)
     wv = list(map(operator.mul, weights, v))

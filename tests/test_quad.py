@@ -230,13 +230,21 @@ def _log_sum_phi(p, tol=None):
 # The first six rows are pinned from the engine that re-summed every panel
 # with fsum on each step, the next four from the engine that re-summed the
 # panels once more, in order, at the end, and the last two from the engine
-# whose pass looped over the node pairs (_loop_eval_panel below). Running
-# sums, the optional tail, reading the result off the running sums and the
-# straight-line pass must leave every row bit-identical. The two phi rows
+# whose pass looped over the node pairs (_loop_eval_panel below). Exact
+# running sums, the optional tail, reading the result off them and the
+# straight-line pass left every row bit-identical, and so must this engine,
+# whose plain running sums steer the splits and whose result is math.fsum of
+# the live panels (test_result_is_fsum_of_live_panels). The two phi rows
 # run the log-sum reference integrand, so they pin the engine alone;
 # phi_integrand is held to that reference below.
 def _sqrt_exp(x):
     return math.sqrt(x) * math.exp(-x)
+
+
+def _singular(x):
+    # an integrable singularity at 1/3: refinement stops at a panel around it
+    # too short to split
+    return math.exp(-x) / math.sqrt(abs(x - 1.0 / 3.0))
 
 
 def _barnes(z, tol=_TIGHT):
@@ -278,8 +286,7 @@ _PINNED = [
         lambda x: 1.0 / (1.0 + x) ** 2, Tolerance(1e-12, 1e-300))),
      ("0x1.fffffc0e0e43fp-1", "0x1.d90531e6d384fp-11", False, 300, 2.0**22)),
     # refinement stops at a panel around the singularity too short to split
-    (lambda: integrate_semiinfinite(
-        lambda x: math.exp(-x) / math.sqrt(abs(x - 1.0 / 3.0)), Tolerance(1e-10, 1e-12)),
+    (lambda: integrate_semiinfinite(_singular, Tolerance(1e-10, 1e-12)),
      ("0x1.1982b5decc80fp+1", "0x1.6c706fc532df6p-26", False, 1710, 64.0)),
     # Barnes at the default tolerance, the scan path: no sample of z = 2.37
     # falls below y = 0.01, where the series is read; two of z = 4.52 do
@@ -298,6 +305,46 @@ def test_tailless_results_bit_identical(call, want):
     assert got == want
 
 
+@pytest.mark.parametrize("call, tail", [
+    (lambda: integrate_semiinfinite(_sqrt_exp, Tolerance(1e-15, 1e-300)), None),
+    (lambda: _barnes(4.5), lambda x: 4.5 / x - 0.5 / (x * x)),
+    (lambda: integrate_semiinfinite(_singular, Tolerance(1e-10, 1e-12)), None),
+], ids=["sqrt_exp", "barnes(4.5)", "singular"])
+def test_result_is_fsum_of_live_panels(monkeypatch, call, tail):
+    # every panel the engine evaluates, by its ends; a panel is live unless
+    # its left half was evaluated too, since the halves only come from splits
+    seen = {}
+
+    def record(f, a, b):
+        seen[a, b] = _eval_panel(f, a, b)
+        return seen[a, b]
+
+    monkeypatch.setattr(quad, "_eval_panel", record)
+    res = call()
+    live = [ve for (a, b), ve in seen.items() if (a, 0.5 * (a + b)) not in seen]
+    assert res.evaluations == 15 * len(seen) and len(live) < len(seen)
+    values = [v for v, _ in live] + ([] if tail is None else [tail(res.tail_cutoff)])
+    assert res.value.hex() == math.fsum(values).hex()
+    assert res.error_estimate.hex() == math.fsum(e for _, e in live).hex()
+
+
+@pytest.mark.parametrize("f, value, evaluations", [
+    (lambda x: 1e308, math.inf, 15315),
+    # finite panels that sum past the largest double: the doubling settles,
+    # and no panel is split
+    (lambda x: 2e307 * math.exp(-x / 1000.0), math.inf, 285),
+    (lambda x: 1e308 if abs(x - 1.6) < 0.65 else -1e308, -math.inf, 15315),
+    (lambda x: 1e308 if x < 8.0 else -1e308, math.nan, 15315),
+], ids=["1e308", "2e307 exp(-x/1000)", "-1e308 around 1e308", "1e308 then -1e308"])
+def test_totals_out_of_double_range_are_unconverged(f, value, evaluations):
+    # infinite panel values, which fsum sums to +-inf, and finite ones whose
+    # sum overflows or opposite infinities, where fsum raises OverflowError
+    # or ValueError: no error escapes, and the result is unconverged
+    res = integrate_semiinfinite(f)
+    assert not res.converged
+    assert (repr(res.value), res.evaluations) == (repr(value), evaluations)
+
+
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(rel=0.0)
@@ -306,8 +353,9 @@ def test_tolerance_validation():
     assert Tolerance(rel=1e-15).rel == 1e-15
     with pytest.raises(ValueError):
         Tolerance(abs=-1.0)
-    with pytest.raises(ValueError):
-        integrate_semiinfinite(frullani, initial_scale=0.0)
+    for scale in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="initial_scale must be positive and finite"):
+            integrate_semiinfinite(frullani, initial_scale=scale)
 
 
 # --- universal integral -------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lievol import rootsys
-from lievol.errors import InvariantViolationError, UnsupportedGroupError
+from lievol.errors import InvariantViolationError, ParameterDomainError, UnsupportedGroupError
 from lievol.rootsys import (
     EXCEPTIONAL_RANK,
     Family,
@@ -108,6 +108,16 @@ def test_a1_by_hand():
     assert rs.dual_coxeter == 2
     assert rs.dim == 3
     assert rho_pairings_killing(rs) == (Fraction(1, 4),)
+
+
+def test_minimal_pairing_refuses_vectors_off_the_rank():
+    # SU_4 has rank 3: a fourth coordinate is not dropped, and a 1-vector
+    # raises no bare IndexError
+    rs = build_root_system(su(4))
+    assert minimal_pairing(rs, (1, 0, 0), (1, 0, 0)) == 2
+    for u, v in [((1, 0, 0, 5), (1, 0, 0, 7)), ((1,), (1,)), ((1, 0, 0), (1,)), ((1,), (1, 0, 0))]:
+        with pytest.raises(ParameterDomainError, match="SU_4: u and v need one coordinate per simple root"):
+            minimal_pairing(rs, u, v)
 
 
 def test_a2_by_hand():

@@ -2,8 +2,8 @@
 records between this tree and the one in PARENT_DIR, at full precision, on
 a seeded point set and a fixed group list, and list every record that
 differs. An integrate_phi record is the value and error estimate as hex,
-the converged flag, the evaluation count and the cutoff as hex; a
-closed-form record is special.phi_unitary_closed_form(z) as hex; a route-2
+the converged flag, the evaluation count and the cutoff as hex, and so is
+a log_barnesG_integral record; a closed-form record is special.phi_unitary_closed_form(z) as hex; a route-2
 record is volume.cross_check(g)'s phi_kp as hex, its dim and the h_vee of
 the root data its dimension check reads; a key-relation record is
 vogel.key_relation_residual as hex at each abscissa `check` uses, on that
@@ -13,7 +13,12 @@ raises one.
 The integrate_phi points: the three lines `scan` runs (alpha, beta = (-2, 2),
 (-2, 4) and (-2, 1)) at seeded gammas, the table rows of default_groups(12),
 and 2,000 unitary points (-m, m, m*z), permuted and rescaled across the
-double range. The closed-form points: the integers 1..300 and
+double range; the scan and table points once more at each relative
+tolerance 1e-12 ... 1e-15 (abs = rel / 100), where refinement splits many
+panels. The log_barnesG_integral points: z = 0.005 k, k = 1 ... 1999, at the
+integral's own tolerance, and z = 0.5, 1.7, 4.5, 12, 100 at four more
+tolerances, from the default to (1e-15, 5e-324); some spend the whole
+evaluation budget. The closed-form points: the integers 1..300 and
 2^16 - 1 .. 2^16 + 1, 1e10, and the 40 seeded gammas of the line (-2, 2),
 where z = gamma. The route-2 groups: every A-D group from its rank floor to
 64, rank 256 in each family, and the five exceptional groups; the
@@ -37,10 +42,17 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent.parent
 SEED = 20261019
 UNITARY_POINTS = 2000
+# the relative tolerances of the refining integrate_phi records
+TIGHT_RELS = (1e-12, 1e-13, 1e-14, 1e-15)
+# (rel, abs) of the Barnes records beyond the integral's own tolerance; the
+# first is Tolerance()
+BARNES_TOLS = ((1e-10, 1e-12), (1e-13, 1e-15), (1e-15, 5e-324), (1e-6, 1e-8))
+BARNES_ZS = (0.5, 1.7, 4.5, 12.0, 100.0)
 
 
-def points() -> tuple[list[tuple[float, float, float]], list[float]]:
-    """The integrate_phi points and the closed-form arguments z."""
+def points() -> tuple[list[tuple[float, float, float]], int, list[float]]:
+    """The integrate_phi points, how many of them come first from the scan
+    lines and the table rows, and the closed-form arguments z."""
     from lievol.rootsys import default_groups
     from lievol.vogel import vogel_point
 
@@ -51,13 +63,14 @@ def points() -> tuple[list[tuple[float, float, float]], list[float]]:
     zs = [*map(float, range(1, 301)), *map(float, range(2**16 - 1, 2**16 + 2)), 1e10,
           *(gamma for _, _, gamma in out[:40])]
     out += [vogel_point(g).params for g in default_groups(12)]
+    scan_and_table = len(out)
     for _ in range(UNITARY_POINTS):
         m = rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, 299)
         z = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 2.0)
         point = [-m, m, m * z]
         rng.shuffle(point)
         out.append(tuple(point))
-    return out, zs
+    return out, scan_and_table, zs
 
 
 def groups() -> tuple[list[str], list[str]]:
@@ -84,32 +97,47 @@ def root_data(lie_type):
         volume._checked_dim = checked_dim
 
 
+def barnes_lines() -> list[str]:
+    """The log_barnesG_integral records' stdin lines: 'barnes Z' at the
+    integral's own tolerance, 'barnes Z REL ABS' at Tolerance(REL, ABS)."""
+    out = [f"barnes {(0.005 * k).hex()}" for k in range(1, 2000)]
+    for rel, abs_ in BARNES_TOLS:
+        out += [f"barnes {z.hex()} {rel.hex()} {abs_.hex()}" for z in BARNES_ZS]
+    return out
+
+
 def dump() -> None:
     """Read one point a line on stdin, print its record: three hex floats
-    are an integrate_phi point, one is a closed-form argument z, and
-    'route2 FAMILY RANK' or 'key FAMILY RANK' a group."""
+    are an integrate_phi point, five one at Tolerance(REL, ABS) given by the
+    last two, one is a closed-form argument z, 'barnes ...' a
+    log_barnesG_integral point (see barnes_lines), and 'route2 FAMILY RANK'
+    or 'key FAMILY RANK' a group."""
     from lievol.errors import LievolError
-    from lievol.quad import integrate_phi
+    from lievol.quad import Tolerance, integrate_phi
     from lievol.rootsys import Family, SimpleLieType
-    from lievol.special import phi_unitary_closed_form
+    from lievol.special import log_barnesG_integral, phi_unitary_closed_form
     from lievol.vogel import VogelPoint, key_relation_residual
     from lievol.volume import _KEY_RELATION_XS
 
     for line in sys.stdin:
         kind, *words = line.split()
         try:
-            if kind in ("route2", "key"):
+            if kind == "barnes":
+                z, *tol = map(float.fromhex, words)
+                r = log_barnesG_integral(z, Tolerance(*tol) if tol else None)
+            elif kind in ("route2", "key"):
                 report, heights = root_data(SimpleLieType(Family(words[0]), int(words[1])))
                 if kind == "route2":
                     print(report.phi_kp.hex(), report.dim, heights.dual_coxeter)
                 else:
                     print(*(key_relation_residual(heights, x).hex() for x in _KEY_RELATION_XS))
                 continue
-            xs = [float.fromhex(x) for x in line.split()]
-            if len(xs) == 1:
-                print(phi_unitary_closed_form(xs[0]).hex())
-                continue
-            r = integrate_phi(VogelPoint(*xs))
+            else:
+                xs = [float.fromhex(x) for x in line.split()]
+                if len(xs) == 1:
+                    print(phi_unitary_closed_form(xs[0]).hex())
+                    continue
+                r = integrate_phi(VogelPoint(*xs[:3]), Tolerance(*xs[3:]))
         except LievolError as err:  # the error is the point's record
             print(f"{type(err).__name__}: {err}")
             continue
@@ -133,11 +161,16 @@ def main() -> int:
               file=sys.stderr)
         return 2
     sys.path.insert(0, str(HERE / "src"))  # points and groups are read off this tree
-    pts, zs = points()
+    pts, scan_and_table, zs = points()
     route2, key = groups()
     # each kind of record: its stdin lines for --dump, and how a difference is labelled
     kinds = {
         "integrate_phi": [(" ".join(q.hex() for q in p), repr(p)) for p in pts],
+        "refining integrate_phi": [
+            (" ".join(q.hex() for q in (*p, rel, 1e-2 * rel)), f"{p!r} at rel {rel:g}")
+            for rel in TIGHT_RELS for p in pts[:scan_and_table]
+        ],
+        "log_barnesG_integral": [(line, line) for line in barnes_lines()],
         "phi_unitary_closed_form": [(z.hex(), f"z = {z!r}") for z in zs],
         "route-2 (cross_check)": [(f"route2 {g}", f"route 2 of {g}") for g in route2],
         "key_relation_residual": [(f"key {g}", f"key relation of {g}") for g in key],
