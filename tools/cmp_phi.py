@@ -1,11 +1,12 @@
-"""Compare integrate_phi, unitary closed-form, route-2 and key-relation
-records between this tree and the one in PARENT_DIR, at full precision, on
-a seeded point set and a fixed group list, and list every record that
-differs. An integrate_phi record is the value and error estimate as hex,
+"""Compare integrate_phi, log_barnesG_integral, unitary closed-form, route-2
+and key-relation records between this tree and the one in PARENT_DIR, at
+full precision, on a seeded point set and a fixed group list, and list
+every record that differs. An integrate_phi record is the value and error estimate as hex,
 the converged flag, the evaluation count and the cutoff as hex, and so is
-a log_barnesG_integral record; a closed-form record is special.phi_unitary_closed_form(z) as hex; a route-2
-record is volume.cross_check(g)'s phi_kp as hex, its dim and the h_vee of
-the root data its dimension check reads; a key-relation record is
+a log_barnesG_integral record; a closed-form record is
+special.phi_unitary_closed_form(z) as hex; a route-2 record is
+volume.cross_check(g)'s phi_kp as hex, its dim and the h_vee of the root
+data its dimension check reads; a key-relation record is
 vogel.key_relation_residual as hex at each abscissa `check` uses, on that
 same root data. Each is the error the point or group raises, where it
 raises one.
