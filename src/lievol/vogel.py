@@ -152,8 +152,10 @@ def log_sinhc(y: float) -> float:
         )
     if y < 350.0:
         return math.log(math.sinh(y) / y)
-    # sinh(y) would overflow: log sinh y = y - log 2 + log1p(-e^{-2y})
-    return y - math.log(2.0 * y) + math.log1p(-math.exp(-2.0 * y))
+    # sinh(y) would overflow: log sinh y = y - log 2 + log1p(-e^{-2y}), whose
+    # last term, below e^-700 ~ 1e-304, is under half an ulp of y - log 2y >= 343
+    # and cannot change the sum
+    return y - math.log(2.0 * y)
 
 
 def _ratio_slopes(p: VogelPoint) -> tuple[tuple[float, float], ...]:
@@ -200,27 +202,45 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     small-x region cancellation-free, and the large-x region switches to a
     pure exponential form before either factor can overflow.
 
-    The log l of the sinh-ratio product over dim costs one log per sample
-    inside the band x_lo <= x < x_hi, where with m = min_i min(|a_i|, |b_i|),
+    The log l of the sinh-ratio product over dim is taken in three regions,
+    split at x_lo and x_hi, where with m = min_i min(|a_i|, |b_i|),
     A = sum_i |a_i| and B = sum_i |b_i|:
 
-    - x_lo = SINHC_SERIES_CUTOFF / m. Every |a_i x| and |b_i x| is at least
+    - Below the band, x < x_lo: l is the log_sinhc sum of
+      sinh_product_excess, six log_sinhc calls.
+    - The band, x_lo <= x < x_hi: one log and six sinh.
+      x_lo = SINHC_SERIES_CUTOFF / m. Every |a_i x| and |b_i x| is at least
       the cutoff, so no factor needs the series of log_sinhc, and
       l = log prod_i [sinh(a_i x) (b_i/a_i) / sinh(b_i x)] is within a few
       ulps of max(1, |l|) of its value at the rounded a_i x and b_i x: no
       worse than the log_sinhc sum, which rounds each term to its own ulp.
-    - x_hi = 600 / max(A, B). Every |a_i x| and |b_i x| is below 600, so no
+      x_hi = 600 / max(A, B). Every |a_i x| and |b_i x| is below 600, so no
       sinh overflows, and |b_i/a_i| = |b_i x|/|a_i x| < 600/cutoff = 4000,
       so sinh(a_i x) (b_i/a_i) stays below 4000 e^600. Since
       1 <= sinhc(y) < e^|y|, each factor sinhc(a_i x)/sinhc(b_i x) lies in
       (e^-|b_i x|, e^|a_i x|), so every partial product lies in
       (e^-B x, e^A x), inside [e^-600, e^600]: the product neither
       overflows nor underflows to 0, and the log never sees 0.
+    - Past the band, x >= x_hi: one log and six expm1. As
+      sinh|y| = -e^|y| expm1(-2|y|)/2, exactly
+      sinhc(a x)/sinhc(b x) = |b/a| e^{(|a|-|b|) x} expm1(-2|a| x)/expm1(-2|b| x),
+      so l = S x + q, with S = sum_i (|a_i| - |b_i|), K = |r1 r2 r3| and
+      q = log(K prod_i expm1(-2|a_i| x)/expm1(-2|b_i| x)). This needs no
+      bound like the band's: expm1 of a negative argument lies in [-1, 0),
+      and below 1 - e^-0.3 in size nowhere here (every |a_i x| is past the
+      cutoff), so the product is K, in (4000^-3, 4000^3), times six
+      factors in (0.25, 4) at every x. The e^{l - x} branch becomes k e^{q - lam x}/x,
+      lam = 1 - S, so that l and x never cancel. q carries a few roundings
+      of the product and S x one of S and one of S x: l is within a few ulps
+      of max(1, (A + B) x) of its exact value at the rounded a_i x and b_i x,
+      which is a few ulps of max(1, S x) wherever S is not small against
+      A + B, as on every table row (lam = 1/t there).
 
-    Elsewhere l is the log_sinhc sum of sinh_product_excess. The band is
-    empty where x_lo >= x_hi, and where a slope is 0: an a_i = 0 (q_i = 2t,
-    dim = 0) has no ratio b_i/a_i, and a b_i that underflowed to 0 never
-    reaches the cutoff. One closure per sample, its factors written out.
+    The band, and with it the past-band form, is empty where x_lo >= x_hi,
+    and where a slope is 0: an a_i = 0 (q_i = 2t, dim = 0) has no ratio
+    b_i/a_i, and a b_i that underflowed to 0 never reaches the cutoff. Every
+    sample from the series on then takes the log_sinhc sum. One closure per
+    sample, its factors written out.
 
     On the unitary line a sample takes three sinh (or log_sinhc) instead of
     six, and the same bits. Where q_i = t, the shifted u q_i is t' = u t,
@@ -235,21 +255,28 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     two is -0.0, and adding 0.0 changes no sum. Where the other two pairs
     also have b_k == -b_j (q_j + q_k = 0 in floats, as on every table row),
     sinh(b_k x) == -sinh(b_j x) and log_sinhc(b_k x) == log_sinhc(b_j x),
-    so one call serves both denominators. k, limit0, x_lo and x_hi still
-    come from all six slopes, so every sample takes the same branch. Off
+    so one call serves both denominators. Past the band the pair's factor
+    expm1(-x/2)/expm1(-x/2) is exactly 1.0 and its r_i = -1.0 leaves K as
+    it is, and expm1(-2|b_k| x) == expm1(-2|b_j| x): three expm1, not six.
+    k, limit0, x_lo, x_hi, S and K still come from all six slopes, so every
+    sample takes the same branch. Off
     the line, and where t absorbs the rounding of q_j + q_k (q_i == t but
     b_k != -b_j), the three-pair closure runs.
     """
     k = dim_from_vogel(p)
     slopes = _ratio_slopes(p)
     (a1, b1), (a2, b2), (a3, b3) = slopes
-    sizes = [abs(a1), abs(b1), abs(a2), abs(b2), abs(a3), abs(b3)]
+    sizes = c1, d1, c2, d2, c3, d3 = abs(a1), abs(b1), abs(a2), abs(b2), abs(a3), abs(b3)
     x_lo = x_hi = r1 = r2 = r3 = 0.0
     if min(sizes) > 0.0:
         x_lo = SINHC_SERIES_CUTOFF / min(sizes)
         # by `+` on every interpreter: `sum` of floats is compensated from 3.12 on
-        x_hi = _BAND_LOG_MAX / max(abs(a1) + abs(a2) + abs(a3), abs(b1) + abs(b2) + abs(b3))
+        x_hi = _BAND_LOG_MAX / max(c1 + c2 + c3, d1 + d2 + d3)
         r1, r2, r3 = b1 / a1, b2 / a2, b3 / a3
+    # past the band, l = s x + q (see above); there is no such region without a band
+    x_past = x_hi if x_lo < x_hi else math.inf
+    s = (c1 - d1) + (c2 - d2) + (c3 - d3)
+    lam, kr = 1.0 - s, abs(r1 * r2 * r3)
     # the x -> 0 limit, k/6 sum(a_i^2 - b_i^2): k/12 in exact arithmetic (the
     # strange formula), but summed from the rounded slopes. Where t is tiny
     # against the parameters, the slopes are huge, the start scale is tiny and
@@ -263,16 +290,24 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     live = [(a, b, r) for (a, b), r in zip(slopes, (r1, r2, r3)) if (a, b) != (-0.25, 0.25)]
     if len(live) == 2 and live[1][1] == -live[0][1]:
         (aj, bj, rj), (ak, _, rk) = live
+        cj, ck, dj = abs(aj), abs(ak), abs(bj)
 
         def f_unitary(x: float) -> float:
             if x < 1e-12:
                 return limit0
             if x_lo <= x < x_hi:
-                s = sinh(bj * x)
-                ell = log(sinh(aj * x) * rj / s * (sinh(ak * x) * rk / -s))
-            else:
+                sb = sinh(bj * x)
+                ell = log(sinh(aj * x) * rj / sb * (sinh(ak * x) * rk / -sb))
+            elif x < x_past:
                 lb = lsc(bj * x)
                 ell = (lsc(aj * x) - lb) + (lsc(ak * x) - lb)
+            else:
+                y = -2.0 * x
+                eb = expm1(y * dj)
+                q = log(kr * (expm1(y * cj) / eb) * (expm1(y * ck) / eb))
+                ell = s * x + q
+                if ell > 45.0 and x > 45.0:
+                    return k * exp(q - lam * x) / x
             # as in f below
             try:
                 if ell > 45.0 and x > 45.0:
@@ -292,9 +327,16 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
         if x_lo <= x < x_hi:
             ell = log(sinh(a1 * x) * r1 / sinh(b1 * x) * (sinh(a2 * x) * r2 / sinh(b2 * x))
                       * (sinh(a3 * x) * r3 / sinh(b3 * x)))
-        else:
+        elif x < x_past:
             ell = (lsc(a1 * x) - lsc(b1 * x)) + (lsc(a2 * x) - lsc(b2 * x)) + (
                 lsc(a3 * x) - lsc(b3 * x))
+        else:
+            y = -2.0 * x
+            q = log(kr * (expm1(y * c1) / expm1(y * d1)) * (expm1(y * c2) / expm1(y * d2))
+                    * (expm1(y * c3) / expm1(y * d3)))
+            ell = s * x + q
+            if ell > 45.0 and x > 45.0:
+                return k * exp(q - lam * x) / x
         try:
             if ell > 45.0 and x > 45.0:
                 return k * exp(ell - x) / x

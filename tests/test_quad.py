@@ -206,17 +206,53 @@ def _two_closure_log_ratio(p):
     return log_ratio
 
 
+def _past_band_form(p):
+    """Past the band's upper edge, l = s x + q, with s = sum_i (|a_i| - |b_i|)
+    and q = log(|r1 r2 r3| prod_i expm1(-2|a_i| x)/expm1(-2|b_i| x)), r_i =
+    b_i/a_i, from sinhc(a x)/sinhc(b x) = |b/a| e^{(|a| - |b|) x}
+    expm1(-2|a| x)/expm1(-2|b| x): the abscissa where that form starts
+    (inf without a band), s, and q as a function of x."""
+    slopes = _ratio_slopes(p)
+    sizes = [abs(s) for ab in slopes for s in ab]
+    s = 0.0
+    for a, b in slopes:
+        s += abs(a) - abs(b)
+    if not min(sizes) > 0.0:
+        return math.inf, s, None
+    x_hi = _BAND_LOG_MAX / max(sum(sizes[0::2]), sum(sizes[1::2]))
+    if not SINHC_SERIES_CUTOFF / min(sizes) < x_hi:
+        return math.inf, s, None
+    (a1, b1), (a2, b2), (a3, b3) = slopes
+    ratio = abs(b1 / a1 * (b2 / a2) * (b3 / a3))
+
+    def q(x):
+        prod = ratio
+        for a, b in slopes:
+            prod *= math.expm1(-2.0 * abs(a) * x) / math.expm1(-2.0 * abs(b) * x)
+        return math.log(prod)
+
+    return x_hi, s, q
+
+
 def _two_closure_phi_integrand(p):
     """phi_integrand as it was with the band product: the log-ratio closure
-    above, called from a second closure. The reference that the one-closure
-    form matches bit for bit."""
+    above, called from a second closure, and past the band the form of
+    _past_band_form, whose e^{l - x} is e^{q - (1 - s) x}. The reference that
+    the one-closure form matches bit for bit."""
     k = dim_from_vogel(p)
     log_ratio = _two_closure_log_ratio(p)
+    x_past, s, q = _past_band_form(p)
     limit0 = k * math.fsum(a * a - b * b for a, b in _ratio_slopes(p)) / 6.0
 
     def f(x):
         if x < 1e-12:
             return limit0
+        if x >= x_past:
+            qx = q(x)
+            ell = s * x + qx
+            if ell > 45.0 and x > 45.0:
+                return k * math.exp(qx - (1.0 - s) * x) / x
+            return _phi_from_log(k, ell, x)
         return _phi_from_log(k, log_ratio(x), x)
 
     return f
@@ -626,6 +662,48 @@ def test_band_log_ratio_error_class(p):
             want = mp.fsum(log_sinhc_mp(mp.mpf(a * x)) - log_sinhc_mp(mp.mpf(b * x))
                            for a, b in _slopes(p))
             assert abs(ell(x) - want) <= 8 * eps * max(1.0, abs(want)), x
+
+
+@pytest.mark.parametrize("p", _band_points() + [vogel_point(g) for g in _LADDER], ids=repr)
+def test_past_band_log_ratio_error_class(p):
+    # past the band, l = s x + q is within a few ulps of max(1, s x) of its
+    # exact value at the same rounded arguments a*x and b*x, at x = x_hi 2^i
+    # up to the first sample that underflows to 0
+    mp = pytest.importorskip("mpmath")
+    eps = 2.0**-52
+    x, s, q = _past_band_form(p)
+    assert x < math.inf
+    f = phi_integrand(p)
+    sample = 1.0
+    with mp.workdps(40):
+        log_sinhc_mp = lambda y: mp.log(mp.sinh(y) / y)
+        while sample != 0.0:
+            sample = f(x)
+            want = mp.fsum(log_sinhc_mp(mp.mpf(a * x)) - log_sinhc_mp(mp.mpf(b * x))
+                           for a, b in _slopes(p))
+            assert abs(s * x + q(x) - want) <= 8 * eps * max(1.0, s * x), x
+            x *= 2.0
+
+
+@pytest.mark.parametrize("lie_type", default_groups(12) + _LADDER, ids=str)
+def test_integrand_finite_past_band(lie_type):
+    # e^{q - lam x}, with expm1 of a negative argument in [-1, 0), cannot
+    # overflow: every sample from x_hi to 1e300 is finite
+    p = vogel_point(lie_type)
+    f, x = phi_integrand(p), _past_band_form(p)[0]
+    while x < 1e300:
+        assert math.isfinite(f(x)), x
+        x *= 2.0
+    assert f(1e300) == 0.0
+
+
+@pytest.mark.parametrize("p", _BANDLESS_POINTS + [VogelPoint(-2.0, 2.0, 1.0)], ids=repr)
+def test_bandless_integrand_keeps_log_sum_form(p):
+    # no band (at (-2, 2, 1) a slope is 0), so no past-band form: every
+    # sample is the log_sinhc sum's, bit for bit
+    f, ref = phi_integrand(p), _log_sum_phi_integrand(p)
+    for x in [*_abscissae(p), 1e10, 1e100, 1e300]:
+        assert f(x).hex() == ref(x).hex(), x
 
 
 def test_integrand_far_tail_underflows_to_zero():

@@ -251,8 +251,8 @@ def test_integrand_limit_is_dim_over_twelve():
 
 def _three_pair_phi(p, branches):
     """phi_integrand as the three-pair closure: every factor's sinh (or
-    log_sinhc) taken, the unitary line's unit factor among them. Adds the
-    name of each branch a sample takes to the set `branches`."""
+    log_sinhc, or expm1) taken, the unitary line's unit factor among them.
+    Adds the name of each branch a sample takes to the set `branches`."""
     k = dim_from_vogel(p)
     slopes = _ratio_slopes(p)
     (a1, b1), (a2, b2), (a3, b3) = slopes
@@ -263,6 +263,9 @@ def _three_pair_phi(p, branches):
         x_hi = _BAND_LOG_MAX / max(abs(a1) + abs(a2) + abs(a3), abs(b1) + abs(b2) + abs(b3))
         r1, r2, r3 = b1 / a1, b2 / a2, b3 / a3
     limit0 = k * math.fsum(a * a - b * b for a, b in slopes) / 6.0
+    # past the band: l = s x + q, with s = sum_i (|a_i| - |b_i|) and
+    # q = log(|r1 r2 r3| prod_i expm1(-2|a_i| x)/expm1(-2|b_i| x))
+    s = (abs(a1) - abs(b1)) + (abs(a2) - abs(b2)) + (abs(a3) - abs(b3))
 
     def f(x):
         if x < 1e-12:
@@ -273,8 +276,18 @@ def _three_pair_phi(p, branches):
             ell = math.log(math.sinh(a1 * x) * r1 / math.sinh(b1 * x)
                            * (math.sinh(a2 * x) * r2 / math.sinh(b2 * x))
                            * (math.sinh(a3 * x) * r3 / math.sinh(b3 * x)))
+        elif x_lo < x_hi <= x:
+            branches.add("past band")
+            q = math.log(abs(r1 * r2 * r3)
+                         * (math.expm1(-2.0 * abs(a1) * x) / math.expm1(-2.0 * abs(b1) * x))
+                         * (math.expm1(-2.0 * abs(a2) * x) / math.expm1(-2.0 * abs(b2) * x))
+                         * (math.expm1(-2.0 * abs(a3) * x) / math.expm1(-2.0 * abs(b3) * x)))
+            ell = s * x + q
+            if ell > 45.0 and x > 45.0:
+                branches.add("exp(q - lam x)")
+                return k * math.exp(q - (1.0 - s) * x) / x
         else:
-            branches.add("below band" if x < x_lo else "above band")
+            branches.add("below band" if x < x_lo else "no band")
             ell = (log_sinhc(a1 * x) - log_sinhc(b1 * x)) + (
                 log_sinhc(a2 * x) - log_sinhc(b2 * x)) + (log_sinhc(a3 * x) - log_sinhc(b3 * x))
         try:
@@ -308,15 +321,18 @@ def _unitary_point(position, order, j, num, e):
     return VogelPoint(*pair)
 
 
-# (-2, 2, 1/2), where l stays below 45 and expm1(x) overflows, and
-# (-2, 2, 9) up to order and scale, where l - x reaches the e^{l - x} form:
-# between them every branch of the integrand (test below)
-_BRANCH_EXAMPLES = [(2, 1, 4, 1, 0), (0, -1, 2, 9, 0)]
+# (-2, 2, 1/2), where l stays below 45 past the band and expm1(x)
+# overflows, (-2, 2, 9) up to order and scale, where l - x reaches the
+# e^{l - x} form in the band and e^{q - lam x} past it, and (-2, 2, 1), where
+# a slope is 0 and there is no band: between them every branch of the
+# integrand (test below)
+_BRANCH_EXAMPLES = [(2, 1, 4, 1, 0), (0, -1, 2, 9, 0), (2, 1, 2, 1, 0)]
 
 
 @settings(max_examples=300, deadline=None)
 @example(*_BRANCH_EXAMPLES[0], 3.7)
 @example(*_BRANCH_EXAMPLES[1], 3.7)
+@example(*_BRANCH_EXAMPLES[2], 3.7)
 @given(
     st.integers(0, 2),
     st.sampled_from([1, -1]),
@@ -362,7 +378,8 @@ def test_three_pair_reference_reaches_every_branch():
         ref, x_lo, x_hi = _three_pair_phi(_unitary_point(*args), seen)
         for y in _branch_abscissae(x_lo, x_hi, 3.7):
             ref(y)
-    assert seen == {"limit", "below band", "band", "above band", "exp(l - x)", "overflow"}
+    assert seen == {"limit", "below band", "band", "past band", "no band", "exp(l - x)",
+                    "exp(q - lam x)", "overflow"}
 
 
 def test_sinh_is_odd_bit_for_bit():
@@ -435,6 +452,16 @@ def test_log_sinhc_branch_continuity():
     assert math.copysign(1.0, log_sinhc(0.0)) == math.copysign(1.0, log_sinhc(-0.0)) == 1.0
     assert log_sinhc(0.0) == 0.0
     assert log_sinhc(-3.0) == log_sinhc(3.0)
+
+
+@pytest.mark.parametrize(
+    "y", [350.0, math.nextafter(350.0, math.inf), 372.0, 1e3, 1e10, 1e300], ids=repr
+)
+def test_log_sinhc_drops_a_term_below_half_an_ulp(y):
+    # from 350 on, log sinh y = y - log 2y + log1p(-e^{-2y}); the last term
+    # is below 1e-304 in size (-0.0 once e^{-2y} underflows) and changes no bit
+    full = y - math.log(2.0 * y) + math.log1p(-math.exp(-2.0 * y))
+    assert log_sinhc(y).hex() == log_sinhc(-y).hex() == full.hex()
 
 
 def test_key_relation_a1_by_hand():

@@ -13,10 +13,11 @@ raises one.
 
 The integrate_phi points: the three lines `scan` runs (alpha, beta = (-2, 2),
 (-2, 4) and (-2, 1)) at seeded gammas, the table rows of default_groups(12),
-and 2,000 unitary points (-m, m, m*z), permuted and rescaled across the
-double range; the scan and table points once more at each relative
-tolerance 1e-12 ... 1e-15 (abs = rel / 100), where refinement splits many
-panels. The log_barnesG_integral points: z = 0.005 k, k = 1 ... 1999, at the
+the 26 rows of the `large-rank` ladder (SU_15 ... SU_25, Sp_2r and
+Spin_2r+1 for r = 10 ... 17, Spin_22 ... Spin_34), and 2,000 unitary points
+(-m, m, m*z), permuted and rescaled across the double range; the scan,
+table and ladder points once more at each relative tolerance 1e-12 ...
+1e-15 (abs = rel / 100), where refinement splits many panels. The log_barnesG_integral points: z = 0.005 k, k = 1 ... 1999, at the
 integral's own tolerance, and z = 0.5, 1.7, 4.5, 12, 100 at four more
 tolerances, from the default to (1e-15, 5e-324); some spend the whole
 evaluation budget. The closed-form points: the integers 1..300 and
@@ -53,8 +54,8 @@ BARNES_ZS = (0.5, 1.7, 4.5, 12.0, 100.0)
 
 def points() -> tuple[list[tuple[float, float, float]], int, list[float]]:
     """The integrate_phi points, how many of them come first from the scan
-    lines and the table rows, and the closed-form arguments z."""
-    from lievol.rootsys import default_groups
+    lines, the table rows and the ladder, and the closed-form arguments z."""
+    from lievol.rootsys import default_groups, sp, spin, su
     from lievol.vogel import vogel_point
 
     rng = random.Random(SEED)
@@ -64,6 +65,10 @@ def points() -> tuple[list[tuple[float, float, float]], int, list[float]]:
     zs = [*map(float, range(1, 301)), *map(float, range(2**16 - 1, 2**16 + 2)), 1e10,
           *(gamma for _, _, gamma in out[:40])]
     out += [vogel_point(g).params for g in default_groups(12)]
+    ladder = ([su(n) for n in range(15, 26, 2)]
+              + [g for r in range(10, 18) for g in (sp(2 * r), spin(2 * r + 1))]
+              + [spin(2 * r) for r in range(11, 18, 2)])
+    out += [vogel_point(g).params for g in ladder]
     scan_and_table = len(out)
     for _ in range(UNITARY_POINTS):
         m = rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, 299)
