@@ -415,6 +415,7 @@ def exit_code(argv):
         # a reversed range that overflows to -inf is empty, not an error
         ("scan --from 1e308 --to=-1e308 --step 1", 0),
         ("volume --group E8 --n 7", 2),
+        ("volume --group Spin --n 4", 2),
         # above the rank cap of 256: refused before the rank^2 Cartan matrix
         ("volume --group SU --n 258", 2),
         ("volume --group SU --n 1000000000", 2),

@@ -26,7 +26,6 @@ from lievol.quad import (
 from lievol.special import _TIGHT, _Y_SWITCH, _ZETA_PRIME_MINUS_ONE, _barnes_integrand
 from lievol.volume import phi_kp
 from lievol.vogel import (
-    _BAND_LOG_MAX,
     _ratio_slopes,
     SINHC_SERIES_CUTOFF,
     VogelPoint,
@@ -37,6 +36,7 @@ from lievol.vogel import (
     vogel_point,
 )
 from lievol.rootsys import build_root_system, default_groups, sp, spin, su
+from phi_reference import PhiReference, phi_from_log
 
 LN2 = math.log(2.0)
 
@@ -146,18 +146,6 @@ def _log_sum_terms(p, x):
     return [(log_sinhc(a * x), log_sinhc(b * x)) for a, b in _slopes(p)]
 
 
-def _phi_from_log(k, ell, x):
-    # the phi integrand at x > 0 from the log l of the sinh-ratio product over dim
-    try:
-        if ell > 45.0 and x > 45.0:
-            return k * math.exp(ell - x) / x
-        return k * math.expm1(ell) / (x * math.expm1(x))
-    except OverflowError:
-        if ell <= 45.0:
-            return k * math.expm1(ell) * math.exp(-x) / x
-        return math.inf
-
-
 def _log_sum_phi_integrand(p):
     """The phi integrand with every sample's log product taken as a sum of
     log_sinhc terms, as it was before the band product: the reference for
@@ -171,89 +159,7 @@ def _log_sum_phi_integrand(p):
         ell = 0.0
         for u, v in _log_sum_terms(p, x):
             ell += u - v
-        return _phi_from_log(k, ell, x)
-
-    return f
-
-
-def _two_closure_log_ratio(p):
-    """The band form of l as it was before phi_integrand wrote it out: the log
-    of one sinh-ratio product inside the band, the log_sinhc sum outside it,
-    with a loop over the three factors."""
-    slopes = _ratio_slopes(p)
-    sizes = [abs(s) for ab in slopes for s in ab]
-    smallest = min(sizes)
-    if smallest > 0.0:
-        x_lo = SINHC_SERIES_CUTOFF / smallest
-        x_hi = _BAND_LOG_MAX / max(sum(sizes[0::2]), sum(sizes[1::2]))
-        factors = tuple((a, b, b / a) for a, b in slopes)
-    else:
-        x_lo = x_hi = 0.0
-        factors = ()
-
-    def log_ratio(x):
-        x = abs(x)
-        if x_lo <= x < x_hi:
-            prod = 1.0
-            for a, b, r in factors:
-                prod *= math.sinh(a * x) * r / math.sinh(b * x)
-            return math.log(prod)
-        total = 0.0
-        for a, b in slopes:
-            total += log_sinhc(a * x) - log_sinhc(b * x)
-        return total
-
-    return log_ratio
-
-
-def _past_band_form(p):
-    """Past the band's upper edge, l = s x + q, with s = sum_i (|a_i| - |b_i|)
-    and q = log(|r1 r2 r3| prod_i expm1(-2|a_i| x)/expm1(-2|b_i| x)), r_i =
-    b_i/a_i, from sinhc(a x)/sinhc(b x) = |b/a| e^{(|a| - |b|) x}
-    expm1(-2|a| x)/expm1(-2|b| x): the abscissa where that form starts
-    (inf without a band), s, and q as a function of x."""
-    slopes = _ratio_slopes(p)
-    sizes = [abs(s) for ab in slopes for s in ab]
-    s = 0.0
-    for a, b in slopes:
-        s += abs(a) - abs(b)
-    if not min(sizes) > 0.0:
-        return math.inf, s, None
-    x_hi = _BAND_LOG_MAX / max(sum(sizes[0::2]), sum(sizes[1::2]))
-    if not SINHC_SERIES_CUTOFF / min(sizes) < x_hi:
-        return math.inf, s, None
-    (a1, b1), (a2, b2), (a3, b3) = slopes
-    ratio = abs(b1 / a1 * (b2 / a2) * (b3 / a3))
-
-    def q(x):
-        prod = ratio
-        for a, b in slopes:
-            prod *= math.expm1(-2.0 * abs(a) * x) / math.expm1(-2.0 * abs(b) * x)
-        return math.log(prod)
-
-    return x_hi, s, q
-
-
-def _two_closure_phi_integrand(p):
-    """phi_integrand as it was with the band product: the log-ratio closure
-    above, called from a second closure, and past the band the form of
-    _past_band_form, whose e^{l - x} is e^{q - (1 - s) x}. The reference that
-    the one-closure form matches bit for bit."""
-    k = dim_from_vogel(p)
-    log_ratio = _two_closure_log_ratio(p)
-    x_past, s, q = _past_band_form(p)
-    limit0 = k * math.fsum(a * a - b * b for a, b in _ratio_slopes(p)) / 6.0
-
-    def f(x):
-        if x < 1e-12:
-            return limit0
-        if x >= x_past:
-            qx = q(x)
-            ell = s * x + qx
-            if ell > 45.0 and x > 45.0:
-                return k * math.exp(qx - (1.0 - s) * x) / x
-            return _phi_from_log(k, ell, x)
-        return _phi_from_log(k, log_ratio(x), x)
+        return phi_from_log(k, ell, x)
 
     return f
 
@@ -506,18 +412,6 @@ def test_phi_off_table_vs_mpmath(p):
     assert err <= 1e-12 * max(1.0, abs(ref))
 
 
-def _band_edges(p):
-    # where phi_integrand takes the log of one sinh-ratio product: from where
-    # the smallest slope reaches the series cutoff of log_sinhc to where the
-    # larger slope sum reaches the log bound; empty when a slope is 0
-    slopes = _slopes(p)
-    smallest = min(min(abs(a), abs(b)) for a, b in slopes)
-    if not smallest > 0.0:
-        return 0.0, 0.0
-    x_hi = _BAND_LOG_MAX / max(sum(abs(a) for a, _ in slopes), sum(abs(b) for _, b in slopes))
-    return SINHC_SERIES_CUTOFF / smallest, x_hi
-
-
 def test_integrand_branch_continuity():
     # step across the earliest per-factor series switch and both edges of
     # the band product by one ulp and require seamlessness
@@ -525,7 +419,7 @@ def test_integrand_branch_continuity():
     slopes = [abs(q - 2.0 * p.t) / (4.0 * p.t) for q in p.params]
     slopes += [abs(q) / (4.0 * p.t) for q in p.params]
     x_switch = SINHC_SERIES_CUTOFF / max(slopes)
-    x_lo, x_hi = _band_edges(p)
+    x_lo, x_hi = PhiReference(p).band
     assert x_switch < x_lo < x_hi < 700.0
     f = phi_integrand(p)
     for x in (x_switch, x_lo, x_hi):
@@ -550,7 +444,7 @@ _BANDLESS_POINTS = [VogelPoint(-2.0, 1e-200, 3.0), VogelPoint(-2.0, 1.0, 2.0)]
 
 def _abscissae(p):
     xs = [1e-6, 1e-3, 0.05, 0.3, 1.0, 2.5, 7.0, 20.0, 60.0, 200.0, 700.0, 2000.0]
-    x_lo, x_hi = _band_edges(p)
+    x_lo, x_hi = PhiReference(p).band
     if x_lo < x_hi:
         span = x_hi / x_lo
         xs += [x_lo * span ** (i / 16) for i in range(17)]
@@ -587,7 +481,7 @@ _SCALED_POINTS = [VogelPoint(math.ldexp(-2.0, k), math.ldexp(2.0, k), math.ldexp
 
 @pytest.mark.parametrize("p", _band_points() + _BANDLESS_POINTS + _SCALED_POINTS, ids=repr)
 def test_integrand_bit_equal_to_two_closure_form(p):
-    f, ref = phi_integrand(p), _two_closure_phi_integrand(p)
+    f, ref = phi_integrand(p), PhiReference(p)
     for x in [-1.0, 0.0, 1e-13, *_abscissae(p)]:
         assert f(x).hex() == ref(x).hex(), x
 
@@ -653,15 +547,15 @@ def test_band_log_ratio_error_class(p):
     # value at the same rounded arguments a*x and b*x
     mp = pytest.importorskip("mpmath")
     eps = 2.0**-52
-    ell = _two_closure_log_ratio(p)
-    x_lo, x_hi = _band_edges(p)
+    ref = PhiReference(p)
+    x_lo, x_hi = ref.band
     assert x_lo < x_hi
     with mp.workdps(40):
         log_sinhc_mp = lambda y: mp.log(mp.sinh(y) / y)
         for x in (x_lo * (x_hi / x_lo) ** (i / 8) for i in range(8)):
             want = mp.fsum(log_sinhc_mp(mp.mpf(a * x)) - log_sinhc_mp(mp.mpf(b * x))
                            for a, b in _slopes(p))
-            assert abs(ell(x) - want) <= 8 * eps * max(1.0, abs(want)), x
+            assert abs(ref.band_log(x) - want) <= 8 * eps * max(1.0, abs(want)), x
 
 
 @pytest.mark.parametrize("p", _band_points() + [vogel_point(g) for g in _LADDER], ids=repr)
@@ -671,7 +565,8 @@ def test_past_band_log_ratio_error_class(p):
     # up to the first sample that underflows to 0
     mp = pytest.importorskip("mpmath")
     eps = 2.0**-52
-    x, s, q = _past_band_form(p)
+    ref = PhiReference(p)
+    x, s = ref.x_past, ref.s
     assert x < math.inf
     f = phi_integrand(p)
     sample = 1.0
@@ -681,7 +576,7 @@ def test_past_band_log_ratio_error_class(p):
             sample = f(x)
             want = mp.fsum(log_sinhc_mp(mp.mpf(a * x)) - log_sinhc_mp(mp.mpf(b * x))
                            for a, b in _slopes(p))
-            assert abs(s * x + q(x) - want) <= 8 * eps * max(1.0, s * x), x
+            assert abs(s * x + ref.past_band_q(x) - want) <= 8 * eps * max(1.0, s * x), x
             x *= 2.0
 
 
@@ -690,7 +585,7 @@ def test_integrand_finite_past_band(lie_type):
     # e^{q - lam x}, with expm1 of a negative argument in [-1, 0), cannot
     # overflow: every sample from x_hi to 1e300 is finite
     p = vogel_point(lie_type)
-    f, x = phi_integrand(p), _past_band_form(p)[0]
+    f, x = phi_integrand(p), PhiReference(p).x_past
     while x < 1e300:
         assert math.isfinite(f(x)), x
         x *= 2.0
@@ -774,7 +669,7 @@ def _panel_cases():
     ]
     for p in [VogelPoint(-2.0, 2.0, 4.5), VogelPoint(-2.0, 4.0, 1.7),
               VogelPoint(-2.0, 1.0, 6.65), vogel_point(su(25))]:
-        x_lo, x_hi = _band_edges(p)
+        x_lo, x_hi = PhiReference(p).band
         assert 0.0 < x_lo < x_hi
         edges = [(0.0, 2.0 * x_lo), (0.5 * x_lo, 1.5 * x_lo), (0.9 * x_hi, 1.1 * x_hi)]
         cases.append((repr(p), phi_integrand(p), spread(0.0, 64.0) + [(0.0, 4.0)] + edges))

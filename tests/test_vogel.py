@@ -11,8 +11,6 @@ from lievol import vogel
 from lievol.errors import DivergenceSetError, ParameterDomainError
 from lievol.rootsys import Family, SimpleLieType, build_root_system, default_groups, sp, spin, su
 from lievol.vogel import (
-    _BAND_LOG_MAX,
-    SINHC_SERIES_CUTOFF,
     VogelPoint,
     _ratio_slopes,
     dim_from_vogel,
@@ -24,6 +22,7 @@ from lievol.vogel import (
     spin_row_point,
     vogel_point,
 )
+from phi_reference import PhiReference
 
 
 def test_table_rows_match_published_values():
@@ -249,61 +248,6 @@ def test_integrand_limit_is_dim_over_twelve():
         assert phi_integrand(p)(0.0) == pytest.approx(dim_from_vogel(p) / 12.0, rel=1e-14), g
 
 
-def _three_pair_phi(p, branches):
-    """phi_integrand as the three-pair closure: every factor's sinh (or
-    log_sinhc, or expm1) taken, the unitary line's unit factor among them.
-    Adds the name of each branch a sample takes to the set `branches`."""
-    k = dim_from_vogel(p)
-    slopes = _ratio_slopes(p)
-    (a1, b1), (a2, b2), (a3, b3) = slopes
-    sizes = [abs(s) for ab in slopes for s in ab]
-    x_lo = x_hi = r1 = r2 = r3 = 0.0
-    if min(sizes) > 0.0:
-        x_lo = SINHC_SERIES_CUTOFF / min(sizes)
-        x_hi = _BAND_LOG_MAX / max(abs(a1) + abs(a2) + abs(a3), abs(b1) + abs(b2) + abs(b3))
-        r1, r2, r3 = b1 / a1, b2 / a2, b3 / a3
-    limit0 = k * math.fsum(a * a - b * b for a, b in slopes) / 6.0
-    # past the band: l = s x + q, with s = sum_i (|a_i| - |b_i|) and
-    # q = log(|r1 r2 r3| prod_i expm1(-2|a_i| x)/expm1(-2|b_i| x))
-    s = (abs(a1) - abs(b1)) + (abs(a2) - abs(b2)) + (abs(a3) - abs(b3))
-
-    def f(x):
-        if x < 1e-12:
-            branches.add("limit")
-            return limit0
-        if x_lo <= x < x_hi:
-            branches.add("band")
-            ell = math.log(math.sinh(a1 * x) * r1 / math.sinh(b1 * x)
-                           * (math.sinh(a2 * x) * r2 / math.sinh(b2 * x))
-                           * (math.sinh(a3 * x) * r3 / math.sinh(b3 * x)))
-        elif x_lo < x_hi <= x:
-            branches.add("past band")
-            q = math.log(abs(r1 * r2 * r3)
-                         * (math.expm1(-2.0 * abs(a1) * x) / math.expm1(-2.0 * abs(b1) * x))
-                         * (math.expm1(-2.0 * abs(a2) * x) / math.expm1(-2.0 * abs(b2) * x))
-                         * (math.expm1(-2.0 * abs(a3) * x) / math.expm1(-2.0 * abs(b3) * x)))
-            ell = s * x + q
-            if ell > 45.0 and x > 45.0:
-                branches.add("exp(q - lam x)")
-                return k * math.exp(q - (1.0 - s) * x) / x
-        else:
-            branches.add("below band" if x < x_lo else "no band")
-            ell = (log_sinhc(a1 * x) - log_sinhc(b1 * x)) + (
-                log_sinhc(a2 * x) - log_sinhc(b2 * x)) + (log_sinhc(a3 * x) - log_sinhc(b3 * x))
-        try:
-            if ell > 45.0 and x > 45.0:
-                branches.add("exp(l - x)")
-                return k * math.exp(ell - x) / x
-            return k * math.expm1(ell) / (x * math.expm1(x))
-        except OverflowError:
-            branches.add("overflow")
-            if ell <= 45.0:
-                return k * math.expm1(ell) * math.exp(-x) / x
-            return math.inf
-
-    return f, x_lo, x_hi
-
-
 def _branch_abscissae(x_lo, x_hi, extra):
     xs = [0.0, 5e-13, 1e-12, 1e-6, 0.3, 2.0, 50.0, 100.0, 700.0, 720.0, 800.0, 5000.0, extra]
     if x_lo < x_hi:
@@ -347,9 +291,8 @@ def test_phi_integrand_bit_equal_to_three_pair_form_on_unitary_line(position, or
     # position, at scales 2^-1000 ~ 1e-301 to 2^1016 ~ 1e306, and both signs of t
     p = _unitary_point(position, order, j, num, e)
     assert p.t == p.params[position]
-    f = phi_integrand(p)
-    ref, x_lo, x_hi = _three_pair_phi(p, set())
-    for y in _branch_abscissae(x_lo, x_hi, x):
+    f, ref = phi_integrand(p), PhiReference(p)
+    for y in _branch_abscissae(*ref.band, x):
         assert f(y).hex() == ref(y).hex(), y
 
 
@@ -366,18 +309,18 @@ def test_phi_integrand_bit_equal_to_three_pair_form_off_unitary_line(base):
     # rescaled and permuted
     for e, perm in ((0, (0, 1, 2)), (-1000, (2, 0, 1)), (990, (1, 2, 0))):
         p = VogelPoint(*(math.ldexp(base[i], e) for i in perm))
-        f = phi_integrand(p)
-        ref, x_lo, x_hi = _three_pair_phi(p, set())
-        for y in _branch_abscissae(x_lo, x_hi, 3.7):
+        f, ref = phi_integrand(p), PhiReference(p)
+        for y in _branch_abscissae(*ref.band, 3.7):
             assert f(y).hex() == ref(y).hex(), (e, y)
 
 
 def test_three_pair_reference_reaches_every_branch():
     seen = set()
     for args in _BRANCH_EXAMPLES:
-        ref, x_lo, x_hi = _three_pair_phi(_unitary_point(*args), seen)
-        for y in _branch_abscissae(x_lo, x_hi, 3.7):
+        ref = PhiReference(_unitary_point(*args))
+        for y in _branch_abscissae(*ref.band, 3.7):
             ref(y)
+        seen |= ref.branches
     assert seen == {"limit", "below band", "band", "past band", "no band", "exp(l - x)",
                     "exp(q - lam x)", "overflow"}
 
@@ -409,7 +352,7 @@ def test_phi_integrand_sinh_count(monkeypatch, p, per_sample):
     monkeypatch.setattr(math, "sinh", count("sinh", sinh))
     monkeypatch.setattr(vogel, "log_sinhc", count("log_sinhc", lsc))
     f = phi_integrand(p)
-    _, x_lo, x_hi = _three_pair_phi(p, set())
+    x_lo, x_hi = PhiReference(p).band
     assert 0.0 < x_lo < x_hi
     for x, name in ((math.sqrt(x_lo * x_hi), "sinh"), (0.5 * x_lo, "log_sinhc")):
         calls.update(sinh=0, log_sinhc=0)

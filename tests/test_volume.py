@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from lievol import volume
 from lievol.errors import InvariantViolationError
 from lievol.quad import Tolerance
 from lievol.rootsys import (
     Family,
+    HeightCounts,
     SimpleLieType,
     build_root_system,
     default_groups,
@@ -43,6 +45,13 @@ def test_phi_kp_su3_closed_form():
 def test_phi_kp_nonnegative():
     for lie_type in default_groups(4):
         assert phi_kp(build_root_system(lie_type)) >= 0.0
+
+
+def test_phi_kp_refuses_a_sinc_factor_out_of_range():
+    # a height equal to m = height_denominator / 2 puts sin(pi h/m) at 0
+    want = r"^sinc factor out of \(0, 1\] for argument 2/2 of SU_2$"
+    with pytest.raises(InvariantViolationError, match=want):
+        phi_kp(HeightCounts(su(2), 2, ((2, 1),), 4))
 
 
 def _phi_kp_from_fractions(rs):
@@ -225,6 +234,19 @@ def test_check_suite_reports_rescaled_row(monkeypatch):
         "route agreement G2": "error: G2: h_vee 4 != table t 5.0",
     }
     assert items["key relation G2"].passed
+
+
+def test_exceptional_dimension_guard(monkeypatch):
+    # each exceptional group is held to its known dimension, in a report and
+    # in `check`'s structure item
+    monkeypatch.setitem(volume._EXCEPTIONAL_DIM, Family.G2, 15)
+    with pytest.raises(InvariantViolationError, match="^G2: dim 14, expected 15$"):
+        cross_check(SimpleLieType(Family.G2, 2))
+    failed = {i.name: i.detail for i in run_check_suite(max_rank=1) if not i.passed}
+    assert failed == {
+        "structure G2": "error: G2: dim 14, expected 15",
+        "route agreement G2": "error: G2: dim 14, expected 15",
+    }
 
 
 def test_unconverged_quadrature_flags_report(monkeypatch):
