@@ -296,21 +296,30 @@ def _build_parser(command: str | None = None):
     return parser if command is None else sub.choices[command]
 
 
-def _parse_with_argparse(argv: list[str] | None) -> SimpleNamespace:
-    """argparse's namespace. argparse strips a value of exactly "--" from
-    "--opt=--" and leaves the list [], past the option's type and choices: that
-    is a usage error, in argparse's words for an option without its value."""
-    args = _build_parser().parse_args(argv)
-    for flag, spec in _COMMANDS[args.command][2]:
-        if isinstance(getattr(args, spec["dest"]), list):
-            _build_parser(args.command).error(f"argument {flag}: expected one argument")
-    return args
+def _parse_with_argparse(argv: list[str]) -> SimpleNamespace:
+    """argparse's namespace. An option's value of exactly "--" ("--opt=--", up
+    to the first bare "--") is split off as its own token first: argparse up to
+    3.12 strips it and leaves the list [], past the option's type and choices,
+    and 3.13 keeps it as the value. Split, it is a usage error in every version,
+    in argparse's words for an option without its value."""
+    split = []
+    for k, token in enumerate(argv):
+        if token == "--":
+            split += argv[k:]
+            break
+        flag, _, value = token.partition("=")
+        if value == "--" and flag.startswith("--") and flag != "--":
+            split += [flag, "--"]
+        else:
+            split.append(token)
+    return _build_parser().parse_args(split)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; every library error leaves through its exit code.
     Only help, usage errors and unusual spellings build the argparse parser."""
-    args = _parse(sys.argv[1:] if argv is None else argv) or _parse_with_argparse(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv) or _parse_with_argparse(argv)
     try:
         return _COMMANDS[args.command][0](args, Tolerance(args.rel, args.abs))
     except DivergenceSetError as exc:

@@ -18,19 +18,19 @@ digits on demand. The Weyl vector rho is the half sum of the positive
 roots, checked against (rho, a_i^vee) = 1 through the pairing sums, which
 gives (rho, a_i) = d_i: pairings (rho, mu) are d-weighted heights
 sum_i d_i mu_i (Humphreys, Lie Algebras, 10.1-10.2). All of this runs on
-Python integers, and the record keeps the heights over the one
-denominator 2 D h_vee. Two exact helpers stay:
-`minimal_pairing`, which every build and every set of closed-form counts
-calls once to check that the highest root is long, and
-`rho_pairings_killing`, which no command calls.
-`fractions.Fraction` is loaded only by `rho_pairings_killing` and for a
-non-integral pairing, never on that check. Floating point enters only in
-the downstream volume/quadrature modules, so the transcendental
+Python integers, and the record keeps the multiset of those heights, with
+h_vee and their one denominator 2 D h_vee, as a `HeightCounts`. Two exact
+helpers stay: `minimal_pairing`, which every build and every set of
+closed-form counts calls once to check that the highest root is long, and
+`rho_pairings_killing`, which no command calls and which reads the decoded
+roots. `fractions.Fraction` is loaded only by `rho_pairings_killing` and
+for a non-integral pairing, never on that check. Floating point enters
+only in the downstream volume/quadrature modules, so the transcendental
 evaluation is the sole numerical error source.
 
-Route 2 and the dimension read only the multiset of weighted heights, and
-on A-D `height_counts` gives it in closed form from a second model of the
-roots (the epsilon basis), in O(rank) steps. `volume` and `table` read it
+Route 2 and the dimension read only that record, and on A-D
+`height_counts` gives the same record in closed form from a second model of
+the roots (the epsilon basis), in O(rank) steps. `volume` and `table` read it
 there and walk only G2, F4 and E6-E8; the walk is the independent check on
 the counts, which `check` and the tests run on every group. The counts also
 hold their top height and h_vee to the highest root in simple-root
@@ -263,53 +263,15 @@ def exponents(lie_type: SimpleLieType) -> tuple[int, ...]:
     }[fam]
 
 
-class RootSystem(Record):
-    """Positive roots and pairing data for one simple type, all integers.
-
-    root_codes[k] = height * 8^rank + sum_i mu_i 8^(rank - 1 - i) is the
-    k-th positive root mu (height >= 1), its coordinates as base-8 digits.
-    The codes are sorted (by height, then coordinates), and
-    `positive_roots` decodes them on demand. The half sum of the roots is the Weyl vector rho,
-    checked against (rho, a_i^vee) = 1 when the record is built.
-    weighted_heights[k] / height_denominator is <rho, mu> under the
-    Cartan-Killing normalization: the numerators are D-weighted heights
-    sum_i D d_i mu_i, and the denominator is 2 D h_vee, with D the common
-    denominator of the d_i.
-    """
-
-    lie_type: SimpleLieType
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    root_codes: tuple[int, ...]
-    dual_coxeter: int
-    weighted_heights: tuple[int, ...]
-    height_denominator: int
-
-    @property
-    def rank(self) -> int:
-        return self.lie_type.rank
-
-    @property
-    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        """The coordinate vectors of the positive roots, decoded from root_codes."""
-        return tuple(_coordinates(code, self.rank) for code in self.root_codes)
-
-    @property
-    def dim(self) -> int:
-        return self.rank + 2 * len(self.root_codes)
-
-    @property
-    def counts(self) -> tuple[tuple[int, int], ...]:
-        """The multiset of weighted heights, as `HeightCounts.counts`."""
-        return tuple(sorted(Counter(self.weighted_heights).items()))
-
-
 class HeightCounts(Record):
     """What route 2, the key relation and the dimension read of a group.
 
     counts holds (weighted height, number of positive roots of that height)
-    pairs in increasing height; as in `RootSystem`, a height over
-    height_denominator = 2 D h_vee is <rho, mu> under the Cartan-Killing
-    normalization. A `RootSystem` has the same attributes.
+    pairs in increasing height; a height h is sum_i D d_i mu_i, and
+    h / height_denominator, with height_denominator = 2 D h_vee, is
+    <rho, mu> under the Cartan-Killing normalization. `height_counts` gives
+    it in closed form on A-D, and `build_root_system` from the walk on every
+    type, as its `heights`.
     """
 
     lie_type: SimpleLieType
@@ -320,6 +282,31 @@ class HeightCounts(Record):
     @property
     def dim(self) -> int:
         return self.lie_type.rank + 2 * sum(map(operator.itemgetter(1), self.counts))
+
+
+class RootSystem(Record):
+    """Positive roots of one simple type, and their weighted heights.
+
+    root_codes[k] = height * 8^rank + sum_i mu_i 8^(rank - 1 - i) is the
+    k-th positive root mu (height >= 1), its coordinates as base-8 digits.
+    The codes are sorted (by height, then coordinates), and
+    `positive_roots` decodes them on demand. The half sum of the roots is
+    the Weyl vector rho, checked against (rho, a_i^vee) = 1 when the record
+    is built. heights is the `HeightCounts` of the roots.
+    """
+
+    lie_type: SimpleLieType
+    root_codes: tuple[int, ...]
+    heights: HeightCounts
+
+    @property
+    def rank(self) -> int:
+        return self.lie_type.rank
+
+    @property
+    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
+        """The coordinate vectors of the positive roots, decoded from root_codes."""
+        return tuple(_coordinates(code, self.rank) for code in self.root_codes)
 
 
 def _refuse_above_cap(lie_type):
@@ -387,7 +374,7 @@ def height_counts(lie_type: SimpleLieType) -> HeightCounts:
             f"{lie_type}: highest root has weighted height {top}, the counts"
             f" top out at {counts[-1][0]}, D (h_vee - 1) = {denom * (h_vee - 1)}"
         )
-    _refuse_short(record, theta)
+    _refuse_short(lie_type, theta)
     return record
 
 
@@ -404,10 +391,10 @@ def _highest_root(lie_type):
     return (1,) + (2,) * (r - 3) + (1, 1)
 
 
-def _refuse_short(record, theta):
+def _refuse_short(lie_type, theta):
     # h_vee = (rho, theta) + 1 holds only for a long highest root theta
-    if minimal_pairing(record, theta, theta) != 2:
-        raise InvariantViolationError(f"{record.lie_type}: highest root is not long")
+    if minimal_pairing(lie_type, theta, theta) != 2:
+        raise InvariantViolationError(f"{lie_type}: highest root is not long")
 
 
 def _coordinates(code, rank):
@@ -513,9 +500,10 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
 
     Positive roots come from raising reflections of the simple roots; the
     Weyl vector is their half sum, checked against (rho, a_i^vee) = 1, and
-    pairings are D-weighted heights. Everything runs on integers, and the
-    record holds only integers. Internal invariants (the Cartan matrix, root
-    count, pairing bounds, highest root long) are checked at linear cost.
+    pairings are D-weighted heights, kept as their `HeightCounts`.
+    Everything runs on integers, and the record holds only integers.
+    Internal invariants (the Cartan matrix, root count, pairing bounds,
+    highest root long) are checked at linear cost.
     """
     _refuse_above_cap(lie_type)
     rank = lie_type.rank
@@ -546,50 +534,41 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
 
     # D (rho, mu) = sum_i D d_i mu_i, since (rho, a_i) = d_i
     mask = (1 << width) - 1
-    heights = tuple(map(mask.__and__, keys))
-    if heights[-1] % denom:
+    counts = tuple(sorted(Counter(map(mask.__and__, keys)).items()))
+    highest = counts[-1][0]
+    if highest % denom:
         raise InvariantViolationError(f"{lie_type}: non-integer dual Coxeter number")
-    h_vee = heights[-1] // denom + 1
-    if min(heights) <= 0 or max(heights) >= denom * h_vee:
-        h = next(h for h in heights if not 0 < h < denom * h_vee)
+    h_vee = highest // denom + 1
+    if counts[0][0] <= 0:
         raise InvariantViolationError(
-            f"{lie_type}: weighted height {h} escapes (0, {denom * h_vee})"
+            f"{lie_type}: weighted height {counts[0][0]} escapes (0, {denom * h_vee})"
         )
 
     # the record keeps each key without its weighted height: the code
     # height * 8^rank + base-8 coordinates
     codes = tuple(map(width.__rrshift__, keys))
-    rs = RootSystem(
-        lie_type=lie_type,
-        cartan_matrix=cartan,
-        root_codes=codes,
-        dual_coxeter=h_vee,
-        weighted_heights=heights,
-        height_denominator=2 * denom * h_vee,
-    )
-    _refuse_short(rs, _coordinates(codes[-1], rank))
-    return rs
+    _refuse_short(lie_type, _coordinates(codes[-1], rank))
+    return RootSystem(lie_type, codes, HeightCounts(lie_type, h_vee, counts, 2 * denom * h_vee))
 
 
-def minimal_pairing(rs: RootSystem, u, v) -> int | Fraction:
+def minimal_pairing(lie_type: SimpleLieType, u, v) -> int | Fraction:
     """(u, v) under the long-root-squared-length-2 normalization, exact.
 
     (a_i, a_j) = d_j C[i][j], so D (u, v) is the diagonal sum
     sum_i 2 D d_i u_i v_i plus u_i C[i][j] D d_j v_j over the nonzero
     entries off the diagonal, one or two per edge of the Dynkin diagram:
     O(rank) steps, in integers over the common denominator D when u and v
-    are integer vectors (rational coordinates give a Fraction sum). `rs` is
-    a `RootSystem` or a `HeightCounts`; only its lie_type is read. An
+    are integer vectors (rational coordinates give a Fraction sum). An
     integral pairing, such as (theta, theta) = 2, is returned as an int;
     only a non-integral one is built as a Fraction.
     """
-    if not len(u) == len(v) == rs.lie_type.rank:
-        raise ParameterDomainError(f"{rs.lie_type}: u and v need one coordinate per simple root")
-    weights = _symmetrizer(rs.lie_type)
+    if not len(u) == len(v) == lie_type.rank:
+        raise ParameterDomainError(f"{lie_type}: u and v need one coordinate per simple root")
+    weights = _symmetrizer(lie_type)
     denom = max(weights)
     wv = list(map(operator.mul, weights, v))
     total = 2 * sum(map(operator.mul, u, wv)) + sum(
-        u[i] * entry * wv[j] for (i, j), entry in _cartan_off_diagonal(rs.lie_type).items()
+        u[i] * entry * wv[j] for (i, j), entry in _cartan_off_diagonal(lie_type).items()
     )
     if total % denom == 0:
         return total // denom
@@ -603,8 +582,12 @@ def rho_pairings_killing(rs: RootSystem) -> tuple[Fraction, ...]:
 
     The Killing form on the algebra is 2 h_vee times the minimal form, so the
     induced form on the dual Cartan subalgebra divides by 2 h_vee. Every value
-    lies strictly inside (0, 1/2).
+    lies strictly inside (0, 1/2). The numerators are the D-weighted heights
+    sum_i D d_i mu_i of the decoded roots, in root order, over
+    height_denominator = 2 D h_vee.
     """
     from fractions import Fraction
 
-    return tuple(Fraction(h, rs.height_denominator) for h in rs.weighted_heights)
+    weights = _symmetrizer(rs.lie_type)
+    den = rs.heights.height_denominator
+    return tuple(Fraction(sum(map(operator.mul, weights, mu)), den) for mu in rs.positive_roots)

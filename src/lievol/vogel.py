@@ -359,8 +359,7 @@ def key_relation_residual(heights: "rootsys.HeightCounts", x: float) -> float:
     The sum runs over the full root set (both signs of each pairing), so
     each positive root contributes e^{2qx} + e^{-2qx} - 2 = 4 sinh^2(qx).
     Identically zero in exact arithmetic; the float residual measures how
-    consistently the table row and the root data describe one group.
-    `heights` is a `rootsys.HeightCounts` or a `rootsys.RootSystem`. One
+    consistently the table row and the root data describe one group. One
     sinh is taken per distinct weighted height and repeated by its count
     into `math.fsum`, which rounds the exact sum once whatever the order,
     so this is the same float as one sinh per root in root order.

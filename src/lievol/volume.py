@@ -24,7 +24,7 @@ from . import quad, rootsys, special, vogel
 from ._record import Record
 from .errors import InvariantViolationError
 from .quad import Tolerance
-from .rootsys import Family, RootSystem, SimpleLieType
+from .rootsys import Family, SimpleLieType
 
 __all__ = [
     "LOG_VOLUME_BASE",
@@ -63,7 +63,7 @@ class CheckItem(Record):
     detail: str
 
 
-def phi_kp(heights: rootsys.HeightCounts | RootSystem) -> float:
+def phi_kp(heights: rootsys.HeightCounts) -> float:
     """Minus the log of the product of sinc factors over positive roots.
 
     Each argument s = 2 <rho, mu> = h / m, with h the root's weighted height
@@ -71,10 +71,9 @@ def phi_kp(heights: rootsys.HeightCounts | RootSystem) -> float:
     each float is the exact argument rounded once; each sine is taken at the
     reduced argument min(h, m - h) / m so factors near the upper end keep
     full precision. Every factor is verified to lie in (0, 1] before its log
-    is taken. `heights` is a `rootsys.HeightCounts` or a `RootSystem`. One
-    sine is taken per distinct weighted height and its term repeated by its
-    count into `math.fsum`, which rounds the exact sum once whatever the
-    order: the same float as one term per root in root order.
+    is taken. One sine is taken per distinct weighted height and its term
+    repeated by its count into `math.fsum`, which rounds the exact sum once
+    whatever the order: the same float as one term per root in root order.
     """
     m = heights.height_denominator // 2
     hs, counts = zip(*heights.counts)
@@ -131,12 +130,8 @@ def _heights(lie_type: SimpleLieType, build) -> rootsys.HeightCounts:
     """The record a report reads: the closed-form height counts on A-D, and
     those of the walk `build` on the exceptional types."""
     if lie_type.family in rootsys.EXCEPTIONAL_RANK:
-        return _walk_counts(build(lie_type))
+        return build(lie_type).heights
     return rootsys.height_counts(lie_type)
-
-
-def _walk_counts(rs: RootSystem) -> rootsys.HeightCounts:
-    return rootsys.HeightCounts(rs.lie_type, rs.dual_coxeter, rs.counts, rs.height_denominator)
 
 
 def _report(heights: rootsys.HeightCounts, tol: Tolerance) -> VolumeReport:
@@ -191,9 +186,8 @@ def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[Che
     first use, and shared by every item that reads them, the isomorphism
     items included. The reports read the record `volume` reads; the
     structure item also runs the walk on every group and requires the
-    record to equal the walk's heights, counts and h_vee. A step that
-    raised is run again, with the same error, by each item that needs
-    it."""
+    record to equal the walk's `heights`. A step that raised is run again,
+    with the same error, by each item that needs it."""
     tol = tol or Tolerance()
     items: list[CheckItem] = []
     root_system = functools.cache(rootsys.build_root_system)
@@ -204,7 +198,7 @@ def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[Che
         name = lie_type.compact_name
 
         def structural(lie_type=lie_type):
-            walk = _walk_counts(root_system(lie_type))
+            walk = root_system(lie_type).heights
             record = heights(lie_type)
             if record != walk:
                 raise InvariantViolationError(

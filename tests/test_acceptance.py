@@ -106,7 +106,7 @@ def test_criterion_5_key_relation():
     for lie_type in CRITERION_GROUPS:
         rs = build_root_system(lie_type)
         for x in (0.1, 1.0, 5.0):
-            worst = max(worst, abs(key_relation_residual(rs, x)) / rs.dim)
+            worst = max(worst, abs(key_relation_residual(rs.heights, x)) / rs.heights.dim)
     ok = worst <= 1e-9
     assert report_line(5, "key relation residuals", ok, f"worst per-dim {worst:.2e}")
 
@@ -148,8 +148,8 @@ def test_criterion_8_structural_exactness():
         point = vogel_point(lie_type)
         dim_formula = dim_from_vogel(point)
         ok = ok and sum(exponents(rs.lie_type)) == len(rs.positive_roots)
-        ok = ok and abs(dim_formula - rs.dim) < 1e-9
-        ok = ok and float(rs.dual_coxeter) == point.t
+        ok = ok and abs(dim_formula - rs.heights.dim) < 1e-9
+        ok = ok and float(rs.heights.dual_coxeter) == point.t
     assert report_line(8, "structural exactness", ok, f"{len(CRITERION_GROUPS)} groups")
 
 

@@ -32,8 +32,7 @@ CASES = [
      lambda: VogelPoint(-2.0, 2.0, 3.0), lambda: VogelPoint(-2.0, 2.0, 4.0)),
     (SimpleLieType, ("family", "rank"),
      lambda: SimpleLieType(Family.B, 3), lambda: SimpleLieType(Family.C, 3)),
-    (RootSystem, ("lie_type", "cartan_matrix", "root_codes", "dual_coxeter",
-                  "weighted_heights", "height_denominator"),
+    (RootSystem, ("lie_type", "root_codes", "heights"),
      lambda: build_root_system(su(3)), lambda: build_root_system(su(4))),
     (HeightCounts, ("lie_type", "dual_coxeter", "counts", "height_denominator"),
      lambda: height_counts(su(3)), lambda: height_counts(su(4))),

@@ -25,8 +25,6 @@ from lievol.rootsys import (
     spin,
     su,
 )
-from lievol.vogel import key_relation_residual
-from lievol.volume import phi_kp
 
 
 def _reflect(root, cartan, i):
@@ -58,8 +56,8 @@ def weyl_vector(rs):
     (rho, a_i^vee) = sum_k rho_k C[k][i] = 1: the dense reference the half
     sum of the positive roots is checked against."""
     n = rs.rank
-    rows = [[Fraction(rs.cartan_matrix[k][i]) for k in range(n)] + [Fraction(1)]
-            for i in range(n)]
+    cartan = cartan_matrix(rs.lie_type)
+    rows = [[Fraction(cartan[k][i]) for k in range(n)] + [Fraction(1)] for i in range(n)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if rows[r][col])
         rows[col], rows[pivot] = rows[pivot], rows[col]
@@ -80,8 +78,38 @@ def symmetrized_form(rs):
     weights = rootsys._symmetrizer(rs.lie_type)
     denom = max(weights)
     return tuple(
-        tuple(Fraction(w * c, denom) for w, c in zip(weights, row)) for row in rs.cartan_matrix
+        tuple(Fraction(w * c, denom) for w, c in zip(weights, row))
+        for row in cartan_matrix(rs.lie_type)
     )
+
+
+def build_with_keys(monkeypatch, lie_type):
+    """build_root_system(lie_type), the raw keys its walk returned, in walk
+    order, and W, the width of their weighted-height field."""
+    walk = rootsys._positive_roots
+    seen = {}
+
+    def capture(lie_type, rows, steps, width, limit):
+        keys, sums = walk(lie_type, rows, steps, width, limit)
+        seen.update(keys=list(keys), width=width)
+        return keys, sums
+
+    monkeypatch.setattr(rootsys, "_positive_roots", capture)
+    return build_root_system(lie_type), seen["keys"], seen["width"]
+
+
+def assert_key_fields(rs, keys, width):
+    """Each raw key's low W bits are the D-weighted height sum_i D d_i mu_i of
+    its own base-8 digits, its bits above them are a code of the record, and
+    the record's counts are the multiset of those low bits."""
+    rank = rs.rank
+    weights = rootsys._symmetrizer(rs.lie_type)
+    mask = (1 << width) - 1
+    for key in keys:
+        digits = [key >> width + 3 * (rank - 1 - i) & 7 for i in range(rank)]
+        assert key & mask == sum(map(operator.mul, weights, digits)), (key, digits)
+    assert rs.root_codes == tuple(sorted(key >> width for key in keys))
+    assert rs.heights.counts == tuple(sorted(Counter(key & mask for key in keys).items()))
 
 
 ALL_SUPPORTED = (
@@ -104,26 +132,25 @@ def test_a1_by_hand():
     rs = build_root_system(su(2))
     assert rs.positive_roots == ((1,),)
     assert weyl_vector(rs) == (Fraction(1, 2),)
-    assert minimal_pairing(rs, weyl_vector(rs), (1,)) == 1
-    assert rs.dual_coxeter == 2
-    assert rs.dim == 3
+    assert minimal_pairing(rs.lie_type, weyl_vector(rs), (1,)) == 1
+    assert rs.heights.dual_coxeter == 2
+    assert rs.heights.dim == 3
     assert rho_pairings_killing(rs) == (Fraction(1, 4),)
 
 
 def test_minimal_pairing_refuses_vectors_off_the_rank():
     # SU_4 has rank 3: a fourth coordinate is not dropped, and a 1-vector
     # raises no bare IndexError
-    rs = build_root_system(su(4))
-    assert minimal_pairing(rs, (1, 0, 0), (1, 0, 0)) == 2
+    assert minimal_pairing(su(4), (1, 0, 0), (1, 0, 0)) == 2
     for u, v in [((1, 0, 0, 5), (1, 0, 0, 7)), ((1,), (1,)), ((1, 0, 0), (1,)), ((1,), (1, 0, 0))]:
         with pytest.raises(ParameterDomainError, match="SU_4: u and v need one coordinate per simple root"):
-            minimal_pairing(rs, u, v)
+            minimal_pairing(su(4), u, v)
 
 
 def test_a2_by_hand():
     rs = build_root_system(su(3))
     assert set(rs.positive_roots) == {(1, 0), (0, 1), (1, 1)}
-    assert rs.dual_coxeter == 3
+    assert rs.heights.dual_coxeter == 3
     # simple roots pair to 1/(2 h_vee), highest root to (h_vee - 1)/(2 h_vee)
     assert sorted(rho_pairings_killing(rs)) == [
         Fraction(1, 6),
@@ -135,8 +162,8 @@ def test_a2_by_hand():
 def test_g2_by_hand():
     rs = build_root_system(SimpleLieType(Family.G2, 2))
     assert len(rs.positive_roots) == 6
-    assert rs.dual_coxeter == 4
-    assert rs.dim == 14
+    assert rs.heights.dual_coxeter == 4
+    assert rs.heights.dim == 14
     # from (rho, a_1) = 1/3, (rho, a_2) = 1 and the six-root coordinate list
     assert sorted(rho_pairings_killing(rs)) == [
         Fraction(1, 24),
@@ -164,7 +191,7 @@ def test_g2_by_hand():
 )
 def test_known_counts_and_coxeter(lie_type, h_vee, n_positive):
     rs = build_root_system(lie_type)
-    assert rs.dual_coxeter == h_vee
+    assert rs.heights.dual_coxeter == h_vee
     assert len(rs.positive_roots) == n_positive
 
 
@@ -178,11 +205,22 @@ def test_exponent_tables():
     assert exponents(spin(8)) == (1, 3, 3, 5)
 
 
+@pytest.mark.parametrize(
+    "lie_type", default_groups(12) + [su(40), sp(60), spin(41), spin(44)], ids=str
+)
+def test_exponents_match_root_heights(lie_type):
+    # Kostant: the number of positive roots of height k is #{i : m_i >= k}.
+    # This pins every exponent, where the walk's root limit reads only their sum
+    per_height = Counter(map(sum, build_root_system(lie_type).positive_roots))
+    m = exponents(lie_type)
+    assert per_height == {k: sum(e >= k for e in m) for k in range(1, max(m) + 1)}
+
+
 @pytest.mark.parametrize("lie_type", ALL_SUPPORTED, ids=lambda t: t.compact_name)
 def test_structural_invariants(lie_type):
     rs = build_root_system(lie_type)
     assert sum(exponents(rs.lie_type)) == len(rs.positive_roots)
-    assert rs.dim == rs.rank + 2 * len(rs.positive_roots)
+    assert rs.heights.dim == rs.rank + 2 * len(rs.positive_roots)
     # simple roots appear as unit vectors, all coordinates nonnegative
     for i in range(rs.rank):
         unit = tuple(1 if k == i else 0 for k in range(rs.rank))
@@ -194,7 +232,7 @@ def test_structural_invariants(lie_type):
     for i in range(rs.rank):
         unit = tuple(1 if k == i else 0 for k in range(rs.rank))
         d_i = form[i][i] / 2
-        assert minimal_pairing(rs, rho, unit) == d_i
+        assert minimal_pairing(rs.lie_type, rho, unit) == d_i
     # half-sum identity
     half_sum = [
         Fraction(sum(mu[k] for mu in rs.positive_roots), 2) for k in range(rs.rank)
@@ -209,12 +247,13 @@ def test_pairings_inside_open_interval(lie_type):
     assert len(pairings) == len(rs.positive_roots)
     assert all(0 < q < Fraction(1, 2) for q in pairings)
     # the highest root attains (h_vee - 1)/(2 h_vee)
-    top = Fraction(rs.dual_coxeter - 1, 2 * rs.dual_coxeter)
+    h_vee = rs.heights.dual_coxeter
+    top = Fraction(h_vee - 1, 2 * h_vee)
     assert max(pairings) == top
     # the weighted heights agree with the Gram-matrix contraction
     rho = weyl_vector(rs)
     assert pairings == tuple(
-        Fraction(minimal_pairing(rs, rho, mu), 2 * rs.dual_coxeter)
+        Fraction(minimal_pairing(rs.lie_type, rho, mu), 2 * h_vee)
         for mu in rs.positive_roots
     )
 
@@ -226,9 +265,9 @@ def test_strange_formula_on_root_data():
     # 48 sum h^2 = dim den^2, h the weighted heights and den their denominator
     groups = default_groups(12) + [su(40), sp(60), spin(41), spin(44)]
     for lie_type in groups:
-        rs = build_root_system(lie_type)
-        total = sum(h * h for h in rs.weighted_heights)
-        assert 48 * total == rs.dim * rs.height_denominator ** 2, lie_type.compact_name
+        heights = build_root_system(lie_type).heights
+        total = sum(c * h * h for h, c in heights.counts)
+        assert 48 * total == heights.dim * heights.height_denominator ** 2, lie_type.compact_name
 
 
 def test_reflection_closure_idempotent():
@@ -237,7 +276,7 @@ def test_reflection_closure_idempotent():
         full = set(rs.positive_roots) | {
             tuple(-c for c in mu) for mu in rs.positive_roots
         }
-        again = weyl_orbit_closure(full, rs.cartan_matrix)
+        again = weyl_orbit_closure(full, cartan_matrix(lie_type))
         assert again == full
 
 
@@ -246,17 +285,14 @@ def test_reflection_closure_idempotent():
 @pytest.mark.parametrize(
     "lie_type", default_groups(8) + [su(25), sp(32), spin(33), spin(34)], ids=str
 )
-def test_positive_roots_match_orbit_closure(lie_type):
-    rs = build_root_system(lie_type)
+def test_positive_roots_match_orbit_closure(monkeypatch, lie_type):
+    rs, keys, width = build_with_keys(monkeypatch, lie_type)
     simples = [tuple(int(k == i) for k in range(rs.rank)) for i in range(rs.rank)]
-    orbit = weyl_orbit_closure(simples, rs.cartan_matrix)
+    orbit = weyl_orbit_closure(simples, cartan_matrix(lie_type))
     assert len(orbit) == 2 * len(rs.positive_roots)
     assert set(rs.positive_roots) == {v for v in orbit if min(v) >= 0}
     assert list(rs.positive_roots) == sorted(rs.positive_roots, key=lambda v: (sum(v), v))
-    weights = rootsys._symmetrizer(lie_type)
-    assert rs.weighted_heights == tuple(
-        sum(w * c for w, c in zip(weights, mu)) for mu in rs.positive_roots
-    )
+    assert_key_fields(rs, keys, width)
 
 
 # Ranks well past 8, where the key's weighted-height field sits below 3 * rank
@@ -267,12 +303,11 @@ def test_positive_roots_match_orbit_closure(lie_type):
      for r in (10, 17, 24, 64)] + [SimpleLieType(Family.E8, 8)],
     ids=str,
 )
-def test_key_fields_match_dense_references(lie_type):
-    rs = build_root_system(lie_type)
+def test_key_fields_match_dense_references(monkeypatch, lie_type):
+    rs, keys, width = build_with_keys(monkeypatch, lie_type)
     roots = rs.positive_roots
     assert list(roots) == sorted(roots, key=lambda v: (sum(v), v))
-    weights = rootsys._symmetrizer(lie_type)
-    assert rs.weighted_heights == tuple(sum(map(operator.mul, weights, mu)) for mu in roots)
+    assert_key_fields(rs, keys, width)
     assert weyl_vector(rs) == tuple(Fraction(sum(coords), 2) for coords in zip(*roots))
 
 
@@ -394,21 +429,16 @@ def test_rank_cap_admits_its_own_rank(monkeypatch):
 
 @pytest.mark.parametrize("family", [Family.A, Family.B, Family.C, Family.D])
 def test_height_counts_match_walk(family):
-    # the closed form against the walk's multiset, m and h_vee at every rank
-    # from the floor to 64 and at the cap; route 2 and the key relation read
-    # either record to the same bit
+    # the closed form against the walk's whole record (its multiset, 2 m and
+    # h_vee) at every rank from the floor to 64 and at the cap, so route 2
+    # and the key relation read the same record on either path
     for rank in [*range(rootsys._RANK_FLOOR[family], 65), 256]:
         lie_type = SimpleLieType(family, rank)
-        counts, rs = height_counts(lie_type), build_root_system(lie_type)
-        assert dict(counts.counts) == Counter(rs.weighted_heights), lie_type
+        rs = build_root_system(lie_type)
+        assert height_counts(lie_type) == rs.heights, lie_type
         assert rootsys._highest_root(lie_type) == rootsys._coordinates(
             rs.root_codes[-1], rank
         ), lie_type
-        assert counts.height_denominator == rs.height_denominator, lie_type  # 2 m
-        assert counts.dual_coxeter == rs.dual_coxeter, lie_type
-        assert counts.dim == rs.dim, lie_type
-        assert phi_kp(counts) == phi_kp(rs), lie_type
-        assert key_relation_residual(counts, 1.0) == key_relation_residual(rs, 1.0), lie_type
 
 
 @pytest.mark.parametrize(
@@ -497,4 +527,4 @@ def test_gram_matrix_properties(lie_type):
     assert all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
     # long-root normalization: every diagonal entry is 2, 1, or 2/3
     assert {g[i][i] for i in range(n)} <= {2, 1, Fraction(2, 3)}
-    assert minimal_pairing(rs, rs.positive_roots[-1], rs.positive_roots[-1]) == 2
+    assert minimal_pairing(lie_type, rs.positive_roots[-1], rs.positive_roots[-1]) == 2

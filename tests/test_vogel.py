@@ -1,13 +1,14 @@
 """Parameter table, dimension formula, and sinh-ratio generator."""
 
 import math
+import operator
 import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lievol import vogel
+from lievol import rootsys, vogel
 from lievol.errors import DivergenceSetError, ParameterDomainError
 from lievol.rootsys import Family, SimpleLieType, build_root_system, default_groups, sp, spin, su
 from lievol.vogel import (
@@ -45,8 +46,7 @@ def test_table_rows_match_published_values():
 
 def test_table_t_equals_dual_coxeter():
     for g in default_groups(8):
-        rs = build_root_system(g)
-        assert float(rs.dual_coxeter) == vogel_point(g).t, g
+        assert float(build_root_system(g).heights.dual_coxeter) == vogel_point(g).t, g
 
 
 def test_spin_row_point_covers_n6():
@@ -408,39 +408,42 @@ def test_log_sinhc_drops_a_term_below_half_an_ulp(y):
 
 
 def test_key_relation_a1_by_hand():
-    rs = build_root_system(su(2))
+    heights = build_root_system(su(2)).heights
     x = 1.0
     # both sides are 2 cosh(1/2) - 2; the residual is their difference
-    assert abs(key_relation_residual(rs, x)) < 1e-14
+    assert abs(key_relation_residual(heights, x)) < 1e-14
     lhs = math.exp(0.5) + math.exp(-0.5) - 2.0
     assert sinh_product_excess(x, vogel_point(su(2))) == pytest.approx(lhs, rel=1e-14)
 
 
 def test_key_relation_vanishes_at_zero():
     for lie_type in (su(3), spin(9), SimpleLieType(Family.E7, 7)):
-        rs = build_root_system(lie_type)
-        assert abs(key_relation_residual(rs, 1e-8)) < 1e-12
+        heights = build_root_system(lie_type).heights
+        assert abs(key_relation_residual(heights, 1e-8)) < 1e-12
 
 
 def test_key_relation_g2():
-    rs = build_root_system(SimpleLieType(Family.G2, 2))
-    assert abs(key_relation_residual(rs, 1.0)) < 1e-12
+    heights = build_root_system(SimpleLieType(Family.G2, 2)).heights
+    assert abs(key_relation_residual(heights, 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("lie_type", default_groups(9), ids=str)
 def test_key_relation_matches_per_root_sum(lie_type):
     # one sinh per distinct height, summed by fsum, equals one sinh per root
-    # exactly, at the abscissas `check` uses
+    # exactly, at the abscissas `check` uses; the per-root heights are read
+    # off the decoded roots
     rs = build_root_system(lie_type)
-    den = rs.height_denominator
+    den = rs.heights.height_denominator
+    weights = rootsys._symmetrizer(lie_type)
+    per_root = [sum(map(operator.mul, weights, mu)) for mu in rs.positive_roots]
     for x in (0.1, 1.0, 5.0):
-        root_sum = math.fsum(4.0 * math.sinh(h / den * x) ** 2 for h in rs.weighted_heights)
+        root_sum = math.fsum(4.0 * math.sinh(h / den * x) ** 2 for h in per_root)
         want = root_sum - sinh_product_excess(x, vogel_point(lie_type))
-        assert key_relation_residual(rs, x) == want
+        assert key_relation_residual(rs.heights, x) == want
 
 
 @pytest.mark.parametrize("lie_type", default_groups(8), ids=str)
 def test_key_relation_all_rows(lie_type):
-    rs = build_root_system(lie_type)
+    heights = build_root_system(lie_type).heights
     for x in (0.1, 1.0, 5.0):
-        assert abs(key_relation_residual(rs, x)) <= 1e-9 * rs.dim
+        assert abs(key_relation_residual(heights, x)) <= 1e-9 * heights.dim
