@@ -297,18 +297,22 @@ def _build_parser(command: str | None = None):
 
 
 def _parse_with_argparse(argv: list[str]) -> SimpleNamespace:
-    """argparse's namespace. An option's value of exactly "--" ("--opt=--", up
-    to the first bare "--") is split off as its own token first: argparse up to
-    3.12 strips it and leaves the list [], past the option's type and choices,
-    and 3.13 keeps it as the value. Split, it is a usage error in every version,
-    in argparse's words for an option without its value."""
+    """argparse's namespace. "--opt=--" for one of the command's options (its
+    flag whole or an unambiguous abbreviation, up to the first bare "--") is
+    split into "--opt" and "--" first: argparse up to 3.12 strips the value
+    "--" and leaves the list [], past the option's type and choices, and 3.13
+    keeps it as the value. Split, it is a usage error in every version, in
+    argparse's words for an option without its value. Help, an unknown flag
+    and an ambiguous one keep argparse's own error for "=--"."""
+    flags = [*dict(_COMMANDS[argv[0]][2]), "--help"] if argv and argv[0] in _COMMANDS else []
     split = []
     for k, token in enumerate(argv):
         if token == "--":
             split += argv[k:]
             break
         flag, _, value = token.partition("=")
-        if value == "--" and flag.startswith("--") and flag != "--":
+        matches = [flag] if flag in flags else [f for f in flags if f.startswith(flag)]
+        if value == "--" and flag.startswith("--") and len(matches) == 1 and matches != ["--help"]:
             split += [flag, "--"]
         else:
             split.append(token)

@@ -535,7 +535,13 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
     # D (rho, mu) = sum_i D d_i mu_i, since (rho, a_i) = d_i
     mask = (1 << width) - 1
     counts = tuple(sorted(Counter(map(mask.__and__, keys)).items()))
-    highest = counts[-1][0]
+    # h_vee = (rho, theta) + 1 for the last key theta, the highest root, which
+    # `_refuse_short` checks is long; no root's weighted height passes theta's
+    highest = keys[-1] & mask
+    if counts[-1][0] != highest:
+        raise InvariantViolationError(
+            f"{lie_type}: weighted height {counts[-1][0]} above the highest root's, {highest}"
+        )
     if highest % denom:
         raise InvariantViolationError(f"{lie_type}: non-integer dual Coxeter number")
     h_vee = highest // denom + 1

@@ -504,6 +504,28 @@ def test_option_value_of_double_dash_is_usage_error(argv):
     assert err.endswith(": expected one argument\n")
 
 
+_IGNORED_HELP_VALUE = "argument -h/--help: ignored explicit argument '--'"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("volume --help=--", _IGNORED_HELP_VALUE),
+        ("volume --he=--", _IGNORED_HELP_VALUE),
+        ("--help=--", _IGNORED_HELP_VALUE),
+        ("volume --group SU --n 5 --bogus=--", "unrecognized arguments: --bogus=--"),
+        ("scan --a=-- --from 1 --to 2 --step 1",
+         "ambiguous option: --a=-- could match --alpha, --abs"),
+    ],
+)
+def test_double_dash_value_of_other_flags_is_left_to_argparse(argv, message):
+    # only an option that takes a value has "=--" split off; help, an unknown
+    # flag and an ambiguous one keep argparse's own usage error for the token
+    code, err = exit_code(argv.split())
+    assert code == 2, err
+    assert err.endswith(f"error: {message}\n")
+
+
 @pytest.mark.parametrize("abs_tol", ["1e-300", "5e-324"])
 def test_tiny_abs_gives_default_phi(capsys, abs_tol):
     # the tail doubling reaches x = 768, where expm1(x) overflows

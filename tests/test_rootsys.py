@@ -361,10 +361,11 @@ def test_coordinate_above_seven_rejected(monkeypatch):
         build_root_system(su(4))
 
 
-# B2 has 2 rho = (3, 4) and D = 2; each list keeps the root count 4 with
-# distinct roots, and all but the first keep the half sum, so the later
-# checks are reached. The stand-in walk returns what the real one does: the
-# root keys sum_i mu_i steps[i], and the pairing sums sum_beta <beta, a_j^vee>.
+# B2 has 2 rho = (3, 4) and D = 2, B3 2 rho = (5, 8, 9) and D = 2; each list
+# keeps the root count (4 or 9) with distinct roots, and all but the first keep
+# the half sum, so the later checks are reached. The stand-in walk returns
+# what the real one does: the root keys sum_i mu_i steps[i], and the pairing
+# sums sum_beta <beta, a_j^vee>.
 @pytest.mark.parametrize(
     "roots, match",
     [
@@ -372,6 +373,13 @@ def test_coordinate_above_seven_rejected(monkeypatch):
         ([(0, 0), (0, 1), (1, 2), (2, 1)], "non-integer dual Coxeter"),
         ([(0, 0), (1, 0), (2, 0), (0, 4)], r"weighted height 0 escapes \(0, 6\)"),
         ([(0, 1), (1, 1), (0, 2), (2, 0)], "not long"),
+        # the last key (1, 2, 2) is long, but (0, 5, 0) has the larger weighted
+        # height 10: h_vee read off it would be 6, not the last key's 5
+        (
+            [(0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 0), (1, 0, 0), (1, 0, 1), (2, 0, 0),
+             (0, 5, 0), (1, 2, 2)],
+            "weighted height 10 above the highest root's, 8",
+        ),
     ],
 )
 def test_corrupted_roots_rejected(monkeypatch, roots, match):
@@ -386,7 +394,7 @@ def test_corrupted_roots_rejected(monkeypatch, roots, match):
 
     monkeypatch.setattr(rootsys, "_positive_roots", walk)
     with pytest.raises(InvariantViolationError, match=match):
-        build_root_system(spin(5))
+        build_root_system(spin(2 * len(roots[0]) + 1))  # B2 or B3
 
 
 @pytest.mark.parametrize(
