@@ -172,10 +172,11 @@ def sinh_product_excess(x: float, p: VogelPoint) -> float:
 
     Evaluated in log space as dim * expm1(l), l the log of the product over
     dim: the sum over i of log_sinhc(a_i x) - log_sinhc(b_i x), the
-    product's definition, which phi_integrand's band form is held to. It
-    stays the unreduced sum of all six terms on the unitary line too, where
-    phi_integrand drops the pair that adds 0.0. The terms are added by `+`,
-    left to right, as `sum` did before Python 3.12.
+    product's definition, which phi_integrand takes below its closed form
+    and holds that form to. It stays the unreduced sum of all six terms on
+    the unitary line too, where phi_integrand drops the pair that adds 0.0.
+    The terms are added by `+`, left to right, as `sum` did before Python
+    3.12.
     Cancellation-free near 0, overflow-free until the rescaled product
     itself leaves double range. Even in x.
     """
@@ -190,9 +191,10 @@ def sinh_product_excess(x: float, p: VogelPoint) -> float:
     return k * math.expm1(ell)
 
 
-# |log| bound on the sinh-ratio product and its partial products inside the
-# band of phi_integrand; e^600 leaves room below the double limit e^709.78
-_BAND_LOG_MAX = 600.0
+# a point takes the closed form of phi_integrand where every |a_i x| and
+# |b_i x| is below this at x = x_lo, so that each |b_i/a_i| lies within a
+# factor 600/SINHC_SERIES_CUTOFF = 4000 of 1
+_CLOSED_FORM_ARG_MAX = 600.0
 
 
 def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
@@ -202,81 +204,68 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     small-x region cancellation-free, and the large-x region switches to a
     pure exponential form before either factor can overflow.
 
-    The log l of the sinh-ratio product over dim is taken in three regions,
-    split at x_lo and x_hi, where with m = min_i min(|a_i|, |b_i|),
-    A = sum_i |a_i| and B = sum_i |b_i|:
+    The log l of the sinh-ratio product over dim is taken in two forms,
+    split at x_lo = SINHC_SERIES_CUTOFF / m, m = min_i min(|a_i|, |b_i|),
+    with A = sum_i |a_i| and B = sum_i |b_i|:
 
-    - Below the band, x < x_lo: l is the log_sinhc sum of
-      sinh_product_excess, six log_sinhc calls.
-    - The band, x_lo <= x < x_hi: one log and six sinh.
-      x_lo = SINHC_SERIES_CUTOFF / m. Every |a_i x| and |b_i x| is at least
-      the cutoff, so no factor needs the series of log_sinhc, and
-      l = log prod_i [sinh(a_i x) (b_i/a_i) / sinh(b_i x)] is within a few
-      ulps of max(1, |l|) of its value at the rounded a_i x and b_i x: no
-      worse than the log_sinhc sum, which rounds each term to its own ulp.
-      x_hi = 600 / max(A, B). Every |a_i x| and |b_i x| is below 600, so no
-      sinh overflows, and |b_i/a_i| = |b_i x|/|a_i x| < 600/cutoff = 4000,
-      so sinh(a_i x) (b_i/a_i) stays below 4000 e^600. Since
-      1 <= sinhc(y) < e^|y|, each factor sinhc(a_i x)/sinhc(b_i x) lies in
-      (e^-|b_i x|, e^|a_i x|), so every partial product lies in
-      (e^-B x, e^A x), inside [e^-600, e^600]: the product neither
-      overflows nor underflows to 0, and the log never sees 0.
-    - Past the band, x >= x_hi: one log and six expm1. As
+    - Below x_lo: l is the log_sinhc sum of sinh_product_excess, six
+      log_sinhc calls.
+    - From x_lo on: one log and six expm1, in closed exponential form. As
       sinh|y| = -e^|y| expm1(-2|y|)/2, exactly
       sinhc(a x)/sinhc(b x) = |b/a| e^{(|a|-|b|) x} expm1(-2|a| x)/expm1(-2|b| x),
-      so l = S x + q, with S = sum_i (|a_i| - |b_i|), K = |r1 r2 r3| and
-      q = log(K prod_i expm1(-2|a_i| x)/expm1(-2|b_i| x)). This needs no
-      bound like the band's: expm1 of a negative argument lies in [-1, 0),
-      and below 1 - e^-0.3 in size nowhere here (every |a_i x| is past the
-      cutoff), so the product is K, in (4000^-3, 4000^3), times six
-      factors in (0.25, 4) at every x. The e^{l - x} branch becomes k e^{q - lam x}/x,
-      lam = 1 - S, so that l and x never cancel. q carries a few roundings
-      of the product and S x one of S and one of S x: l is within a few ulps
-      of max(1, (A + B) x) of its exact value at the rounded a_i x and b_i x,
-      which is a few ulps of max(1, S x) wherever S is not small against
-      A + B, as on every table row (lam = 1/t there).
+      so l = S x + q, with S = sum_i (|a_i| - |b_i|), K = |r1 r2 r3|,
+      r_i = b_i/a_i, and q = log(K prod_i expm1(-2|a_i| x)/expm1(-2|b_i| x)).
+      expm1 of a negative argument lies in [-1, 0), and below 1 - e^-0.3
+      in size nowhere here (every |a_i x| and |b_i x| is past the cutoff),
+      so each expm1 ratio lies in (0.25, 4) at every x. The e^{l - x}
+      branch becomes k e^{q - lam x}/x, lam = 1 - S, so that l and x never
+      cancel. q carries a few roundings of the product and S x one of S and
+      one of S x: l is within a few ulps of max(1, (A + B) x) of its exact
+      value at the rounded a_i x and b_i x, which is a few ulps of
+      max(1, S x) wherever S is not small against A + B, as on every table
+      row (lam = 1/t there).
 
-    The band, and with it the past-band form, is empty where x_lo >= x_hi,
-    and where a slope is 0: an a_i = 0 (q_i = 2t, dim = 0) has no ratio
-    b_i/a_i, and a b_i that underflowed to 0 never reaches the cutoff. Every
-    sample from the series on then takes the log_sinhc sum. One closure per
-    sample, its factors written out.
+    The one guard: a point has the closed form where
+    x_lo < 600 / max(A, B). Every |a_i x_lo| and |b_i x_lo| is then below
+    600, so each |r_i| = |b_i x_lo|/|a_i x_lo| lies in (1/4000, 4000), K in
+    (4000^-3, 4000^3), and the product under the log neither overflows nor
+    underflows to 0. Where the guard fails, and where a slope is 0 (an
+    a_i = 0, q_i = 2t and dim = 0, has no ratio b_i/a_i, and a b_i that
+    underflowed to 0 never reaches the cutoff), every sample from the
+    series on takes the log_sinhc sum. One closure per sample, its factors
+    written out.
 
-    On the unitary line a sample takes three sinh (or log_sinhc) instead of
-    six, and the same bits. Where q_i = t, the shifted u q_i is t' = u t,
-    so a_i = (t' - 2t')/4t' = -1/4 and b_i = t'/4t' = 1/4 exactly. For
-    such a pair the ratio r_i is -1.0, a_i x == -(b_i x),
-    and libm's sinh is odd, so sinh(a_i x) r_i == sinh(b_i x): the band
-    factor is exactly 1.0 (sinh(x/4) is finite and nonzero in the band, as
-    B >= 1/4), and the product of the other two, in whichever order, is
-    unchanged by it. Outside the band log_sinhc(a_i x) == log_sinhc(b_i x),
-    as log_sinhc reads |y|, and both are finite for every finite x, so the
-    pair adds 0.0; log_sinhc is never negative or -0.0, so no difference of
-    two is -0.0, and adding 0.0 changes no sum. Where the other two pairs
-    also have b_k == -b_j (q_j + q_k = 0 in floats, as on every table row),
-    sinh(b_k x) == -sinh(b_j x) and log_sinhc(b_k x) == log_sinhc(b_j x),
-    so one call serves both denominators. Past the band the pair's factor
-    expm1(-x/2)/expm1(-x/2) is exactly 1.0 and its r_i = -1.0 leaves K as
-    it is, and expm1(-2|b_k| x) == expm1(-2|b_j| x): three expm1, not six.
-    k, limit0, x_lo, x_hi, S and K still come from all six slopes, so every
-    sample takes the same branch. Off
-    the line, and where t absorbs the rounding of q_j + q_k (q_i == t but
-    b_k != -b_j), the three-pair closure runs.
+    On the unitary line a sample takes three log_sinhc (or expm1) instead
+    of six, and the same bits. Where q_i = t, the shifted u q_i is t' = u t,
+    so a_i = (t' - 2t')/4t' = -1/4 and b_i = t'/4t' = 1/4 exactly. Below
+    x_lo log_sinhc(a_i x) == log_sinhc(b_i x), as log_sinhc reads |y|, and
+    both are finite for every finite x, so the pair adds 0.0; log_sinhc is
+    never negative or -0.0, so no difference of two is -0.0, and adding 0.0
+    changes no sum. Where the other two pairs also have b_k == -b_j
+    (q_j + q_k = 0 in floats, as on every table row),
+    log_sinhc(b_k x) == log_sinhc(b_j x), so one call serves both
+    denominators. From x_lo on the pair's factor expm1(-x/2)/expm1(-x/2) is
+    exactly 1.0 and its r_i = -1.0 leaves K as it is, so the product, in
+    whichever position the factor stands, is unchanged by it, and
+    expm1(-2|b_k| x) == expm1(-2|b_j| x): three expm1, not six. k, limit0,
+    x_lo, the guard, S and K still come from all six slopes, so every
+    sample takes the same branch. Off the line, and where t absorbs the
+    rounding of q_j + q_k (q_i == t but b_k != -b_j), the three-pair
+    closure runs.
     """
     k = dim_from_vogel(p)
     slopes = _ratio_slopes(p)
     (a1, b1), (a2, b2), (a3, b3) = slopes
     sizes = c1, d1, c2, d2, c3, d3 = abs(a1), abs(b1), abs(a2), abs(b2), abs(a3), abs(b3)
-    x_lo = x_hi = r1 = r2 = r3 = 0.0
+    # from x_past on, l = s x + q (see above); inf for a point without the closed form
+    x_past, kr = math.inf, 0.0
     if min(sizes) > 0.0:
         x_lo = SINHC_SERIES_CUTOFF / min(sizes)
         # by `+` on every interpreter: `sum` of floats is compensated from 3.12 on
-        x_hi = _BAND_LOG_MAX / max(c1 + c2 + c3, d1 + d2 + d3)
-        r1, r2, r3 = b1 / a1, b2 / a2, b3 / a3
-    # past the band, l = s x + q (see above); there is no such region without a band
-    x_past = x_hi if x_lo < x_hi else math.inf
+        if x_lo < _CLOSED_FORM_ARG_MAX / max(c1 + c2 + c3, d1 + d2 + d3):
+            x_past, kr = x_lo, abs(b1 / a1 * (b2 / a2) * (b3 / a3))
     s = (c1 - d1) + (c2 - d2) + (c3 - d3)
-    lam, kr = 1.0 - s, abs(r1 * r2 * r3)
+    lam = 1.0 - s
     # the x -> 0 limit, k/6 sum(a_i^2 - b_i^2): k/12 in exact arithmetic (the
     # strange formula), but summed from the rounded slopes. Where t is tiny
     # against the parameters, the slopes are huge, the start scale is tiny and
@@ -284,21 +273,18 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     # converged phi, while this sum carries the slopes' rounding and the
     # quadrature reports it unconverged
     limit0 = k * math.fsum(a * a - b * b for a, b in slopes) / 6.0
-    sinh, log, exp, expm1, lsc = math.sinh, math.log, math.exp, math.expm1, log_sinhc
+    log, exp, expm1, lsc = math.log, math.exp, math.expm1, log_sinhc
     # the unitary line (see above): no pair (-1/4, 1/4), and one denominator
     # for the other two
-    live = [(a, b, r) for (a, b), r in zip(slopes, (r1, r2, r3)) if (a, b) != (-0.25, 0.25)]
+    live = [(a, b) for a, b in slopes if (a, b) != (-0.25, 0.25)]
     if len(live) == 2 and live[1][1] == -live[0][1]:
-        (aj, bj, rj), (ak, _, rk) = live
+        (aj, bj), (ak, _) = live
         cj, ck, dj = abs(aj), abs(ak), abs(bj)
 
         def f_unitary(x: float) -> float:
             if x < 1e-12:
                 return limit0
-            if x_lo <= x < x_hi:
-                sb = sinh(bj * x)
-                ell = log(sinh(aj * x) * rj / sb * (sinh(ak * x) * rk / -sb))
-            elif x < x_past:
+            if x < x_past:
                 lb = lsc(bj * x)
                 ell = (lsc(aj * x) - lb) + (lsc(ak * x) - lb)
             else:
@@ -324,10 +310,7 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
         if x < 1e-12:
             return limit0
         # x > 0 from here on, so l needs no abs
-        if x_lo <= x < x_hi:
-            ell = log(sinh(a1 * x) * r1 / sinh(b1 * x) * (sinh(a2 * x) * r2 / sinh(b2 * x))
-                      * (sinh(a3 * x) * r3 / sinh(b3 * x)))
-        elif x < x_past:
+        if x < x_past:
             ell = (lsc(a1 * x) - lsc(b1 * x)) + (lsc(a2 * x) - lsc(b2 * x)) + (
                 lsc(a3 * x) - lsc(b3 * x))
         else:

@@ -148,8 +148,9 @@ def _log_sum_terms(p, x):
 
 def _log_sum_phi_integrand(p):
     """The phi integrand with every sample's log product taken as a sum of
-    log_sinhc terms, as it was before the band product: the reference for
-    phi_integrand and for the pinned phi rows below."""
+    log_sinhc terms, as phi_integrand takes it below x_lo and at points
+    without a band: the reference for phi_integrand and for the pinned phi
+    rows below."""
     k = dim_from_vogel(p)
     limit0 = k * math.fsum(a * a - b * b for a, b in _ratio_slopes(p)) / 6.0
 
@@ -413,8 +414,8 @@ def test_phi_off_table_vs_mpmath(p):
 
 
 def test_integrand_branch_continuity():
-    # step across the earliest per-factor series switch and both edges of
-    # the band product by one ulp and require seamlessness
+    # step across the earliest per-factor series switch, x_lo, where the
+    # closed form starts, and x_hi by one ulp and require seamlessness
     p = VogelPoint(-2.0, 2.0, 5.0)
     slopes = [abs(q - 2.0 * p.t) / (4.0 * p.t) for q in p.params]
     slopes += [abs(q) / (4.0 * p.t) for q in p.params]
@@ -456,9 +457,10 @@ def _abscissae(p):
 def test_integrand_matches_log_sum_reference(p):
     # The reference rounds each log_sinhc term to its own ulp, so where the
     # terms cancel, the two logs differ by a few ulps of the summed term
-    # magnitudes, not of |l| (the band product is the closer of the two to
-    # exact: test_band_log_ratio_error_class). That difference, carried
-    # through df/dl = k e^l / (x (e^x - 1)), plus a few ulps of f, bounds f.
+    # magnitudes, not of |l| (the closed form is the closer of the two to
+    # exact in the band: test_band_log_ratio_error_class). That difference,
+    # carried through df/dl = k e^l / (x (e^x - 1)), plus a few ulps of f,
+    # bounds f.
     eps = 2.0**-52
     k = dim_from_vogel(p)
     f, ref = phi_integrand(p), _log_sum_phi_integrand(p)
@@ -543,25 +545,25 @@ def test_phi_error_estimate_bounds_error_on_table_rows(lie_type):
 
 @pytest.mark.parametrize("p", _band_points(), ids=repr)
 def test_band_log_ratio_error_class(p):
-    # inside the band, l is within a few ulps of max(1, |l|) of its exact
-    # value at the same rounded arguments a*x and b*x
+    # inside the band, the closed form's l = s x + q is within a few ulps of
+    # max(1, |l|) of its exact value at the same rounded arguments a*x and b*x
     mp = pytest.importorskip("mpmath")
     eps = 2.0**-52
     ref = PhiReference(p)
     x_lo, x_hi = ref.band
-    assert x_lo < x_hi
+    assert x_lo == ref.x_past < x_hi
     with mp.workdps(40):
         log_sinhc_mp = lambda y: mp.log(mp.sinh(y) / y)
         for x in (x_lo * (x_hi / x_lo) ** (i / 8) for i in range(8)):
             want = mp.fsum(log_sinhc_mp(mp.mpf(a * x)) - log_sinhc_mp(mp.mpf(b * x))
                            for a, b in _slopes(p))
-            assert abs(ref.band_log(x) - want) <= 8 * eps * max(1.0, abs(want)), x
+            assert abs(ref.s * x + ref.closed_q(x) - want) <= 8 * eps * max(1.0, abs(want)), x
 
 
 @pytest.mark.parametrize("p", _band_points() + [vogel_point(g) for g in _LADDER], ids=repr)
 def test_past_band_log_ratio_error_class(p):
-    # past the band, l = s x + q is within a few ulps of max(1, s x) of its
-    # exact value at the same rounded arguments a*x and b*x, at x = x_hi 2^i
+    # in the closed form, l = s x + q is within a few ulps of max(1, s x) of
+    # its exact value at the same rounded arguments a*x and b*x, at x = x_lo 2^i
     # up to the first sample that underflows to 0
     mp = pytest.importorskip("mpmath")
     eps = 2.0**-52
@@ -576,14 +578,14 @@ def test_past_band_log_ratio_error_class(p):
             sample = f(x)
             want = mp.fsum(log_sinhc_mp(mp.mpf(a * x)) - log_sinhc_mp(mp.mpf(b * x))
                            for a, b in _slopes(p))
-            assert abs(s * x + ref.past_band_q(x) - want) <= 8 * eps * max(1.0, s * x), x
+            assert abs(s * x + ref.closed_q(x) - want) <= 8 * eps * max(1.0, s * x), x
             x *= 2.0
 
 
 @pytest.mark.parametrize("lie_type", default_groups(12) + _LADDER, ids=str)
 def test_integrand_finite_past_band(lie_type):
     # e^{q - lam x}, with expm1 of a negative argument in [-1, 0), cannot
-    # overflow: every sample from x_hi to 1e300 is finite
+    # overflow: every sample from x_lo to 1e300 is finite
     p = vogel_point(lie_type)
     f, x = phi_integrand(p), PhiReference(p).x_past
     while x < 1e300:

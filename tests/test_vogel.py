@@ -265,18 +265,20 @@ def _unitary_point(position, order, j, num, e):
     return VogelPoint(*pair)
 
 
-# (-2, 2, 1/2), where l stays below 45 past the band and expm1(x)
+# (-2, 2, 1/2), where l stays below 45 in the closed form and expm1(x)
 # overflows, (-2, 2, 9) up to order and scale, where l - x reaches the
-# e^{l - x} form in the band and e^{q - lam x} past it, and (-2, 2, 1), where
-# a slope is 0 and there is no band: between them every branch of the
-# integrand (test below)
-_BRANCH_EXAMPLES = [(2, 1, 4, 1, 0), (0, -1, 2, 9, 0), (2, 1, 2, 1, 0)]
+# e^{q - lam x} form, (-2, 2, 1), where a slope is 0 and there is no band,
+# and (1, -1, 200), whose x_lo = 120 leaves samples with l and x past 45,
+# the e^{l - x} form, to the log_sinhc sum: between them every branch of
+# the integrand (test below)
+_BRANCH_EXAMPLES = [(2, 1, 4, 1, 0), (0, -1, 2, 9, 0), (2, 1, 2, 1, 0), (2, 1, 1, 200, 0)]
 
 
 @settings(max_examples=300, deadline=None)
 @example(*_BRANCH_EXAMPLES[0], 3.7)
 @example(*_BRANCH_EXAMPLES[1], 3.7)
 @example(*_BRANCH_EXAMPLES[2], 3.7)
+@example(*_BRANCH_EXAMPLES[3], 3.7)
 @given(
     st.integers(0, 2),
     st.sampled_from([1, -1]),
@@ -321,14 +323,18 @@ def test_three_pair_reference_reaches_every_branch():
         for y in _branch_abscissae(*ref.band, 3.7):
             ref(y)
         seen |= ref.branches
-    assert seen == {"limit", "below band", "band", "past band", "no band", "exp(l - x)",
+    assert seen == {"limit", "below band", "closed form", "no band", "exp(l - x)",
                     "exp(q - lam x)", "overflow"}
 
 
 def test_sinh_is_odd_bit_for_bit():
-    # the unitary-line closure reads sinh(b_k x) as -sinh(b_j x) where b_k == -b_j
+    # key_relation_residual squares sinh(h x / den), so with sinh odd it is
+    # even in x bit for bit, as sinh_product_excess is (log_sinhc reads |y|)
     for y in (0.15, 0.37, 1.0, 22.0, 350.0, 599.9):
         assert math.sinh(-y) == -math.sinh(y)
+    heights = build_root_system(su(4)).heights
+    for x in (0.3, 1.0, 2.5):
+        assert key_relation_residual(heights, -x) == key_relation_residual(heights, x), x
 
 
 @pytest.mark.parametrize("p, per_sample", [
@@ -338,28 +344,37 @@ def test_sinh_is_odd_bit_for_bit():
     (VogelPoint(-2.0, 1.0, 5.0), 6),  # Sp_6's row
 ], ids=repr)
 def test_phi_integrand_sinh_count(monkeypatch, p, per_sample):
-    # three sinh per band sample on the unitary line, six off it; as many
-    # log_sinhc calls per sample outside the band
-    calls = {"sinh": 0, "log_sinhc": 0}
-    sinh, lsc = math.sinh, vogel.log_sinhc
+    # three expm1 per closed-form sample on the unitary line, six off it, and
+    # as many log_sinhc calls per sample below x_lo; beyond those, each
+    # sample below x = 45 takes the two expm1 of expm1(l)/(x expm1(x)). No
+    # sample, nor the closure's build, takes a sinh but inside log_sinhc
+    calls = {"sinh": 0, "expm1": 0, "log_sinhc": 0}
+    inside = []
 
     def count(name, fn):
         def counted(y):
-            calls[name] += 1
-            return fn(y)
+            calls[name] += not inside  # a sinh inside log_sinhc is log_sinhc's
+            inside.append(y)
+            try:
+                return fn(y)
+            finally:
+                inside.pop()
         return counted
 
-    monkeypatch.setattr(math, "sinh", count("sinh", sinh))
-    monkeypatch.setattr(vogel, "log_sinhc", count("log_sinhc", lsc))
+    monkeypatch.setattr(math, "sinh", count("sinh", math.sinh))
+    monkeypatch.setattr(math, "expm1", count("expm1", math.expm1))
+    monkeypatch.setattr(vogel, "log_sinhc", count("log_sinhc", vogel.log_sinhc))
     f = phi_integrand(p)
     x_lo, x_hi = PhiReference(p).band
-    assert 0.0 < x_lo < x_hi
-    for x, name in ((math.sqrt(x_lo * x_hi), "sinh"), (0.5 * x_lo, "log_sinhc")):
-        calls.update(sinh=0, log_sinhc=0)
+    assert 0.0 < x_lo < x_hi and math.sqrt(x_lo * x_hi) < 45.0
+    for x, want in ((math.sqrt(x_lo * x_hi), (per_sample + 2, 0)),
+                    (0.5 * x_lo, (2, per_sample))):
+        calls.update(expm1=0, log_sinhc=0)
         f(x)
-        assert calls[name] == per_sample, x
-        if name == "sinh":
-            assert calls["log_sinhc"] == 0
+        assert (calls["expm1"], calls["log_sinhc"]) == want, x
+    for x in _branch_abscissae(x_lo, x_hi, 3.7):
+        f(x)
+    assert calls["sinh"] == 0
 
 
 @pytest.mark.parametrize("lie_type", [SimpleLieType(Family.F4, 4), spin(13)], ids=str)

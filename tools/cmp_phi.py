@@ -24,8 +24,11 @@ evaluation budget. The closed-form points: the integers 1..300 and
 2^16 - 1 .. 2^16 + 1, 1e10, and the 40 seeded gammas of the line (-2, 2),
 where z = gamma. The route-2 groups: every A-D group from its rank floor to
 64, rank 256 in each family, and the five exceptional groups; the
-key-relation groups are default_groups(12). Exit status: 0 if no record
-differs, 1 if one does, 2 on bad usage.
+key-relation groups are default_groups(12). Each kind ends on a line
+"N of M ... records differ", which, where N > 0, also gives the largest
+|a - b| / max(1, |a|, |b|) of the values that differ (see max_reldiff), so
+that "2,184 records differ" says how far they moved. Exit status: 0 if no
+record differs, 1 if one does, 2 on bad usage.
 
     git archive PARENT_COMMIT | tar -x -C PARENT_DIR
     python3 tools/cmp_phi.py PARENT_DIR
@@ -151,6 +154,25 @@ def dump() -> None:
               r.tail_cutoff.hex())
 
 
+def values(record: str) -> list[str]:
+    """The value fields of a record: the first of a quadrature record (value,
+    error estimate, converged, evaluations, cutoff), every field of another."""
+    fields = record.split()
+    return fields[:1] if len(fields) == 5 else fields
+
+
+def max_reldiff(old: str, new: str) -> float:
+    """The largest |a - b| / max(1, |a|, |b|) over the hex-float values of
+    two records, paired in order, as tools/cmp_parent.sh measures the CLI's
+    numbers: how far phi, ln G, phi_kp or a residual moved."""
+    worst = 0.0
+    for x, y in zip(values(old), values(new)):
+        if x != y and "0x" in x and "0x" in y:
+            u, v = float.fromhex(x), float.fromhex(y)
+            worst = max(worst, abs(u - v) / max(1.0, abs(u), abs(v)))
+    return worst
+
+
 def records(tree: pathlib.Path, stdin: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     run = subprocess.run([sys.executable, __file__, "--dump"], input=stdin, env=env,
@@ -189,13 +211,15 @@ def main() -> int:
     old, new = iter(old), iter(new)
     status = 0
     for name, group in kinds.items():
-        differ = 0
+        differ, worst = 0, 0.0
         # zip reads `group` first, so it stops there without a record too many
         for (_, label), a, b in zip(group, old, new):
             if a != b:
                 differ += 1
+                worst = max(worst, max_reldiff(a, b))
                 print(f"{label}\n  < {a}\n  > {b}")
-        print(f"{differ} of {len(group)} {name} records differ")
+        size = f"; max |a - b| / max(1, |a|, |b|) = {worst:.2e}" if differ else ""
+        print(f"{differ} of {len(group)} {name} records differ{size}")
         status |= differ > 0
     return status
 
