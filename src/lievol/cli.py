@@ -270,11 +270,10 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **{**defaults, **values})
 
 
-def _build_parser(command: str | None = None):
-    """The argparse parser for `_COMMANDS`, or the subparser of one command: the
-    one renderer of help and usage errors. It wraps at a fixed _HELP_WIDTH, so
-    that its output is a function of argv alone and not of `COLUMNS` or the
-    terminal."""
+def _build_parser():
+    """The argparse parser for `_COMMANDS`: the one renderer of help and usage
+    errors. It wraps at a fixed _HELP_WIDTH, so that its output is a function
+    of argv alone and not of `COLUMNS` or the terminal."""
     import argparse
 
     def formatter(prog):
@@ -293,7 +292,7 @@ def _build_parser(command: str | None = None):
         subparser = sub.add_parser(name, help=help_line, formatter_class=formatter)
         for flag, spec in options:
             subparser.add_argument(flag, **spec)
-    return parser if command is None else sub.choices[command]
+    return parser
 
 
 def _parse_with_argparse(argv: list[str]) -> SimpleNamespace:

@@ -12,21 +12,21 @@ generate the positive roots from the simple ones. A root is one integer
 key, with its height, its coordinates as base-8 digits and its d-weighted
 height in separate bit fields: the walk deduplicates on it and sums the
 pairings <beta, a_i^vee> as it reads them. Sorted keys order the roots by
-height, then coordinates, and their low bits are the weighted heights; the
-record keeps each key without those bits, and coordinates are read off its
-digits on demand. The Weyl vector rho is the half sum of the positive
-roots, checked against (rho, a_i^vee) = 1 through the pairing sums, which
-gives (rho, a_i) = d_i: pairings (rho, mu) are d-weighted heights
-sum_i d_i mu_i (Humphreys, Lie Algebras, 10.1-10.2). All of this runs on
-Python integers, and the record keeps the multiset of those heights, with
-h_vee and their one denominator 2 D h_vee, as a `HeightCounts`. Two exact
-helpers stay: `minimal_pairing`, which every build and every set of
-closed-form counts calls once to check that the highest root is long, and
-`rho_pairings_killing`, which no command calls and which reads the decoded
-roots. `fractions.Fraction` is loaded only by `rho_pairings_killing` and
-for a non-integral pairing, never on that check. Floating point enters
-only in the downstream volume/quadrature modules, so the transcendental
-evaluation is the sole numerical error source.
+height, then coordinates, and their low bits are the weighted heights;
+`positive_roots` reads the coordinates off the digits of those keys. The
+Weyl vector rho is the half sum of the positive roots, checked against
+(rho, a_i^vee) = 1 through the pairing sums, which gives (rho, a_i) = d_i:
+pairings (rho, mu) are d-weighted heights sum_i d_i mu_i (Humphreys, Lie
+Algebras, 10.1-10.2). All of this runs on Python integers, and
+`build_root_system` returns only the multiset of those heights, with h_vee
+and their one denominator 2 D h_vee, as a `HeightCounts`: no root outlives
+the walk. Two exact helpers stay: `minimal_pairing`, which every build and
+every set of closed-form counts calls once to check that the highest root
+is long, and `rho_pairings_killing`, which no command calls and which reads
+the low bits of the keys. `fractions.Fraction` is loaded only by
+`rho_pairings_killing` and for a non-integral pairing, never on that check.
+Floating point enters only in the downstream volume/quadrature modules, so
+the transcendental evaluation is the sole numerical error source.
 
 Route 2 and the dimension read only that record, and on A-D
 `height_counts` gives the same record in closed form from a second model of
@@ -51,7 +51,6 @@ from .errors import InvariantViolationError, ParameterDomainError, UnsupportedGr
 __all__ = [
     "Family",
     "SimpleLieType",
-    "RootSystem",
     "HeightCounts",
     "build_root_system",
     "cartan_matrix",
@@ -59,6 +58,7 @@ __all__ = [
     "exponents",
     "height_counts",
     "minimal_pairing",
+    "positive_roots",
     "rho_pairings_killing",
     "su",
     "spin",
@@ -271,7 +271,7 @@ class HeightCounts(Record):
     h / height_denominator, with height_denominator = 2 D h_vee, is
     <rho, mu> under the Cartan-Killing normalization. `height_counts` gives
     it in closed form on A-D, and `build_root_system` from the walk on every
-    type, as its `heights`.
+    type.
     """
 
     lie_type: SimpleLieType
@@ -282,31 +282,6 @@ class HeightCounts(Record):
     @property
     def dim(self) -> int:
         return self.lie_type.rank + 2 * sum(map(operator.itemgetter(1), self.counts))
-
-
-class RootSystem(Record):
-    """Positive roots of one simple type, and their weighted heights.
-
-    root_codes[k] = height * 8^rank + sum_i mu_i 8^(rank - 1 - i) is the
-    k-th positive root mu (height >= 1), its coordinates as base-8 digits.
-    The codes are sorted (by height, then coordinates), and
-    `positive_roots` decodes them on demand. The half sum of the roots is
-    the Weyl vector rho, checked against (rho, a_i^vee) = 1 when the record
-    is built. heights is the `HeightCounts` of the roots.
-    """
-
-    lie_type: SimpleLieType
-    root_codes: tuple[int, ...]
-    heights: HeightCounts
-
-    @property
-    def rank(self) -> int:
-        return self.lie_type.rank
-
-    @property
-    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        """The coordinate vectors of the positive roots, decoded from root_codes."""
-        return tuple(_coordinates(code, self.rank) for code in self.root_codes)
 
 
 def _refuse_above_cap(lie_type):
@@ -414,7 +389,7 @@ def _positive_roots(lie_type, rows, steps, width, limit):
     rows[i] = ((j, C[i][j]), ...) of Cartan row i are touched. The walk sums
     the pairings as it reads them: the sums are <2 rho, a_j^vee>.
     A root is one int, its key sum_i mu_i steps[i]; a raise by c a_i adds
-    c steps[i]. `build_root_system` sets steps[i] to
+    c steps[i]. `_walk` sets steps[i] to
     2^(3 rank + W) + 2^(W + 3(rank - 1 - i)) + D d_i, so a key is
     height * 2^(3 rank + W) + sum_i mu_i 2^(W + 3(rank - 1 - i))
     + sum_i D d_i mu_i: the height on top, the coordinates below it as
@@ -495,16 +470,31 @@ def _check_cartan(lie_type, cartan, rows, weights):
                 )
 
 
-def build_root_system(lie_type: SimpleLieType) -> RootSystem:
-    """Construct the full root-system record for a supported simple type.
+def build_root_system(lie_type: SimpleLieType) -> HeightCounts:
+    """The `HeightCounts` of a supported simple type, from the walk.
 
     Positive roots come from raising reflections of the simple roots; the
     Weyl vector is their half sum, checked against (rho, a_i^vee) = 1, and
-    pairings are D-weighted heights, kept as their `HeightCounts`.
-    Everything runs on integers, and the record holds only integers.
-    Internal invariants (the Cartan matrix, root count, pairing bounds,
-    highest root long) are checked at linear cost.
+    pairings are D-weighted heights, counted into the record, which holds
+    only integers and none of the roots. Internal invariants (the Cartan
+    matrix, root count, pairing bounds, highest root long) are checked at
+    linear cost.
     """
+    return _walk(lie_type)[2]
+
+
+def positive_roots(lie_type: SimpleLieType) -> tuple[tuple[int, ...], ...]:
+    """The coordinate vectors of the positive roots, by height, then
+    coordinates: the walk's sorted keys, decoded."""
+    keys, width, _ = _walk(lie_type)
+    rank = lie_type.rank
+    return tuple(_coordinates(key >> width, rank) for key in keys)
+
+
+def _walk(lie_type):
+    """The sorted keys of the positive roots (see `_positive_roots`), the
+    width W of their weighted-height field, and their `HeightCounts`, once
+    every invariant of the walk has been checked."""
     _refuse_above_cap(lie_type)
     rank = lie_type.rank
     cartan = cartan_matrix(lie_type)
@@ -549,12 +539,8 @@ def build_root_system(lie_type: SimpleLieType) -> RootSystem:
         raise InvariantViolationError(
             f"{lie_type}: weighted height {counts[0][0]} escapes (0, {denom * h_vee})"
         )
-
-    # the record keeps each key without its weighted height: the code
-    # height * 8^rank + base-8 coordinates
-    codes = tuple(map(width.__rrshift__, keys))
-    _refuse_short(lie_type, _coordinates(codes[-1], rank))
-    return RootSystem(lie_type, codes, HeightCounts(lie_type, h_vee, counts, 2 * denom * h_vee))
+    _refuse_short(lie_type, _coordinates(keys[-1] >> width, rank))
+    return keys, width, HeightCounts(lie_type, h_vee, counts, 2 * denom * h_vee)
 
 
 def minimal_pairing(lie_type: SimpleLieType, u, v) -> int | Fraction:
@@ -583,17 +569,18 @@ def minimal_pairing(lie_type: SimpleLieType, u, v) -> int | Fraction:
     return Fraction(total, denom)
 
 
-def rho_pairings_killing(rs: RootSystem) -> tuple[Fraction, ...]:
+def rho_pairings_killing(lie_type: SimpleLieType) -> tuple[Fraction, ...]:
     """<rho, mu> under the Cartan-Killing normalization, one per positive root.
 
     The Killing form on the algebra is 2 h_vee times the minimal form, so the
     induced form on the dual Cartan subalgebra divides by 2 h_vee. Every value
     lies strictly inside (0, 1/2). The numerators are the D-weighted heights
-    sum_i D d_i mu_i of the decoded roots, in root order, over
-    height_denominator = 2 D h_vee.
+    sum_i D d_i mu_i, the low W bits of the walk's sorted keys, so the values
+    come in the order of `positive_roots`, over height_denominator = 2 D h_vee.
     """
     from fractions import Fraction
 
-    weights = _symmetrizer(rs.lie_type)
-    den = rs.heights.height_denominator
-    return tuple(Fraction(sum(map(operator.mul, weights, mu)), den) for mu in rs.positive_roots)
+    keys, width, heights = _walk(lie_type)
+    mask = (1 << width) - 1
+    den = heights.height_denominator
+    return tuple(Fraction(key & mask, den) for key in keys)

@@ -130,7 +130,7 @@ def _heights(lie_type: SimpleLieType, build) -> rootsys.HeightCounts:
     """The record a report reads: the closed-form height counts on A-D, and
     those of the walk `build` on the exceptional types."""
     if lie_type.family in rootsys.EXCEPTIONAL_RANK:
-        return build(lie_type).heights
+        return build(lie_type)
     return rootsys.height_counts(lie_type)
 
 
@@ -179,28 +179,37 @@ def _guarded(name: str, fn) -> CheckItem:
     return CheckItem(name, passed, detail)
 
 
+def _unless_unconverged(passed: bool, detail: str, *results) -> tuple[bool, str]:
+    # an item whose integrals (QuadResults or VolumeReports) did not all
+    # converge fails, whatever their values
+    if all(r.converged for r in results):
+        return passed, detail
+    return False, detail + "; quadrature did not converge"
+
+
 def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[CheckItem]:
     """Full verification battery used by the command-line `check` command.
 
-    Each group's root system, height record and report are made once, on
-    first use, and shared by every item that reads them, the isomorphism
-    items included. The reports read the record `volume` reads; the
+    Each group's walk, height record and report are made once, on first
+    use, and shared by every item that reads them, the isomorphism items
+    included; a walk is kept as its `HeightCounts`, so no group's roots
+    outlive its walk. The reports read the record `volume` reads; the
     structure item also runs the walk on every group and requires the
-    record to equal the walk's `heights`. A step that raised is run again,
-    with the same error, by each item that needs it."""
+    record to equal the walk's. An item that reads an integral fails if
+    that integral did not converge, whatever its value. A step that raised
+    is run again, with the same error, by each item that needs it."""
     tol = tol or Tolerance()
     items: list[CheckItem] = []
-    root_system = functools.cache(rootsys.build_root_system)
-    heights = functools.cache(lambda lie_type: _heights(lie_type, root_system))
+    walk = functools.cache(rootsys.build_root_system)
+    heights = functools.cache(lambda lie_type: _heights(lie_type, walk))
     report = functools.cache(lambda lie_type: _report(heights(lie_type), tol))
 
     for lie_type in rootsys.default_groups(max_rank):
         name = lie_type.compact_name
 
         def structural(lie_type=lie_type):
-            walk = root_system(lie_type).heights
             record = heights(lie_type)
-            if record != walk:
+            if record != walk(lie_type):
                 raise InvariantViolationError(
                     f"{lie_type}: height counts, m or h_vee differ from the walk's"
                 )
@@ -231,18 +240,16 @@ def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[Che
         def barnes(n=n):
             got = special.log_barnesG_integral(float(n))
             diff = abs(got.value - special.barnesG_integer_oracle(n))
-            # an integral that did not converge fails its item, whatever its value
-            note = "" if got.converged else "; quadrature did not converge"
-            return got.converged and diff <= 1e-9, f"|diff| = {diff:.3e}{note}"
+            return _unless_unconverged(diff <= 1e-9, f"|diff| = {diff:.3e}", got)
 
         items.append(_guarded(f"Barnes integral vs oracle n={n}", barnes))
 
     for z in _UNITARY_ZS:
 
         def unitary(z=z):
-            phi = quad.integrate_phi(vogel.VogelPoint(-2.0, 2.0, z), tol).value
-            diff = abs(phi - special.phi_unitary_closed_form(z))
-            return diff <= 1e-7, f"|diff| = {diff:.3e}"
+            got = quad.integrate_phi(vogel.VogelPoint(-2.0, 2.0, z), tol)
+            diff = abs(got.value - special.phi_unitary_closed_form(z))
+            return _unless_unconverged(diff <= 1e-7, f"|diff| = {diff:.3e}", got)
 
         items.append(_guarded(f"unitary line identity z={z}", unitary))
 
@@ -250,15 +257,16 @@ def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[Che
     # its parameter point with SU_4 up to permutation, so its universal-route
     # volume must match the SU_4 report although D3 itself is not built.
     def iso_sp2():
-        diff = abs(report(rootsys.su(2)).log_volume - report(rootsys.sp(2)).log_volume)
-        return diff <= 1e-8, f"|log-volume diff| = {diff:.3e}"
+        su2, sp2 = report(rootsys.su(2)), report(rootsys.sp(2))
+        diff = abs(su2.log_volume - sp2.log_volume)
+        return _unless_unconverged(diff <= 1e-8, f"|log-volume diff| = {diff:.3e}", su2, sp2)
 
     def iso_spin6():
         point = vogel.spin_row_point(6)
         dim = round(vogel.dim_from_vogel(point))
-        lv_spin6 = dim * LOG_VOLUME_BASE - quad.integrate_phi(point, tol).value
-        diff = abs(report(rootsys.su(4)).log_volume - lv_spin6)
-        return diff <= 1e-8, f"|log-volume diff| = {diff:.3e}"
+        got, su4 = quad.integrate_phi(point, tol), report(rootsys.su(4))
+        diff = abs(su4.log_volume - (dim * LOG_VOLUME_BASE - got.value))
+        return _unless_unconverged(diff <= 1e-8, f"|log-volume diff| = {diff:.3e}", got, su4)
 
     items.append(_guarded("iso Sp_2 = SU_2", iso_sp2))
     items.append(_guarded("iso Spin_6 = SU_4", iso_spin6))

@@ -17,6 +17,7 @@ from lievol.rootsys import (
     build_root_system,
     default_groups,
     exponents,
+    positive_roots,
     sp,
     spin,
     su,
@@ -104,9 +105,9 @@ def test_criterion_4_barnes_continuation():
 def test_criterion_5_key_relation():
     worst = 0.0
     for lie_type in CRITERION_GROUPS:
-        rs = build_root_system(lie_type)
+        heights = build_root_system(lie_type)
         for x in (0.1, 1.0, 5.0):
-            worst = max(worst, abs(key_relation_residual(rs.heights, x)) / rs.heights.dim)
+            worst = max(worst, abs(key_relation_residual(heights, x)) / heights.dim)
     ok = worst <= 1e-9
     assert report_line(5, "key relation residuals", ok, f"worst per-dim {worst:.2e}")
 
@@ -144,12 +145,12 @@ def test_criterion_7_projective_permutation_invariance():
 def test_criterion_8_structural_exactness():
     ok = True
     for lie_type in CRITERION_GROUPS:
-        rs = build_root_system(lie_type)
+        heights = build_root_system(lie_type)
         point = vogel_point(lie_type)
         dim_formula = dim_from_vogel(point)
-        ok = ok and sum(exponents(rs.lie_type)) == len(rs.positive_roots)
-        ok = ok and abs(dim_formula - rs.heights.dim) < 1e-9
-        ok = ok and float(rs.heights.dual_coxeter) == point.t
+        ok = ok and sum(exponents(lie_type)) == len(positive_roots(lie_type))
+        ok = ok and abs(dim_formula - heights.dim) < 1e-9
+        ok = ok and float(heights.dual_coxeter) == point.t
     assert report_line(8, "structural exactness", ok, f"{len(CRITERION_GROUPS)} groups")
 
 

@@ -267,6 +267,31 @@ def test_check_fails_an_unconverged_reference(capsys, unconverged_barnes):
         assert float(line.split("= ")[1].split(";")[0]) <= 1e-9, line
 
 
+def test_check_fails_every_item_that_reads_an_unconverged_phi(capsys, monkeypatch):
+    # every phi integral keeps its value and estimate but reports that it did
+    # not converge: the unitary-line and isomorphism items fail with the note,
+    # each route-agreement item fails on its report, and the items that read
+    # no phi integral pass
+    integrate_phi = quad.integrate_phi
+
+    def unconverged(*args, **kwargs):
+        qr = integrate_phi(*args, **kwargs)
+        return quad.QuadResult(qr.value, qr.error_estimate, False, qr.evaluations, qr.tail_cutoff)
+
+    monkeypatch.setattr(quad, "integrate_phi", unconverged)
+    code, out, _ = run_cli(capsys, "check", "--max-rank", "1")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    groups = ["SU_2", "Sp_2", "G2", "F4", "E6", "E7", "E8"]
+    noted = [f"unitary line identity z={z}" for z in (0.5, 1.0, 2.0, 3.0, 5.5, 9.0)]
+    noted += ["iso Sp_2 = SU_2", "iso Spin_6 = SU_4"]
+    assert [line[6:].split(":")[0] for line in failed] == (
+        [f"route agreement {g}" for g in groups] + noted
+    )
+    for line in failed[len(groups):]:
+        assert line.endswith("; quadrature did not converge"), line
+
+
 @pytest.mark.parametrize("argv, count", [
     # Barnes' integral does not converge at z = 0.3 at this tolerance
     ("--from 0.3 --to 0.9 --step 0.3 --rel 1e-12 --abs 1e-14", 3),
@@ -537,10 +562,18 @@ def test_tiny_abs_gives_default_phi(capsys, abs_tol):
     assert json.loads(tiny)["phi"] == json.loads(out)["phi"]
 
 
-def test_check_passes_at_tiny_abs(capsys):
+def test_check_fails_the_unconverged_phi_at_tiny_abs(capsys):
+    # at rel 1e-15 the phi integral at (-2, 2, 0.5) reports that it did not
+    # converge, although it lies within 1e-15 of the closed form: its item
+    # fails on the flag, and every other item passes
     code, out, _ = run_cli(capsys, "check", "--max-rank", "5", "--rel", "1e-15", "--abs", "5e-324")
-    assert code == 0
-    assert out.splitlines()[-1] == "79/79 checks passed"
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "78/79 checks passed"
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL  unitary line identity z=0.5: |diff| = ")
+    assert failed[0].endswith("; quadrature did not converge")
 
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)

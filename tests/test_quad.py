@@ -539,7 +539,7 @@ def test_phi_error_estimate_bounds_error_on_table_rows(lie_type):
     p = vogel_point(lie_type)
     res = integrate_phi(p)
     assert res.converged
-    assert abs(res.value - phi_kp(build_root_system(lie_type).heights)) <= res.error_estimate
+    assert abs(res.value - phi_kp(build_root_system(lie_type))) <= res.error_estimate
     assert res.tail_cutoff >= phi_start_scale(p)
 
 

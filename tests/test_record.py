@@ -11,9 +11,7 @@ from lievol.quad import QuadResult, Tolerance
 from lievol.rootsys import (
     Family,
     HeightCounts,
-    RootSystem,
     SimpleLieType,
-    build_root_system,
     height_counts,
     su,
 )
@@ -32,8 +30,6 @@ CASES = [
      lambda: VogelPoint(-2.0, 2.0, 3.0), lambda: VogelPoint(-2.0, 2.0, 4.0)),
     (SimpleLieType, ("family", "rank"),
      lambda: SimpleLieType(Family.B, 3), lambda: SimpleLieType(Family.C, 3)),
-    (RootSystem, ("lie_type", "root_codes", "heights"),
-     lambda: build_root_system(su(3)), lambda: build_root_system(su(4))),
     (HeightCounts, ("lie_type", "dual_coxeter", "counts", "height_denominator"),
      lambda: height_counts(su(3)), lambda: height_counts(su(4))),
     (VolumeReport, ("group", "dim", "phi_universal", "phi_kp", "log_volume", "volume",

@@ -20,6 +20,7 @@ from lievol.rootsys import (
     exponents,
     height_counts,
     minimal_pairing,
+    positive_roots,
     rho_pairings_killing,
     sp,
     spin,
@@ -51,12 +52,12 @@ def weyl_orbit_closure(seeds, cartan):
     return seen
 
 
-def weyl_vector(rs):
+def weyl_vector(lie_type):
     """rho in simple-root coordinates, solved exactly from its definition
     (rho, a_i^vee) = sum_k rho_k C[k][i] = 1: the dense reference the half
     sum of the positive roots is checked against."""
-    n = rs.rank
-    cartan = cartan_matrix(rs.lie_type)
+    n = lie_type.rank
+    cartan = cartan_matrix(lie_type)
     rows = [[Fraction(cartan[k][i]) for k in range(n)] + [Fraction(1)] for i in range(n)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if rows[r][col])
@@ -72,18 +73,18 @@ def weyl_vector(rs):
     return tuple(rho)
 
 
-def symmetrized_form(rs):
+def symmetrized_form(lie_type):
     """Gram matrix (a_i, a_j) = d_j C[i][j] of the simple roots, long roots at
     squared length 2, in exact rationals."""
-    weights = rootsys._symmetrizer(rs.lie_type)
+    weights = rootsys._symmetrizer(lie_type)
     denom = max(weights)
     return tuple(
         tuple(Fraction(w * c, denom) for w, c in zip(weights, row))
-        for row in cartan_matrix(rs.lie_type)
+        for row in cartan_matrix(lie_type)
     )
 
 
-def build_with_keys(monkeypatch, lie_type):
+def build_with_keys(lie_type):
     """build_root_system(lie_type), the raw keys its walk returned, in walk
     order, and W, the width of their weighted-height field."""
     walk = rootsys._positive_roots
@@ -94,22 +95,33 @@ def build_with_keys(monkeypatch, lie_type):
         seen.update(keys=list(keys), width=width)
         return keys, sums
 
-    monkeypatch.setattr(rootsys, "_positive_roots", capture)
-    return build_root_system(lie_type), seen["keys"], seen["width"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rootsys, "_positive_roots", capture)
+        heights = build_root_system(lie_type)
+    return heights, seen["keys"], seen["width"]
 
 
-def assert_key_fields(rs, keys, width):
+def key_digits(key, width, rank):
+    """The coordinates of a raw key: its rank base-8 digits above the low W
+    bits, mu_0 the most significant."""
+    return tuple(key >> width + 3 * (rank - 1 - i) & 7 for i in range(rank))
+
+
+def assert_key_fields(lie_type, heights, keys, width):
     """Each raw key's low W bits are the D-weighted height sum_i D d_i mu_i of
-    its own base-8 digits, its bits above them are a code of the record, and
-    the record's counts are the multiset of those low bits."""
-    rank = rs.rank
-    weights = rootsys._symmetrizer(rs.lie_type)
+    its own base-8 digits, the digits of the sorted keys are
+    `positive_roots`, and the record's counts are the multiset of the low
+    bits."""
+    rank = lie_type.rank
+    weights = rootsys._symmetrizer(lie_type)
     mask = (1 << width) - 1
-    for key in keys:
-        digits = [key >> width + 3 * (rank - 1 - i) & 7 for i in range(rank)]
+    roots = []
+    for key in sorted(keys):
+        digits = key_digits(key, width, rank)
         assert key & mask == sum(map(operator.mul, weights, digits)), (key, digits)
-    assert rs.root_codes == tuple(sorted(key >> width for key in keys))
-    assert rs.heights.counts == tuple(sorted(Counter(key & mask for key in keys).items()))
+        roots.append(digits)
+    assert positive_roots(lie_type) == tuple(roots)
+    assert heights.counts == tuple(sorted(Counter(key & mask for key in keys).items()))
 
 
 ALL_SUPPORTED = (
@@ -129,13 +141,13 @@ ALL_SUPPORTED = (
 
 def test_a1_by_hand():
     # single positive root, rho = alpha/2, (rho, alpha) = 1, h_vee = 2
-    rs = build_root_system(su(2))
-    assert rs.positive_roots == ((1,),)
-    assert weyl_vector(rs) == (Fraction(1, 2),)
-    assert minimal_pairing(rs.lie_type, weyl_vector(rs), (1,)) == 1
-    assert rs.heights.dual_coxeter == 2
-    assert rs.heights.dim == 3
-    assert rho_pairings_killing(rs) == (Fraction(1, 4),)
+    heights = build_root_system(su(2))
+    assert positive_roots(su(2)) == ((1,),)
+    assert weyl_vector(su(2)) == (Fraction(1, 2),)
+    assert minimal_pairing(su(2), weyl_vector(su(2)), (1,)) == 1
+    assert heights.dual_coxeter == 2
+    assert heights.dim == 3
+    assert rho_pairings_killing(su(2)) == (Fraction(1, 4),)
 
 
 def test_minimal_pairing_refuses_vectors_off_the_rank():
@@ -148,11 +160,10 @@ def test_minimal_pairing_refuses_vectors_off_the_rank():
 
 
 def test_a2_by_hand():
-    rs = build_root_system(su(3))
-    assert set(rs.positive_roots) == {(1, 0), (0, 1), (1, 1)}
-    assert rs.heights.dual_coxeter == 3
+    assert set(positive_roots(su(3))) == {(1, 0), (0, 1), (1, 1)}
+    assert build_root_system(su(3)).dual_coxeter == 3
     # simple roots pair to 1/(2 h_vee), highest root to (h_vee - 1)/(2 h_vee)
-    assert sorted(rho_pairings_killing(rs)) == [
+    assert sorted(rho_pairings_killing(su(3))) == [
         Fraction(1, 6),
         Fraction(1, 6),
         Fraction(1, 3),
@@ -160,12 +171,13 @@ def test_a2_by_hand():
 
 
 def test_g2_by_hand():
-    rs = build_root_system(SimpleLieType(Family.G2, 2))
-    assert len(rs.positive_roots) == 6
-    assert rs.heights.dual_coxeter == 4
-    assert rs.heights.dim == 14
+    g2 = SimpleLieType(Family.G2, 2)
+    heights = build_root_system(g2)
+    assert len(positive_roots(g2)) == 6
+    assert heights.dual_coxeter == 4
+    assert heights.dim == 14
     # from (rho, a_1) = 1/3, (rho, a_2) = 1 and the six-root coordinate list
-    assert sorted(rho_pairings_killing(rs)) == [
+    assert sorted(rho_pairings_killing(g2)) == [
         Fraction(1, 24),
         Fraction(1, 8),
         Fraction(1, 6),
@@ -190,9 +202,8 @@ def test_g2_by_hand():
     ],
 )
 def test_known_counts_and_coxeter(lie_type, h_vee, n_positive):
-    rs = build_root_system(lie_type)
-    assert rs.heights.dual_coxeter == h_vee
-    assert len(rs.positive_roots) == n_positive
+    assert build_root_system(lie_type).dual_coxeter == h_vee
+    assert len(positive_roots(lie_type)) == n_positive
 
 
 def test_exponent_tables():
@@ -211,50 +222,49 @@ def test_exponent_tables():
 def test_exponents_match_root_heights(lie_type):
     # Kostant: the number of positive roots of height k is #{i : m_i >= k}.
     # This pins every exponent, where the walk's root limit reads only their sum
-    per_height = Counter(map(sum, build_root_system(lie_type).positive_roots))
+    per_height = Counter(map(sum, positive_roots(lie_type)))
     m = exponents(lie_type)
     assert per_height == {k: sum(e >= k for e in m) for k in range(1, max(m) + 1)}
 
 
 @pytest.mark.parametrize("lie_type", ALL_SUPPORTED, ids=lambda t: t.compact_name)
 def test_structural_invariants(lie_type):
-    rs = build_root_system(lie_type)
-    assert sum(exponents(rs.lie_type)) == len(rs.positive_roots)
-    assert rs.heights.dim == rs.rank + 2 * len(rs.positive_roots)
+    roots = positive_roots(lie_type)
+    rank = lie_type.rank
+    assert sum(exponents(lie_type)) == len(roots)
+    assert build_root_system(lie_type).dim == rank + 2 * len(roots)
     # simple roots appear as unit vectors, all coordinates nonnegative
-    for i in range(rs.rank):
-        unit = tuple(1 if k == i else 0 for k in range(rs.rank))
-        assert unit in rs.positive_roots
-    assert all(all(c >= 0 for c in mu) for mu in rs.positive_roots)
+    for i in range(rank):
+        unit = tuple(1 if k == i else 0 for k in range(rank))
+        assert unit in roots
+    assert all(all(c >= 0 for c in mu) for mu in roots)
     # definition of the Weyl vector
-    rho = weyl_vector(rs)
-    form = symmetrized_form(rs)
-    for i in range(rs.rank):
-        unit = tuple(1 if k == i else 0 for k in range(rs.rank))
+    rho = weyl_vector(lie_type)
+    form = symmetrized_form(lie_type)
+    for i in range(rank):
+        unit = tuple(1 if k == i else 0 for k in range(rank))
         d_i = form[i][i] / 2
-        assert minimal_pairing(rs.lie_type, rho, unit) == d_i
+        assert minimal_pairing(lie_type, rho, unit) == d_i
     # half-sum identity
-    half_sum = [
-        Fraction(sum(mu[k] for mu in rs.positive_roots), 2) for k in range(rs.rank)
-    ]
+    half_sum = [Fraction(sum(mu[k] for mu in roots), 2) for k in range(rank)]
     assert list(rho) == half_sum
 
 
 @pytest.mark.parametrize("lie_type", ALL_SUPPORTED, ids=lambda t: t.compact_name)
 def test_pairings_inside_open_interval(lie_type):
-    rs = build_root_system(lie_type)
-    pairings = rho_pairings_killing(rs)
-    assert len(pairings) == len(rs.positive_roots)
+    roots = positive_roots(lie_type)
+    pairings = rho_pairings_killing(lie_type)
+    assert len(pairings) == len(roots)
     assert all(0 < q < Fraction(1, 2) for q in pairings)
     # the highest root attains (h_vee - 1)/(2 h_vee)
-    h_vee = rs.heights.dual_coxeter
+    h_vee = build_root_system(lie_type).dual_coxeter
     top = Fraction(h_vee - 1, 2 * h_vee)
     assert max(pairings) == top
-    # the weighted heights agree with the Gram-matrix contraction
-    rho = weyl_vector(rs)
+    # the weighted heights agree with the Gram-matrix contraction, in root
+    # order
+    rho = weyl_vector(lie_type)
     assert pairings == tuple(
-        Fraction(minimal_pairing(rs.lie_type, rho, mu), 2 * h_vee)
-        for mu in rs.positive_roots
+        Fraction(minimal_pairing(lie_type, rho, mu), 2 * h_vee) for mu in roots
     )
 
 
@@ -265,17 +275,15 @@ def test_strange_formula_on_root_data():
     # 48 sum h^2 = dim den^2, h the weighted heights and den their denominator
     groups = default_groups(12) + [su(40), sp(60), spin(41), spin(44)]
     for lie_type in groups:
-        heights = build_root_system(lie_type).heights
+        heights = build_root_system(lie_type)
         total = sum(c * h * h for h, c in heights.counts)
         assert 48 * total == heights.dim * heights.height_denominator ** 2, lie_type.compact_name
 
 
 def test_reflection_closure_idempotent():
     for lie_type in (su(3), spin(8), SimpleLieType(Family.G2, 2)):
-        rs = build_root_system(lie_type)
-        full = set(rs.positive_roots) | {
-            tuple(-c for c in mu) for mu in rs.positive_roots
-        }
+        roots = positive_roots(lie_type)
+        full = set(roots) | {tuple(-c for c in mu) for mu in roots}
         again = weyl_orbit_closure(full, cartan_matrix(lie_type))
         assert again == full
 
@@ -285,14 +293,16 @@ def test_reflection_closure_idempotent():
 @pytest.mark.parametrize(
     "lie_type", default_groups(8) + [su(25), sp(32), spin(33), spin(34)], ids=str
 )
-def test_positive_roots_match_orbit_closure(monkeypatch, lie_type):
-    rs, keys, width = build_with_keys(monkeypatch, lie_type)
-    simples = [tuple(int(k == i) for k in range(rs.rank)) for i in range(rs.rank)]
+def test_positive_roots_match_orbit_closure(lie_type):
+    heights, keys, width = build_with_keys(lie_type)
+    roots = positive_roots(lie_type)
+    rank = lie_type.rank
+    simples = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
     orbit = weyl_orbit_closure(simples, cartan_matrix(lie_type))
-    assert len(orbit) == 2 * len(rs.positive_roots)
-    assert set(rs.positive_roots) == {v for v in orbit if min(v) >= 0}
-    assert list(rs.positive_roots) == sorted(rs.positive_roots, key=lambda v: (sum(v), v))
-    assert_key_fields(rs, keys, width)
+    assert len(orbit) == 2 * len(roots)
+    assert set(roots) == {v for v in orbit if min(v) >= 0}
+    assert list(roots) == sorted(roots, key=lambda v: (sum(v), v))
+    assert_key_fields(lie_type, heights, keys, width)
 
 
 # Ranks well past 8, where the key's weighted-height field sits below 3 * rank
@@ -303,12 +313,12 @@ def test_positive_roots_match_orbit_closure(monkeypatch, lie_type):
      for r in (10, 17, 24, 64)] + [SimpleLieType(Family.E8, 8)],
     ids=str,
 )
-def test_key_fields_match_dense_references(monkeypatch, lie_type):
-    rs, keys, width = build_with_keys(monkeypatch, lie_type)
-    roots = rs.positive_roots
+def test_key_fields_match_dense_references(lie_type):
+    heights, keys, width = build_with_keys(lie_type)
+    roots = positive_roots(lie_type)
     assert list(roots) == sorted(roots, key=lambda v: (sum(v), v))
-    assert_key_fields(rs, keys, width)
-    assert weyl_vector(rs) == tuple(Fraction(sum(coords), 2) for coords in zip(*roots))
+    assert_key_fields(lie_type, heights, keys, width)
+    assert weyl_vector(lie_type) == tuple(Fraction(sum(coords), 2) for coords in zip(*roots))
 
 
 # Each injected fault below must trip its own InvariantViolationError in
@@ -427,7 +437,7 @@ def test_rank_cap_admits_its_own_rank(monkeypatch):
     assert rootsys._MAX_RANK == 256
     monkeypatch.setattr(rootsys, "_MAX_RANK", 5)
     for family in (Family.A, Family.B, Family.C, Family.D):
-        assert build_root_system(SimpleLieType(family, 5)).rank == 5
+        assert build_root_system(SimpleLieType(family, 5)).lie_type.rank == 5
         assert height_counts(SimpleLieType(family, 5)).lie_type.rank == 5
         with pytest.raises(UnsupportedGroupError):
             build_root_system(SimpleLieType(family, 6))
@@ -442,11 +452,9 @@ def test_height_counts_match_walk(family):
     # and the key relation read the same record on either path
     for rank in [*range(rootsys._RANK_FLOOR[family], 65), 256]:
         lie_type = SimpleLieType(family, rank)
-        rs = build_root_system(lie_type)
-        assert height_counts(lie_type) == rs.heights, lie_type
-        assert rootsys._highest_root(lie_type) == rootsys._coordinates(
-            rs.root_codes[-1], rank
-        ), lie_type
+        heights, keys, width = build_with_keys(lie_type)
+        assert height_counts(lie_type) == heights, lie_type
+        assert rootsys._highest_root(lie_type) == key_digits(max(keys), width, rank), lie_type
 
 
 @pytest.mark.parametrize(
@@ -529,10 +537,10 @@ def test_cartan_matrix_shapes():
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(ALL_SUPPORTED))
 def test_gram_matrix_properties(lie_type):
-    rs = build_root_system(lie_type)
-    g = symmetrized_form(rs)
-    n = rs.rank
+    g = symmetrized_form(lie_type)
+    n = lie_type.rank
     assert all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
     # long-root normalization: every diagonal entry is 2, 1, or 2/3
     assert {g[i][i] for i in range(n)} <= {2, 1, Fraction(2, 3)}
-    assert minimal_pairing(lie_type, rs.positive_roots[-1], rs.positive_roots[-1]) == 2
+    theta = positive_roots(lie_type)[-1]
+    assert minimal_pairing(lie_type, theta, theta) == 2

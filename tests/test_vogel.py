@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 
 from lievol import rootsys, vogel
 from lievol.errors import DivergenceSetError, ParameterDomainError
-from lievol.rootsys import Family, SimpleLieType, build_root_system, default_groups, sp, spin, su
+from lievol.rootsys import (
+    Family,
+    SimpleLieType,
+    build_root_system,
+    default_groups,
+    positive_roots,
+    sp,
+    spin,
+    su,
+)
 from lievol.vogel import (
     VogelPoint,
     _ratio_slopes,
@@ -46,7 +55,7 @@ def test_table_rows_match_published_values():
 
 def test_table_t_equals_dual_coxeter():
     for g in default_groups(8):
-        assert float(build_root_system(g).heights.dual_coxeter) == vogel_point(g).t, g
+        assert float(build_root_system(g).dual_coxeter) == vogel_point(g).t, g
 
 
 def test_spin_row_point_covers_n6():
@@ -332,7 +341,7 @@ def test_sinh_is_odd_bit_for_bit():
     # even in x bit for bit, as sinh_product_excess is (log_sinhc reads |y|)
     for y in (0.15, 0.37, 1.0, 22.0, 350.0, 599.9):
         assert math.sinh(-y) == -math.sinh(y)
-    heights = build_root_system(su(4)).heights
+    heights = build_root_system(su(4))
     for x in (0.3, 1.0, 2.5):
         assert key_relation_residual(heights, -x) == key_relation_residual(heights, x), x
 
@@ -423,7 +432,7 @@ def test_log_sinhc_drops_a_term_below_half_an_ulp(y):
 
 
 def test_key_relation_a1_by_hand():
-    heights = build_root_system(su(2)).heights
+    heights = build_root_system(su(2))
     x = 1.0
     # both sides are 2 cosh(1/2) - 2; the residual is their difference
     assert abs(key_relation_residual(heights, x)) < 1e-14
@@ -433,12 +442,12 @@ def test_key_relation_a1_by_hand():
 
 def test_key_relation_vanishes_at_zero():
     for lie_type in (su(3), spin(9), SimpleLieType(Family.E7, 7)):
-        heights = build_root_system(lie_type).heights
+        heights = build_root_system(lie_type)
         assert abs(key_relation_residual(heights, 1e-8)) < 1e-12
 
 
 def test_key_relation_g2():
-    heights = build_root_system(SimpleLieType(Family.G2, 2)).heights
+    heights = build_root_system(SimpleLieType(Family.G2, 2))
     assert abs(key_relation_residual(heights, 1.0)) < 1e-12
 
 
@@ -447,18 +456,18 @@ def test_key_relation_matches_per_root_sum(lie_type):
     # one sinh per distinct height, summed by fsum, equals one sinh per root
     # exactly, at the abscissas `check` uses; the per-root heights are read
     # off the decoded roots
-    rs = build_root_system(lie_type)
-    den = rs.heights.height_denominator
+    heights = build_root_system(lie_type)
+    den = heights.height_denominator
     weights = rootsys._symmetrizer(lie_type)
-    per_root = [sum(map(operator.mul, weights, mu)) for mu in rs.positive_roots]
+    per_root = [sum(map(operator.mul, weights, mu)) for mu in positive_roots(lie_type)]
     for x in (0.1, 1.0, 5.0):
         root_sum = math.fsum(4.0 * math.sinh(h / den * x) ** 2 for h in per_root)
         want = root_sum - sinh_product_excess(x, vogel_point(lie_type))
-        assert key_relation_residual(rs.heights, x) == want
+        assert key_relation_residual(heights, x) == want
 
 
 @pytest.mark.parametrize("lie_type", default_groups(8), ids=str)
 def test_key_relation_all_rows(lie_type):
-    heights = build_root_system(lie_type).heights
+    heights = build_root_system(lie_type)
     for x in (0.1, 1.0, 5.0):
         assert abs(key_relation_residual(heights, x)) <= 1e-9 * heights.dim

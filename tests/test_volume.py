@@ -1,6 +1,7 @@
 """Volume reports: route agreement, closed forms, isomorphism checks."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,19 +33,19 @@ def macdonald_log_volume(n):
 
 
 def test_phi_kp_a1():
-    heights = build_root_system(su(2)).heights
+    heights = build_root_system(su(2))
     assert phi_kp(heights) == pytest.approx(math.log(math.pi / 2.0), rel=1e-14)
 
 
 def test_phi_kp_su3_closed_form():
-    heights = build_root_system(su(3)).heights
+    heights = build_root_system(su(3))
     want = math.log(2.0) - 4.5 * math.log(3.0) + 3.0 * math.log(2.0 * math.pi)
     assert phi_kp(heights) == pytest.approx(want, rel=1e-13)
 
 
 def test_phi_kp_nonnegative():
     for lie_type in default_groups(4):
-        assert phi_kp(build_root_system(lie_type).heights) >= 0.0
+        assert phi_kp(build_root_system(lie_type)) >= 0.0
 
 
 def test_phi_kp_refuses_a_sinc_factor_out_of_range():
@@ -54,11 +55,11 @@ def test_phi_kp_refuses_a_sinc_factor_out_of_range():
         phi_kp(HeightCounts(su(2), 2, ((2, 1),), 4))
 
 
-def _phi_kp_from_fractions(rs):
-    # the product route on exact Fraction pairings, one per decoded root, as
-    # it read before the record kept integer heights
+def _phi_kp_from_fractions(lie_type):
+    # the product route on exact Fraction pairings, one per root, as it read
+    # before the record kept integer heights
     terms = []
-    for pairing in rho_pairings_killing(rs):
+    for pairing in rho_pairings_killing(lie_type):
         s = 2 * pairing
         reduced = s if s <= Fraction(1, 2) else 1 - s
         sin_val = math.sin(math.pi * float(reduced))
@@ -71,8 +72,7 @@ def _phi_kp_from_fractions(rs):
     "lie_type", default_groups(12) + [su(25), sp(32), spin(33), spin(34), su(120)], ids=str
 )
 def test_phi_kp_matches_fraction_reference(lie_type):
-    rs = build_root_system(lie_type)
-    assert phi_kp(rs.heights) == _phi_kp_from_fractions(rs)
+    assert phi_kp(build_root_system(lie_type)) == _phi_kp_from_fractions(lie_type)
 
 
 @pytest.mark.parametrize("lie_type", [su(60), sp(60), spin(61)], ids=str)
@@ -195,7 +195,7 @@ def test_key_relation_detects_wrong_dual_coxeter():
     g2 = SimpleLieType(Family.G2, 2)
     good = vogel_point(g2)
     bad = VogelPoint(good.alpha, good.beta, good.gamma + 1.0)
-    heights = build_root_system(g2).heights
+    heights = build_root_system(g2)
     root_sum = sinh_product_excess(1.0, good) + key_relation_residual(heights, 1.0)
     assert abs(root_sum - sinh_product_excess(1.0, bad)) > 1e-2
 
@@ -302,6 +302,31 @@ def test_check_suite_reports_faulty_build(monkeypatch):
     assert [i.name for i in failed] == ["structure G2", "route agreement G2", "key relation G2"]
     for item in failed:
         assert item.detail == f"error: {err.value}"
+
+
+def _traced_peak(fn):
+    """The tracemalloc peak while fn() runs, above what is traced at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_suite_memory_stays_near_one_walk():
+    # The suite keeps each group's walk as its HeightCounts, whose size is
+    # O(rank), so its peak is about its largest walk's, not every root of
+    # every group's. At max rank 32 the largest walk (Sp_64, Spin_65) peaks
+    # at 0.47 MB and the suite at 2.5-2.7 times that under Python 3.11-3.13;
+    # when the suite kept each group's roots it peaked at 6.3-6.6 times.
+    max_rank = 32
+    run_check_suite(max_rank=2)  # first-use imports and tables are not the suite's
+    largest = (su(max_rank + 1), sp(2 * max_rank), spin(2 * max_rank + 1), spin(2 * max_rank))
+    walk = max(_traced_peak(lambda: build_root_system(g)) for g in largest)
+    suite = _traced_peak(lambda: run_check_suite(max_rank=max_rank))
+    assert suite <= 4 * walk, (suite, walk)
 
 
 @pytest.mark.parametrize("max_rank, builds, integrals", [(2, 10, 18), (0, 5, 15)])

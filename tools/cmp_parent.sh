@@ -3,8 +3,8 @@
 # the one in PARENT_DIR, and list every command whose stdout, stderr or exit
 # code differs, with a diff (parent lines '<', this tree '>'). For stdout it
 # also prints the largest relative difference between the numbers of the
-# lines that differ (see max_reldiff), so that a last-bit move of phi reads
-# as one number.
+# lines that differ, overall and per field (see max_reldiff), so that a
+# last-bit move of phi reads as one number.
 # Exit status: 0 if nothing differs, 1 if something does, 2 on bad usage.
 #
 #   git archive PARENT_COMMIT | tar -x -C PARENT_DIR
@@ -29,25 +29,71 @@ trap 'rm -rf "$work"' EXIT
 # over the numbers of the lines of files $1 and $2 that differ, paired in
 # order: a route discrepancy of ~1e-15 that moves reads as its absolute move,
 # not as a relative one of ~1. It says so where the numbers do not pair.
+# Below that line it gives the largest move of each field, so that an error
+# estimate does not hide the phi move beside it. A number's field is its
+# JSON key on a JSON line, its column on a line with the cells of a header
+# line (a first line without numbers), and else the text before it, since
+# the previous number.
 max_reldiff() {
     python3 - "$1" "$2" <<'END'
-import re, sys
+import json, re, sys
 number = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 old, new = (open(name).read().splitlines() for name in sys.argv[1:])
-worst, pair, moved, unpaired = 0.0, None, 0, len(old) != len(new)
+header = old[0] if old and not number.search(old[0]) else None
+sep = "," if header and "," in header else None
+columns = header.split(sep) if header else []
+
+
+def json_numbers(value, key):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from json_numbers(v, k)
+    elif isinstance(value, list):
+        for v in value:
+            yield from json_numbers(v, key)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield key, repr(value)
+
+
+def fields(line):
+    """(field, number text) for each number of a line."""
+    if line[:1] in ("{", "["):
+        try:
+            return list(json_numbers(json.loads(line), "?"))
+        except ValueError:
+            pass
+    cells = line.split(sep)
+    if len(columns) > 1 and len(cells) == len(columns):
+        return [(col, x) for col, cell in zip(columns, cells) for x in number.findall(cell)]
+    out, start = [], 0
+    for m in number.finditer(line):
+        out.append((" ".join(line[start:m.start()].split()).strip(" :=,;") or "?", m.group()))
+        start = m.end()
+    return out
+
+
+# field -> [largest move, its numbers, numbers moved]; "" is every field
+worst = {"": [0.0, None, 0]}
+unpaired = len(old) != len(new)
 for a, b in zip(old, new):
     if a != b:
-        xs, ys = number.findall(a), number.findall(b)
-        unpaired |= len(xs) != len(ys) or number.sub("#", a) != number.sub("#", b)
-        for x, y in zip(xs, ys):
+        xs, ys = fields(a), fields(b)
+        unpaired |= (len(xs) != len(ys) or number.sub("#", a) != number.sub("#", b)
+                     or [f for f, _ in xs] != [f for f, _ in ys])
+        for (field, x), (_, y) in zip(xs, ys):
             u, v = float(x), float(y)
             if u != v and u == u and v == v:
-                moved += 1
                 size = abs(u - v) / max(1.0, abs(u), abs(v))
-                if size >= worst:
-                    worst, pair = size, f" (worst {x} -> {y})"
-print(f"max |a - b| / max(1, |a|, |b|) = {worst:.2e} over {moved} numbers{pair or ''}"
+                for key in ("", field):
+                    row = worst.setdefault(key, [0.0, None, 0])
+                    row[2] += 1
+                    if size >= row[0]:
+                        row[:2] = size, f" (worst {x} -> {y})"
+size, pair, moved = worst.pop("")
+print(f"max |a - b| / max(1, |a|, |b|) = {size:.2e} over {moved} numbers{pair or ''}"
       + ("; the lines differ in more than their numbers" if unpaired else ""))
+for field, (size, pair, moved) in worst.items():
+    print(f"  {field}: {size:.2e} over {moved} numbers{pair}")
 END
 }
 
