@@ -8,7 +8,7 @@ import pytest
 
 from lievol import volume
 from lievol.errors import InvariantViolationError
-from lievol.quad import Tolerance
+from lievol.quad import QuadResult, Tolerance
 from lievol.rootsys import (
     Family,
     HeightCounts,
@@ -22,7 +22,7 @@ from lievol.rootsys import (
 )
 from lievol.special import phi_unitary_closed_form
 from lievol.vogel import VogelPoint, key_relation_residual, sinh_product_excess, vogel_point
-from lievol.volume import LOG_VOLUME_BASE, cross_check, phi_kp, run_check_suite
+from lievol.volume import LOG_VOLUME_BASE, VolumeReport, cross_check, phi_kp, run_check_suite
 
 SU2_VOLUME = 32.0 * math.sqrt(2.0) * math.pi**2
 
@@ -258,6 +258,32 @@ def test_unconverged_quadrature_flags_report(monkeypatch):
     assert not report.converged
     assert not report.agreed
     assert "converge" in report.notes
+
+
+def _quad(converged):
+    return QuadResult(1.5, 1e-12, converged, 135, 64.0)
+
+
+def _report(converged):
+    return VolumeReport("SU_2", 3, 1.0, 1.0, 2.0, 7.3, 0.0, converged, True, "")
+
+
+@pytest.mark.parametrize(
+    "passed, results, expected",
+    [
+        (True, [_quad(True)], (True, "d")),
+        (False, [_report(True), _report(True)], (False, "d")),
+        (True, [_quad(False)], (False, "d; quadrature did not converge")),
+        (True, [_report(True), _report(False)], (False, "d; quadrature did not converge")),
+        (False, [_quad(False)], (False, "d; quadrature did not converge")),
+    ],
+    ids=["converged", "converged-fail", "quad-unconverged", "one-report-unconverged",
+         "fail-and-unconverged"],
+)
+def test_unless_unconverged(passed, results, expected):
+    # a check item fails with the note once if any integral it reads, a
+    # QuadResult or a VolumeReport, did not converge; else it keeps its verdict
+    assert volume._unless_unconverged(passed, "d", *results) == expected
 
 
 @pytest.mark.parametrize(
