@@ -1,17 +1,18 @@
 """Command-line interface: volume reports, raw integral values, line scans,
 table reproduction, and the verification suite.
 
-Exit codes: 0 success, 1 numerical check failure or any other library error,
-2 usage error (non-finite numbers, --rel outside [1e-15, 1], an --abs that is
-not positive and finite, a scan over more than _MAX_SCAN_ROWS rows, and a rank
-or --max-rank above 256 included), 3 divergence-domain refusal. `main` alone
-maps errors to codes.
+Exit codes: 0 success, 1 numerical check failure, any other library error
+or a reader that closed stdout early, 2 usage error (non-finite numbers,
+--rel outside [1e-15, 1], an --abs that is not positive and finite, a scan
+over more than _MAX_SCAN_ROWS rows, and a rank or --max-rank above 256
+included), 3 divergence-domain refusal. `main` alone maps errors to codes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -320,9 +321,23 @@ def _parse_with_argparse(argv: list[str]) -> SimpleNamespace:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; every library error leaves through its exit code.
-    Only help, usage errors and unusual spellings build the argparse parser."""
+    Only help, usage errors and unusual spellings build the argparse parser.
+    A reader that closes stdout early (`lievol table | head -1`) gives exit
+    1 without a traceback."""
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv) or _parse_with_argparse(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the Python docs' SIGPIPE note does: stdout now writes to devnull,
+        # so that the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args: SimpleNamespace) -> int:
     try:
         return _COMMANDS[args.command][0](args, Tolerance(args.rel, args.abs))
     except DivergenceSetError as exc:

@@ -21,21 +21,22 @@ Algebras, 10.1-10.2). All of this runs on Python integers, and
 `build_root_system` returns only the multiset of those heights, with h_vee
 and their one denominator 2 D h_vee, as a `HeightCounts`: no root outlives
 the walk. Two exact helpers stay: `minimal_pairing`, which every build and
-every set of closed-form counts calls once to check that the highest root
-is long, and `rho_pairings_killing`, which no command calls and which reads
-the low bits of the keys. `fractions.Fraction` is loaded only by
+every set of A-D counts calls once to check that the highest root is long,
+and `rho_pairings_killing`, which no command calls and which reads the low
+bits of the keys. `fractions.Fraction` is loaded only by
 `rho_pairings_killing` and for a non-integral pairing, never on that check.
 Floating point enters only in the downstream volume/quadrature modules, so
 the transcendental evaluation is the sole numerical error source.
 
-Route 2 and the dimension read only that record, and on A-D
-`height_counts` gives the same record in closed form from a second model of
-the roots (the epsilon basis), in O(rank) steps. `volume` and `table` read it
-there and walk only G2, F4 and E6-E8; the walk is the independent check on
-the counts, which `check` and the tests run on every group. The counts also
-hold their top height and h_vee to the highest root in simple-root
-coordinates, long under the Cartan form, in O(rank) steps as well. Both
-refuse a rank above the cap with the same message.
+Route 2 and the dimension read only that record. `height_counts` gives the
+same record without the walk: on A-D in closed form from a second model of
+the roots (the epsilon basis), in O(rank) steps, and on E6-E8 from the
+exponents by Kostant's height partition. `volume` and `table` read it there
+and walk only G2 and F4; the walk is the independent check on the counts,
+which `check` and the tests run on every group. The A-D counts also hold
+their top height and h_vee to the highest root in simple-root coordinates,
+long under the Cartan form, in O(rank) steps as well. Both refuse a rank
+above the cap with the same message.
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ class Family(enum.Enum):
     E8 = "E8"
     F4 = "F4"
     G2 = "G2"
+
+    # equality is identity, so hashing is too: the C slot, not Enum's
+    # Python-level hash of the name, on every SimpleLieType key
+    __hash__ = object.__hash__
 
 
 # in report order, which default_groups follows
@@ -270,8 +275,8 @@ class HeightCounts(Record):
     pairs in increasing height; a height h is sum_i D d_i mu_i, and
     h / height_denominator, with height_denominator = 2 D h_vee, is
     <rho, mu> under the Cartan-Killing normalization. `height_counts` gives
-    it in closed form on A-D, and `build_root_system` from the walk on every
-    type.
+    it in closed form on A-D and from the exponents on E6-E8, and
+    `build_root_system` from the walk on every type.
     """
 
     lie_type: SimpleLieType
@@ -292,9 +297,10 @@ def _refuse_above_cap(lie_type):
 
 
 def height_counts(lie_type: SimpleLieType) -> HeightCounts:
-    """The weighted heights of the positive roots of A_r, B_r, C_r or D_r,
-    with h_vee, in closed form from the epsilon basis (Bourbaki, Lie Groups
-    and Lie Algebras, ch. VI, Planches I-IV), with 1 <= i < j <= r:
+    """The weighted heights of the positive roots, with h_vee, without the
+    walk: in closed form from the epsilon basis on A_r, B_r, C_r and D_r
+    (Bourbaki, Lie Groups and Lie Algebras, ch. VI, Planches I-IV), with
+    1 <= i < j <= r:
 
     - A_r (D = 1): eps_i - eps_j, j <= r + 1, has height j - i, so height k
       has r + 1 - k roots; h_vee = r + 1.
@@ -310,15 +316,31 @@ def height_counts(lie_type: SimpleLieType) -> HeightCounts:
     difference j - i = k is taken by r - k pairs, and a sum i + j = s by
     (s - 1) // 2 - max(1, s - r) + 1 pairs (i from max(1, s - r) to
     (s - 1) // 2), so a family costs O(r) steps for its O(r) distinct
-    heights. The counts read neither `exponents` nor the Cartan matrix:
-    `check` and the tests hold them against the walk's. Then, as the walk
-    does for its top root, the highest root theta, written in simple-root
-    coordinates, must have the top weighted height D (h_vee - 1) and be
-    long under the Cartan form (`minimal_pairing`), in O(rank) steps;
-    else InvariantViolationError. The exceptional types have no closed
-    form here, and a rank above the cap is refused with the walk's message.
+    heights. These counts read neither `exponents` nor the Cartan matrix.
+    Then, as the walk does for its top root, the highest root theta,
+    written in simple-root coordinates, must have the top weighted height
+    D (h_vee - 1) and be long under the Cartan form (`minimal_pairing`), in
+    O(rank) steps; else InvariantViolationError. A rank above the cap is
+    refused with the walk's message.
+
+    On E6, E7 and E8 the counts come from the exponents m_1 <= ... <= m_r.
+    Kostant (Amer. J. Math. 81, 1959) showed that the heights of the
+    positive roots form the partition dual to the exponents: height k has
+    #{i : m_i >= k} roots. These types are simply laced, so D = 1, every
+    d_i = 1 and a weighted height is the height; the highest root has the
+    top height m_r, so h_vee = h = m_r + 1 and height_denominator = 2h.
+    These counts read `exponents`, as the walk's root-count limit does, but
+    nothing of the walk's reflections; `check` and the tests hold them to
+    the walk's record. G2 and F4 have no counts here: their heights are
+    D-weighted, and the dual partition of their exponents is not the
+    walk's multiset.
     """
     fam, r = lie_type.family, lie_type.rank
+    if fam in (Family.E6, Family.E7, Family.E8):
+        exps = exponents(lie_type)
+        h = exps[-1] + 1
+        counts = tuple((k, sum(m >= k for m in exps)) for k in range(1, h))
+        return HeightCounts(lie_type, h, counts, 2 * h)
     if fam in EXCEPTIONAL_RANK:
         raise UnsupportedGroupError(f"{lie_type} has no closed-form height counts")
     _refuse_above_cap(lie_type)

@@ -7,6 +7,7 @@ normalization, where t = alpha + beta + gamma equals the dual Coxeter number.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from itertools import chain, repeat
@@ -32,7 +33,11 @@ __all__ = [
 class VogelPoint(Record):
     """A point of the parameter plane: finite coordinates, their tuple params
     and their nonzero float sum t, attributes but not fields (repr, equality
-    and hashing cover alpha, beta and gamma only)."""
+    and hashing cover alpha, beta and gamma only). Its dimension and ratio
+    slopes are kept in the same `__dict__`, computed on first use by
+    dim_from_vogel and _ratio_slopes: a point that is never integrated
+    computes neither, and one integrated, checked and summed over roots
+    computes each once."""
 
     alpha: float
     beta: float
@@ -40,7 +45,7 @@ class VogelPoint(Record):
 
     def __post_init__(self):
         t = float(self.alpha + self.beta + self.gamma)
-        if not all(math.isfinite(q) for q in (self.alpha, self.beta, self.gamma, t)):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma, t))):
             raise ParameterDomainError("alpha, beta, gamma and t must be finite")
         if t == 0.0:
             raise ParameterDomainError("alpha + beta + gamma must be nonzero")
@@ -57,9 +62,16 @@ _EXCEPTIONAL_POINTS = {
 }
 
 
+# one entry per type up to the rank cap of `rootsys`, so no caller can grow it
+# past that
+@functools.lru_cache(maxsize=4 * rootsys._MAX_RANK + len(rootsys.EXCEPTIONAL_RANK))
 def vogel_point(lie_type: SimpleLieType) -> VogelPoint:
     """Table row for a supported group, alpha = -2 normalization; its float
-    sum t is exactly the dual Coxeter number (-2 + 10/3 + 8/3 == 4.0 for G2)."""
+    sum t is exactly the dual Coxeter number (-2 + 10/3 + 8/3 == 4.0 for G2).
+
+    One point per type: every call for a type returns the same instance, so
+    the dimension and slopes it computes on first use serve every report,
+    check item and key-relation abscissa that reads that type's row."""
     fam, r = lie_type.family, lie_type.rank
     if fam is Family.A:
         return VogelPoint(-2.0, 2.0, float(r + 1))
@@ -95,7 +107,24 @@ def dim_from_vogel(p: VogelPoint) -> float:
     """(alpha-2t)(beta-2t)(gamma-2t)/(alpha beta gamma), with frexp mantissas and
     exponents multiplied and added apart, and the differences q - 2t taken
     shifted by 2^-k (see _shift): scale-free, the plain quotient bit for bit
-    where it and every plain product are normal, +-inf where it leaves double range."""
+    where it and every plain product are normal, +-inf where it leaves double range.
+    Computed once per point and kept on it; a zero parameter raises on every
+    call."""
+    return _kept(p, "_dim", _dimension)
+
+
+def _kept(p: VogelPoint, key: str, compute):
+    # p's value under key, computed on first use and kept in its __dict__
+    # beside t and params; a dict read, as a cached_property's first read
+    # costs ~0.5 us more under 3.11, and every new point (a scan row) pays two
+    values = p.__dict__
+    value = values.get(key)
+    if value is None:
+        value = values[key] = compute(p)
+    return value
+
+
+def _dimension(p: VogelPoint) -> float:
     a, b, g = p.params
     if 0.0 in p.params:
         raise ParameterDomainError("parameters must all be nonzero")
@@ -160,11 +189,17 @@ def log_sinhc(y: float) -> float:
 
 def _ratio_slopes(p: VogelPoint) -> tuple[tuple[float, float], ...]:
     # per-parameter sinh arguments per unit x: a = (q-2t)/4t (numerator),
-    # b = q/4t (denominator), from the coordinates shifted by 2^-k (see _shift)
+    # b = q/4t (denominator), from the coordinates shifted by 2^-k (see
+    # _shift); computed once per point and kept on it
+    return _kept(p, "_slopes", _slopes)
+
+
+def _slopes(p: VogelPoint) -> tuple[tuple[float, float], ...]:
     _, u = _shift(p.t)
     t = u * p.t
-    t4 = 4.0 * t
-    return tuple(((u * q - 2.0 * t) / t4, u * q / t4) for q in p.params)
+    t2, t4 = 2.0 * t, 4.0 * t
+    a, b, g = u * p.alpha, u * p.beta, u * p.gamma
+    return ((a - t2) / t4, a / t4), ((b - t2) / t4, b / t4), ((g - t2) / t4, g / t4)
 
 
 def sinh_product_excess(x: float, p: VogelPoint) -> float:
@@ -272,7 +307,7 @@ def phi_integrand(p: VogelPoint) -> Callable[[float], float]:
     # every sample falls below 1e-12; the constant k/12 would then pass as a
     # converged phi, while this sum carries the slopes' rounding and the
     # quadrature reports it unconverged
-    limit0 = k * math.fsum(a * a - b * b for a, b in slopes) / 6.0
+    limit0 = k * math.fsum((a1 * a1 - b1 * b1, a2 * a2 - b2 * b2, a3 * a3 - b3 * b3)) / 6.0
     log, exp, expm1, lsc = math.log, math.exp, math.expm1, log_sinhc
     # the unitary line (see above): no pair (-1/4, 1/4), and one denominator
     # for the other two

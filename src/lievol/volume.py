@@ -6,12 +6,12 @@ Macdonald's factorial formula, the unitary-line closed form at an integer
 point with ln G read by `special`, gives a third. Volume arithmetic stays
 in log space; the raw volume is attached only where a double holds it.
 
-Route 2 and the dimension read one `rootsys.HeightCounts` record, from the
-closed form on A-D and from the walk on G2, F4 and E6-E8. So on A-D a
-report walks no roots, and of the walk's invariant errors raises only
-"highest root is not long", which the counts check too, in O(rank);
-`check` runs the walk on every group and fails its structure item unless
-the record equals the walk's.
+Route 2 and the dimension read one `rootsys.HeightCounts` record, from
+`rootsys.height_counts` on A-D and E6-E8 and from the walk on G2 and F4.
+So on A-D and E6-E8 a report walks no roots; on A-D it raises, of the
+walk's invariant errors, only "highest root is not long", which the counts
+check too, in O(rank). `check` runs the walk on every group and fails its
+structure item unless the record equals the walk's.
 """
 
 from __future__ import annotations
@@ -123,22 +123,24 @@ def cross_check(lie_type: SimpleLieType, tol: Tolerance | None = None) -> Volume
     disagreement, or an unconverged integral, clears `agreed` and is
     described in `notes`.
     """
-    return _report(_heights(lie_type, rootsys.build_root_system), tol or Tolerance())
+    heights = _heights(lie_type, rootsys.build_root_system)
+    return _report(heights, tol or Tolerance(), quad.integrate_phi)
 
 
 def _heights(lie_type: SimpleLieType, build) -> rootsys.HeightCounts:
-    """The record a report reads: the closed-form height counts on A-D, and
-    those of the walk `build` on the exceptional types."""
-    if lie_type.family in rootsys.EXCEPTIONAL_RANK:
+    """The record a report reads: `rootsys.height_counts` on A-D and E6-E8,
+    and the walk `build` on G2 and F4, which have no counts without it."""
+    if lie_type.family in (Family.G2, Family.F4):
         return build(lie_type)
     return rootsys.height_counts(lie_type)
 
 
-def _report(heights: rootsys.HeightCounts, tol: Tolerance) -> VolumeReport:
+def _report(heights: rootsys.HeightCounts, tol: Tolerance, integrate) -> VolumeReport:
+    # integrate(point, tol) is quad.integrate_phi, or check's cache of it
     lie_type = heights.lie_type
     point = vogel.vogel_point(lie_type)
     dim = _checked_dim(heights, point)
-    qr = quad.integrate_phi(point, tol)
+    qr = integrate(point, tol)
     pkp = phi_kp(heights)
     routes = {"universal": qr.value, "product": pkp}
     if lie_type.family is Family.A:
@@ -193,7 +195,9 @@ def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[Che
     Each group's walk, height record and report are made once, on first
     use, and shared by every item that reads them, the isomorphism items
     included; a walk is kept as its `HeightCounts`, so no group's roots
-    outlive its walk. The reports read the record `volume` reads; the
+    outlive its walk. So is each phi integral, once per distinct point: the
+    unitary-line items at z = 2, 3 and 9 read the reports' integrals of
+    SU_2, SU_3 and SU_9. The reports read the record `volume` reads; the
     structure item also runs the walk on every group and requires the
     record to equal the walk's. An item that reads an integral fails if
     that integral did not converge, whatever its value. A step that raised
@@ -202,7 +206,8 @@ def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[Che
     items: list[CheckItem] = []
     walk = functools.cache(rootsys.build_root_system)
     heights = functools.cache(lambda lie_type: _heights(lie_type, walk))
-    report = functools.cache(lambda lie_type: _report(heights(lie_type), tol))
+    integrate = functools.cache(quad.integrate_phi)
+    report = functools.cache(lambda lie_type: _report(heights(lie_type), tol, integrate))
 
     for lie_type in rootsys.default_groups(max_rank):
         name = lie_type.compact_name
@@ -247,7 +252,7 @@ def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[Che
     for z in _UNITARY_ZS:
 
         def unitary(z=z):
-            got = quad.integrate_phi(vogel.VogelPoint(-2.0, 2.0, z), tol)
+            got = integrate(vogel.VogelPoint(-2.0, 2.0, z), tol)
             diff = abs(got.value - special.phi_unitary_closed_form(z))
             return _unless_unconverged(diff <= 1e-7, f"|diff| = {diff:.3e}", got)
 
@@ -264,7 +269,7 @@ def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[Che
     def iso_spin6():
         point = vogel.spin_row_point(6)
         dim = round(vogel.dim_from_vogel(point))
-        got, su4 = quad.integrate_phi(point, tol), report(rootsys.su(4))
+        got, su4 = integrate(point, tol), report(rootsys.su(4))
         diff = abs(su4.log_volume - (dim * LOG_VOLUME_BASE - got.value))
         return _unless_unconverged(diff <= 1e-8, f"|log-volume diff| = {diff:.3e}", got, su4)
 

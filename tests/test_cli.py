@@ -4,12 +4,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lievol
 import test_imports
 from lievol import quad, rootsys, special
 from lievol.cli import _COMMANDS, _build_parser, _parse, main
@@ -385,6 +389,54 @@ def test_check_detects_injected_fault(capsys, monkeypatch):
 
 
 _PHI_HALF = ("phi", "--alpha", "-2", "--beta", "2", "--gamma", "0.5", "--format", "json")
+
+
+def test_check_holds_e7_counts_to_the_walk(capsys, monkeypatch):
+    # E7's record comes from its exponents, not the walk: one root moved from
+    # height 1 to height 2 fails its structure item against the walk, and
+    # the two items that read the record; no other item moves
+    true_counts = rootsys.height_counts
+
+    def moved(lie_type):
+        record = true_counts(lie_type)
+        if lie_type.family is not Family.E7:
+            return record
+        (h1, c1), (h2, c2), *rest = record.counts
+        return rootsys.HeightCounts(
+            lie_type, record.dual_coxeter, ((h1, c1 - 1), (h2, c2 + 1), *rest),
+            record.height_denominator,
+        )
+
+    monkeypatch.setattr(rootsys, "height_counts", moved)
+    code, out, _ = run_cli(capsys, "check", "--max-rank", "2")
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1
+    assert failed[0] == (
+        "FAIL  structure E7: error: E7: height counts, m or h_vee differ from the walk's"
+    )
+    assert [line.split(":")[0] for line in failed] == [
+        "FAIL  structure E7", "FAIL  route agreement E7", "FAIL  key relation E7"
+    ]
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # the scan prints far more than a pipe buffer holds, so once the reader
+    # has closed its end a write fails: exit 1, and nothing on stderr, not
+    # at shutdown either
+    env = dict(os.environ, PYTHONPATH=str(Path(lievol.__file__).resolve().parents[1]))
+    argv = ["scan", "--from", "1", "--to", "20000", "--step", "1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lievol", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"gamma,phi,reference,residual\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (1, b"")
+    finally:
+        proc.kill()
+        proc.wait()
 
 
 @pytest.mark.parametrize("env_tol", ["1e-6", "abc"])

@@ -90,6 +90,40 @@ def test_dimension_formula_domain():
         assert dim_from_vogel(VogelPoint(-s, s, s)) == pytest.approx(3.0, rel=1e-15)
 
 
+def test_point_computes_dim_and_slopes_once_on_first_use(monkeypatch):
+    # nothing at construction; then one dimension and one set of slopes,
+    # whatever reads them, and the same numbers as a fresh computation
+    calls = []
+    for name in ("_dimension", "_slopes"):
+        fn = getattr(vogel, name)
+        monkeypatch.setattr(vogel, name, lambda p, fn=fn, name=name: calls.append(name) or fn(p))
+    p = VogelPoint(-2.0, 2.0, 4.5)
+    assert calls == [] and list(p.__dict__) == ["alpha", "beta", "gamma", "t", "params"]
+    f = phi_integrand(p)
+    dim = dim_from_vogel(p)
+    excess = sinh_product_excess(1.0, p)
+    assert sorted(calls) == ["_dimension", "_slopes"]
+    fresh = VogelPoint(-2.0, 2.0, 4.5)
+    assert (f(1.0), dim, excess) == (
+        phi_integrand(fresh)(1.0), dim_from_vogel(fresh), sinh_product_excess(1.0, fresh)
+    )
+    assert p == fresh and repr(p) == "VogelPoint(alpha=-2.0, beta=2.0, gamma=4.5)"
+    # a zero parameter is refused on every read, not at construction, so the
+    # divergence-set refusal of the start scale comes first
+    q = VogelPoint(0.0, 1.0, 1.0)
+    for _ in range(2):
+        with pytest.raises(ParameterDomainError, match="nonzero"):
+            dim_from_vogel(q)
+    with pytest.raises(DivergenceSetError):
+        phi_start_scale(q)
+
+
+def test_vogel_point_is_one_point_per_type():
+    for lie_type in default_groups(8):
+        assert vogel_point(lie_type) is vogel_point(lie_type)
+    assert vogel_point(su(3)) is vogel_point(SimpleLieType(Family.A, 2))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(-9, 9).filter(lambda v: abs(v) > 1e-2),

@@ -355,12 +355,13 @@ def test_check_suite_memory_stays_near_one_walk():
     assert suite <= 4 * walk, (suite, walk)
 
 
-@pytest.mark.parametrize("max_rank, builds, integrals", [(2, 10, 18), (0, 5, 15)])
+@pytest.mark.parametrize("max_rank, builds, integrals", [(2, 10, 16), (0, 5, 14)])
 def test_check_suite_makes_each_root_system_once(monkeypatch, max_rank, builds, integrals):
     # max rank 2 has ten groups, each walked once by its structure item; the
     # SU_2, Sp_2 and SU_4 reports of the isomorphism items read closed-form
-    # counts and walk nothing. Each group's report is one phi integral, plus
-    # six unitary-line points and the Spin_6 row
+    # counts and walk nothing. Each distinct point is one phi integral: each
+    # group's report, the six unitary-line points less those at z = 2 and 3
+    # (SU_2's and SU_3's rows), and the Spin_6 row
     import lievol.quad as quad_mod
     import lievol.rootsys as rootsys_mod
 
@@ -382,27 +383,63 @@ def test_check_suite_makes_each_root_system_once(monkeypatch, max_rank, builds, 
     assert calls == {"build": builds, "phi": integrals}
 
 
+def test_check_suite_computes_each_thing_once(monkeypatch):
+    # max rank 8 has 33 groups: one table point each, built once and shared
+    # by its structure, route and key-relation items; 37 distinct phi points
+    # (the 33 rows, the unitary line at z = 0.5, 1 and 5.5, and the Spin_6
+    # row: z = 2, 3 and 9 are SU_2's, SU_3's and SU_9's rows), each with
+    # one dimension and one integral; and no Python-level hash of a Family
+    import enum
+
+    import lievol.quad as quad_mod
+    import lievol.vogel as vogel_mod
+
+    calls = {"dim": 0, "phi": 0, "Family.__hash__": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    enum_hash = enum.Enum.__hash__
+
+    def family_hash(self):
+        calls["Family.__hash__"] += isinstance(self, Family)
+        return enum_hash(self)
+
+    monkeypatch.setattr(enum.Enum, "__hash__", family_hash)
+    monkeypatch.setattr(vogel_mod, "_dimension", counted("dim", vogel_mod._dimension))
+    monkeypatch.setattr(quad_mod, "integrate_phi", counted("phi", quad_mod.integrate_phi))
+    vogel_point.cache_clear()
+    items = run_check_suite(max_rank=8)
+    assert all(i.passed for i in items) and len(items) == 115
+    assert vogel_point.cache_info().misses == 33
+    assert calls == {"dim": 37, "phi": 37, "Family.__hash__": 0}
+    assert vogel_point(su(9)) is vogel_point(su(9))
+
+
 def test_cross_check_reads_counts_on_classical_types(monkeypatch):
-    # A-D reports read the closed-form counts and walk nothing; the
-    # exceptional types still walk, once a report
+    # A-D and E6-E8 reports read the height counts and walk nothing; G2 and
+    # F4 still walk, once a report
     import lievol.rootsys as rootsys_mod
 
     true_build = rootsys_mod.build_root_system
     walked = []
 
-    def walk_exceptional_only(lie_type):
-        if lie_type.family not in rootsys_mod.EXCEPTIONAL_RANK:
+    def walk_g2_f4_only(lie_type):
+        if lie_type.family not in (Family.G2, Family.F4):
             raise AssertionError(f"build_root_system called at {lie_type}")
         walked.append(lie_type)
         return true_build(lie_type)
 
-    monkeypatch.setattr(rootsys_mod, "build_root_system", walk_exceptional_only)
+    monkeypatch.setattr(rootsys_mod, "build_root_system", walk_g2_f4_only)
     groups = default_groups(6) + [su(257), sp(512), spin(513), spin(512)]
     for lie_type in groups:
         report = cross_check(lie_type)
         assert report.agreed, (lie_type, report.notes)
-    assert walked == [g for g in groups if g.family in rootsys_mod.EXCEPTIONAL_RANK]
-    assert [g.compact_name for g in walked] == ["G2", "F4", "E6", "E7", "E8"]
+    assert [g.compact_name for g in walked] == ["G2", "F4"]
 
 
 def test_check_suite_reports_wrong_height_count(monkeypatch):
