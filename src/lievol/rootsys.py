@@ -29,14 +29,14 @@ Floating point enters only in the downstream volume/quadrature modules, so
 the transcendental evaluation is the sole numerical error source.
 
 Route 2 and the dimension read only that record. `height_counts` gives the
-same record without the walk: on A-D in closed form from a second model of
-the roots (the epsilon basis), in O(rank) steps, and on E6-E8 from the
-exponents by Kostant's height partition. `volume` and `table` read it there
-and walk only G2 and F4; the walk is the independent check on the counts,
-which `check` and the tests run on every group. The A-D counts also hold
-their top height and h_vee to the highest root in simple-root coordinates,
-long under the Cartan form, in O(rank) steps as well. Both refuse a rank
-above the cap with the same message.
+same record without the walk, on every type: on A-D, G2 and F4 from a
+second model of the roots (the epsilon basis), on A-D in O(rank) steps,
+and on E6-E8 from the exponents by Kostant's height partition. `volume`,
+`table`, `phi` and `scan` read only it and walk nothing; the walk is the
+independent check on the counts, which `check` and the tests run on every
+group. The A-D counts also hold their top height and h_vee to the highest
+root in simple-root coordinates, long under the Cartan form, in O(rank)
+steps as well. Both refuse a rank above the cap with the same message.
 """
 
 from __future__ import annotations
@@ -275,8 +275,8 @@ class HeightCounts(Record):
     pairs in increasing height; a height h is sum_i D d_i mu_i, and
     h / height_denominator, with height_denominator = 2 D h_vee, is
     <rho, mu> under the Cartan-Killing normalization. `height_counts` gives
-    it in closed form on A-D and from the exponents on E6-E8, and
-    `build_root_system` from the walk on every type.
+    it without the walk, and `build_root_system` from the walk, on every
+    type.
     """
 
     lie_type: SimpleLieType
@@ -331,9 +331,20 @@ def height_counts(lie_type: SimpleLieType) -> HeightCounts:
     top height m_r, so h_vee = h = m_r + 1 and height_denominator = 2h.
     These counts read `exponents`, as the walk's root-count limit does, but
     nothing of the walk's reflections; `check` and the tests hold them to
-    the walk's record. G2 and F4 have no counts here: their heights are
-    D-weighted, and the dual partition of their exponents is not the
-    walk's multiset.
+    the walk's record.
+
+    On F4 (D = 2) and G2 (D = 3) they come from the epsilon-basis roots of
+    Bourbaki's Planches VIII-IX, long roots of squared length 2 (on G2 once
+    the form is divided by 3), as h = D (rho, mu) and h_vee = max h / D + 1:
+
+    - F4: eps_i, eps_i +- eps_j and (eps_1 +- eps_2 +- eps_3 +- eps_4) / 2,
+      with 2 rho = (11, 5, 3, 1), so h = 2 rho . mu.
+    - G2: eps_1 - eps_2, -2 eps_1 + eps_2 + eps_3, -eps_1 + eps_3,
+      eps_3 - eps_2, eps_1 - 2 eps_2 + eps_3 and -eps_1 - eps_2 + 2 eps_3,
+      with rho = -eps_1 - 2 eps_2 + 3 eps_3, so h = rho . mu.
+
+    The dual partition of their exponents is not this multiset: these
+    counts read neither `exponents` nor the Cartan matrix.
     """
     fam, r = lie_type.family, lie_type.rank
     if fam in (Family.E6, Family.E7, Family.E8):
@@ -341,8 +352,17 @@ def height_counts(lie_type: SimpleLieType) -> HeightCounts:
         h = exps[-1] + 1
         counts = tuple((k, sum(m >= k for m in exps)) for k in range(1, h))
         return HeightCounts(lie_type, h, counts, 2 * h)
-    if fam in EXCEPTIONAL_RANK:
-        raise UnsupportedGroupError(f"{lie_type} has no closed-form height counts")
+    if fam in (Family.G2, Family.F4):
+        if fam is Family.G2:  # rho . mu
+            denom = 3
+            roots = ((1, -1, 0), (-2, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -2, 1), (-1, -1, 2))
+            hs = [-a - 2 * b + 3 * c for a, b, c in roots]
+        else:  # e = 2 rho; e . mu on eps_i, eps_i +- eps_j, then on the half roots
+            denom, e = 2, (11, 5, 3, 1)
+            hs = [*e, *(a + s * b for i, a in enumerate(e) for b in e[i + 1:] for s in (1, -1))]
+            hs += [(11 + a + b + c) // 2 for a in (5, -5) for b in (3, -3) for c in (1, -1)]
+        h_vee = max(hs) // denom + 1
+        return HeightCounts(lie_type, h_vee, tuple(sorted(Counter(hs).items())), 2 * denom * h_vee)
     _refuse_above_cap(lie_type)
     denom = 2 if fam in (Family.B, Family.C) else 1
     h_vee = {Family.A: r + 1, Family.B: 2 * r - 1, Family.C: r + 1, Family.D: 2 * r - 2}[fam]

@@ -7,11 +7,10 @@ point with ln G read by `special`, gives a third. Volume arithmetic stays
 in log space; the raw volume is attached only where a double holds it.
 
 Route 2 and the dimension read one `rootsys.HeightCounts` record, from
-`rootsys.height_counts` on A-D and E6-E8 and from the walk on G2 and F4.
-So on A-D and E6-E8 a report walks no roots; on A-D it raises, of the
-walk's invariant errors, only "highest root is not long", which the counts
-check too, in O(rank). `check` runs the walk on every group and fails its
-structure item unless the record equals the walk's.
+`rootsys.height_counts`, so a report walks no roots; on A-D it raises, of
+the walk's invariant errors, only "highest root is not long", which the
+counts check too, in O(rank). `check` runs the walk on every group and
+fails its structure item unless the record equals the walk's.
 """
 
 from __future__ import annotations
@@ -123,16 +122,7 @@ def cross_check(lie_type: SimpleLieType, tol: Tolerance | None = None) -> Volume
     disagreement, or an unconverged integral, clears `agreed` and is
     described in `notes`.
     """
-    heights = _heights(lie_type, rootsys.build_root_system)
-    return _report(heights, tol or Tolerance(), quad.integrate_phi)
-
-
-def _heights(lie_type: SimpleLieType, build) -> rootsys.HeightCounts:
-    """The record a report reads: `rootsys.height_counts` on A-D and E6-E8,
-    and the walk `build` on G2 and F4, which have no counts without it."""
-    if lie_type.family in (Family.G2, Family.F4):
-        return build(lie_type)
-    return rootsys.height_counts(lie_type)
+    return _report(rootsys.height_counts(lie_type), tol or Tolerance(), quad.integrate_phi)
 
 
 def _report(heights: rootsys.HeightCounts, tol: Tolerance, integrate) -> VolumeReport:
@@ -205,7 +195,7 @@ def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[Che
     tol = tol or Tolerance()
     items: list[CheckItem] = []
     walk = functools.cache(rootsys.build_root_system)
-    heights = functools.cache(lambda lie_type: _heights(lie_type, walk))
+    heights = functools.cache(rootsys.height_counts)
     integrate = functools.cache(quad.integrate_phi)
     report = functools.cache(lambda lie_type: _report(heights(lie_type), tol, integrate))
 

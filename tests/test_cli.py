@@ -391,15 +391,17 @@ def test_check_detects_injected_fault(capsys, monkeypatch):
 _PHI_HALF = ("phi", "--alpha", "-2", "--beta", "2", "--gamma", "0.5", "--format", "json")
 
 
-def test_check_holds_e7_counts_to_the_walk(capsys, monkeypatch):
-    # E7's record comes from its exponents, not the walk: one root moved from
-    # height 1 to height 2 fails its structure item against the walk, and
-    # the two items that read the record; no other item moves
+@pytest.mark.parametrize("family", [Family.E7, Family.F4, Family.G2])
+def test_check_holds_e7_counts_to_the_walk(capsys, monkeypatch, family):
+    # the record of E7 (from its exponents) and of F4 and G2 (from their
+    # epsilon-basis roots) is not the walk's: one root moved from the lowest
+    # height to the next fails its structure item against the walk, and the
+    # two items that read the record; no other item moves
     true_counts = rootsys.height_counts
 
     def moved(lie_type):
         record = true_counts(lie_type)
-        if lie_type.family is not Family.E7:
+        if lie_type.family is not family:
             return record
         (h1, c1), (h2, c2), *rest = record.counts
         return rootsys.HeightCounts(
@@ -410,13 +412,26 @@ def test_check_holds_e7_counts_to_the_walk(capsys, monkeypatch):
     monkeypatch.setattr(rootsys, "height_counts", moved)
     code, out, _ = run_cli(capsys, "check", "--max-rank", "2")
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    name = family.value
     assert code == 1
     assert failed[0] == (
-        "FAIL  structure E7: error: E7: height counts, m or h_vee differ from the walk's"
+        f"FAIL  structure {name}: error: {name}: height counts, m or h_vee differ from the walk's"
     )
     assert [line.split(":")[0] for line in failed] == [
-        "FAIL  structure E7", "FAIL  route agreement E7", "FAIL  key relation E7"
+        f"FAIL  structure {name}", f"FAIL  route agreement {name}", f"FAIL  key relation {name}"
     ]
+
+
+def test_table_walks_nothing(capsys, monkeypatch):
+    # every row reads the height counts, so a table needs no walk
+    code, want, err = run_cli(capsys, "table", "--max-rank", "2", "--format", "json")
+    assert (code, err) == (0, "")
+
+    def no_build(lie_type):
+        raise AssertionError(f"build_root_system called at {lie_type}")
+
+    monkeypatch.setattr(rootsys, "build_root_system", no_build)
+    assert run_cli(capsys, "table", "--max-rank", "2", "--format", "json") == (0, want, "")
 
 
 def test_closed_pipe_exits_1_without_traceback():

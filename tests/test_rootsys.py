@@ -483,27 +483,23 @@ def test_height_counts_refuse_rank_above_cap_as_the_walk(family, rank):
     assert str(counts.value).endswith(f"rank {rank} is above 256, the cap")
 
 
-@pytest.mark.parametrize("family", [Family.E6, Family.E7, Family.E8])
+@pytest.mark.parametrize("family", [Family.E6, Family.E7, Family.E8, Family.F4, Family.G2])
 def test_height_counts_match_walk_on_e_types(family):
-    # Kostant's dual partition of the exponents against the walk's whole
-    # record (its multiset, 2 m and h_vee)
+    # the whole record (its multiset, 2 m and h_vee) against the walk's:
+    # Kostant's dual partition of the exponents on E6-E8, the epsilon-basis
+    # roots on F4 and G2
     lie_type = SimpleLieType(family, EXCEPTIONAL_RANK[family])
     heights = height_counts(lie_type)
     assert heights == build_root_system(lie_type)
-    assert heights.dual_coxeter == {Family.E6: 12, Family.E7: 18, Family.E8: 30}[family]
-    assert heights.dim == {Family.E6: 78, Family.E7: 133, Family.E8: 248}[family]
-
-
-@pytest.mark.parametrize("family", [Family.F4, Family.G2])
-def test_height_counts_refuse_exceptional_types(family):
-    # their heights are D-weighted: the dual partition of the exponents is
-    # not the walk's multiset there, so the walk gives their record
-    lie_type = SimpleLieType(family, EXCEPTIONAL_RANK[family])
-    with pytest.raises(UnsupportedGroupError, match=f"^{family.value} has no closed-form"):
-        height_counts(lie_type)
+    assert (heights.dual_coxeter, heights.dim) == {
+        Family.E6: (12, 78), Family.E7: (18, 133), Family.E8: (30, 248),
+        Family.F4: (9, 52), Family.G2: (4, 14),
+    }[family]
+    # F4 and G2 heights are D-weighted: the dual partition of their
+    # exponents is not the walk's multiset, so Kostant's rule is not used
     exps = exponents(lie_type)
     dual = tuple((k, sum(m >= k for m in exps)) for k in range(1, exps[-1] + 1))
-    assert build_root_system(lie_type).counts != dual
+    assert (heights.counts == dual) == (family in (Family.E6, Family.E7, Family.E8))
 
 
 def test_default_groups_refuse_max_rank_above_cap(monkeypatch):
