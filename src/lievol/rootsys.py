@@ -33,10 +33,13 @@ same record without the walk, on every type: on A-D, G2 and F4 from a
 second model of the roots (the epsilon basis), on A-D in O(rank) steps,
 and on E6-E8 from the exponents by Kostant's height partition. `volume`,
 `table`, `phi` and `scan` read only it and walk nothing; the walk is the
-independent check on the counts, which `check` and the tests run on every
-group. The A-D counts also hold their top height and h_vee to the highest
-root in simple-root coordinates, long under the Cartan form, in O(rank)
-steps as well. Both refuse a rank above the cap with the same message.
+independent check on the counts, which the tests run on every group and
+`check` reads for every group off one walk per Dynkin chain
+(`walk_chain`): a classical family's lower ranks, and E6 and E7, are
+sub-diagrams of its top's, so their roots are among the top's. The A-D
+counts also hold their top height and h_vee to the highest root in
+simple-root coordinates, long under the Cartan form, in O(rank) steps as
+well. Both refuse a rank above the cap with the same message.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 import enum
 import operator
 from collections import Counter
-from itertools import compress
+from itertools import chain, compress
 
 from ._record import Record
 from .errors import InvariantViolationError, ParameterDomainError, UnsupportedGroupError
@@ -64,6 +67,7 @@ __all__ = [
     "su",
     "spin",
     "sp",
+    "walk_chain",
 ]
 
 
@@ -419,7 +423,7 @@ def _coordinates(code, rank):
     return tuple(map(int, format(code, "o")[-rank:]))
 
 
-def _positive_roots(lie_type, rows, steps, width, limit):
+def _positive_roots(lie_type, rows, steps, width, limit, last):
     """The positive roots, found by raising the simple roots with reflections.
 
     C has passed `_check_cartan`, so s_i permutes the positive roots other
@@ -428,8 +432,7 @@ def _positive_roots(lie_type, rows, steps, width, limit):
     s_i(beta) = beta - <beta, a_i^vee> a_i reach every positive root from
     the simple ones. Each root keeps its nonzero pairings <beta, a_j^vee>;
     raising by c a_i adds c C[i][j], so only the nonzero entries
-    rows[i] = ((j, C[i][j]), ...) of Cartan row i are touched. The walk sums
-    the pairings as it reads them: the sums are <2 rho, a_j^vee>.
+    rows[i] = ((j, C[i][j]), ...) of Cartan row i are touched.
     A root is one int, its key sum_i mu_i steps[i]; a raise by c a_i adds
     c steps[i]. `_walk` sets steps[i] to
     2^(3 rank + W) + 2^(W + 3(rank - 1 - i)) + D d_i, so a key is
@@ -445,18 +448,27 @@ def _positive_roots(lie_type, rows, steps, width, limit):
     digit of 8 or more means C is not of finite type, and is refused before
     the raised key is used. So is a walk past `limit` roots (C not of finite
     type, or a wrong exponent table), which would otherwise never stop.
-    Returns the keys in walk order, and the pairing sums.
+
+    Each root also keeps its node: the index of its first nonzero
+    coordinate, or of its last one if `last` is set. a_i's node is i, and a
+    raise by a_i moves the node to min(node, i), or max(node, i). The walk
+    sums the pairings as it reads them, per node: sums[k][j] is the sum of
+    <beta, a_j^vee> over the roots beta of node k. Returns the keys in walk
+    order, the keys of each node, and those sums.
     """
     rank = len(rows)
     shifts = [width + 3 * (rank - 1 - i) for i in range(rank)]
     keys = list(steps)
+    nodes = list(range(rank))
+    buckets = [[key] for key in keys]
     pairings = [dict(row) for row in rows]
     seen = set(keys)
-    sums = [0] * rank
-    # both lists grow while they are walked
-    for key, pairing in zip(keys, pairings):
+    sums = [[0] * rank for _ in range(rank)]
+    # the three lists grow while they are walked
+    for key, node, pairing in zip(keys, nodes, pairings):
+        node_sums = sums[node]
         for i, p in pairing.items():
-            sums[i] += p
+            node_sums[i] += p
             if p < 0:
                 coord = (key >> shifts[i] & 7) - p
                 if coord > 7:
@@ -476,10 +488,14 @@ def _positive_roots(lie_type, rows, steps, width, limit):
                     q = raised.pop(j, 0) - p * c
                     if q:
                         raised[j] = q
+                # max(node, i) if last, else min(node, i)
+                up_node = i if (i > node) == last else node
                 seen.add(up)
                 keys.append(up)
+                nodes.append(up_node)
+                buckets[up_node].append(up)
                 pairings.append(raised)
-    return keys, sums
+    return keys, buckets, sums
 
 
 def _check_cartan(lie_type, cartan, rows, weights):
@@ -520,56 +536,141 @@ def build_root_system(lie_type: SimpleLieType) -> HeightCounts:
     pairings are D-weighted heights, counted into the record, which holds
     only integers and none of the roots. Internal invariants (the Cartan
     matrix, root count, pairing bounds, highest root long) are checked at
-    linear cost.
+    linear cost. This is the walk of a chain whose one member is the type
+    itself. The roots in the span of part of a base are the root system of
+    that part, so the roots of a sub-diagram are the type's roots that are
+    zero on the dropped nodes: `walk_chain` reads the lower members of a
+    chain off this same walk.
     """
-    return _walk(lie_type)[2]
+    return _raised(_walk(lie_type, (lie_type,))[2][lie_type])
+
+
+def walk_chain(top: SimpleLieType) -> dict[SimpleLieType, HeightCounts | InvariantViolationError]:
+    """The `HeightCounts` of every member of top's Dynkin chain, from one
+    walk of top's positive roots.
+
+    In the numbering of the Cartan matrix, A_r, B_r, C_r and D_r less their
+    first simple root are A_(r-1), B_(r-1), C_(r-1) and D_(r-1), with the
+    same Cartan entries and symmetrizer weights on the kept nodes; E8 less
+    its last simple root is E7, and less its last two E6. The members are
+    top's family from its rank floor up to top, or E6, E7 and E8 under E8;
+    any other type is its own one member. The roots in the span of a subset
+    of a base form the root system with that base (Bourbaki, Lie Groups and
+    Lie Algebras, ch. VI, 1.7), so a member's positive roots are top's
+    whose coordinates on the dropped nodes are zero: the roots whose first
+    nonzero coordinate (A-D), or last one (E), lies on a kept node. The
+    walk files its roots under those nodes and sums their pairings per node,
+    so each member's record, and each check `build_root_system` makes of
+    one type (root count, Weyl vector over the member's nodes, top and
+    lowest weighted height, highest root long), is read off the nodes it
+    keeps. A member whose check fails maps to its InvariantViolationError,
+    and every member to the one the walk itself raised (on a Cartan matrix,
+    a coordinate or a root count of top's). Walking A_r once reads all r
+    members in O(r^2) roots, where a walk per member takes O(r^3).
+    """
+    fam = top.family
+    if fam in _RANK_FLOOR:
+        members = [SimpleLieType(fam, m) for m in range(_RANK_FLOOR[fam], top.rank + 1)]
+    elif fam is Family.E8:
+        members = [SimpleLieType(Family.E6, 6), SimpleLieType(Family.E7, 7), top]
+    else:
+        members = [top]
+    try:
+        return _walk(top, members)[2]
+    except InvariantViolationError as exc:
+        return dict.fromkeys(members, exc)
 
 
 def positive_roots(lie_type: SimpleLieType) -> tuple[tuple[int, ...], ...]:
     """The coordinate vectors of the positive roots, by height, then
     coordinates: the walk's sorted keys, decoded."""
-    keys, width, _ = _walk(lie_type)
+    keys, width, records = _walk(lie_type, (lie_type,))
+    _raised(records[lie_type])
     rank = lie_type.rank
-    return tuple(_coordinates(key >> width, rank) for key in keys)
+    return tuple(_coordinates(key >> width, rank) for key in sorted(keys))
 
 
-def _walk(lie_type):
-    """The sorted keys of the positive roots (see `_positive_roots`), the
-    width W of their weighted-height field, and their `HeightCounts`, once
-    every invariant of the walk has been checked."""
-    _refuse_above_cap(lie_type)
-    rank = lie_type.rank
-    cartan = cartan_matrix(lie_type)
-    weights = _symmetrizer(lie_type)
+def _raised(record):
+    if isinstance(record, InvariantViolationError):
+        raise record
+    return record
+
+
+def _walk(top, members):
+    """The keys of top's positive roots in walk order (see
+    `_positive_roots`), the width W of their weighted-height field, and a
+    dict of each member's `HeightCounts`, or of the InvariantViolationError
+    its checks raised. The members are types of top's chain (see
+    `walk_chain`), by increasing rank; each is checked as the walk of that
+    type alone would be."""
+    _refuse_above_cap(top)
+    rank = top.rank
+    cartan = cartan_matrix(top)
+    weights = _symmetrizer(top)
     denom = max(weights)
     # the nonzero entries ((j, C[i][j]), ...) of each row, read at C speed
     rows = [list(zip(compress(range(rank), row), filter(None, row))) for row in cartan]
-    _check_cartan(lie_type, cartan, rows, weights)
+    _check_cartan(top, cartan, rows, weights)
 
     # the key layout of `_positive_roots`: height, base-8 coordinates and
     # D-weighted height, with W = width bits for the last
     width = (7 * denom * rank).bit_length()
-    top = 1 << 3 * rank + width
-    steps = [top + (1 << width + 3 * (rank - 1 - i)) + w for i, w in enumerate(weights)]
+    step = 1 << 3 * rank + width
+    steps = [step + (1 << width + 3 * (rank - 1 - i)) + w for i, w in enumerate(weights)]
+    # E6 and E7 keep the first nodes of E8, every other member the last ones
+    last = top.family is Family.E8
+    keys, buckets, sums = _positive_roots(top, rows, steps, width, sum(exponents(top)), last)
+
+    # each member's roots, pairing sums and highest key, smallest member
+    # first: a member has the nodes of the one before it and adds its own
+    mask = (1 << width) - 1
+    heights = Counter()
+    total = [0] * rank
+    count = highest_key = read = 0
+    records = {}
+    for member in members:
+        m = member.rank
+        # the member's nodes lo to hi - 1, and those it adds
+        lo, hi = (0, m) if last else (rank - m, rank)
+        added = range(read, m) if last else range(lo, rank - read)
+        read = m
+        new = list(chain.from_iterable(map(buckets.__getitem__, added)))
+        heights.update(map(mask.__and__, new))
+        count += len(new)
+        highest_key = max(highest_key, max(new, default=0))
+        total = list(map(sum, zip(total, *map(sums.__getitem__, added))))
+        # its coordinates are the digits of its nodes
+        theta = _coordinates(highest_key >> width + 3 * (rank - hi), m)
+        try:
+            records[member] = _member_record(
+                member, count, total[lo:hi], heights, highest_key & mask, theta, denom
+            )
+        except InvariantViolationError as exc:
+            records[member] = exc
+    return keys, width, records
+
+
+def _member_record(lie_type, count, sums, heights, highest, theta, denom):
+    """The `HeightCounts` of one member of a walk, once every invariant of
+    the walk has been checked on its count roots: the pairing sums over its
+    nodes, the Counter of their weighted heights, the weighted height and
+    coordinates theta of its largest key, and the denominator D."""
     limit = sum(exponents(lie_type))
-    keys, sums = _positive_roots(lie_type, rows, steps, width, limit)
-    keys.sort()
-    if len(keys) != limit:
+    if count != limit:
         raise InvariantViolationError(
-            f"{lie_type}: {len(keys)} positive roots but exponent sum {limit}"
+            f"{lie_type}: {count} positive roots but exponent sum {limit}"
         )
     # (rho, a_i^vee) = 1 reads sum_beta <beta, a_i^vee> = 2; C is invertible,
     # so this holds for the half sum exactly when the half sum is the Weyl
     # vector
-    if sums != [2] * rank:
+    if sums != [2] * lie_type.rank:
         raise InvariantViolationError(f"{lie_type}: Weyl vector != half sum of positive roots")
 
     # D (rho, mu) = sum_i D d_i mu_i, since (rho, a_i) = d_i
-    mask = (1 << width) - 1
-    counts = tuple(sorted(Counter(map(mask.__and__, keys)).items()))
-    # h_vee = (rho, theta) + 1 for the last key theta, the highest root, which
-    # `_refuse_short` checks is long; no root's weighted height passes theta's
-    highest = keys[-1] & mask
+    counts = tuple(sorted(heights.items()))
+    # h_vee = (rho, theta) + 1 for the largest key theta, the highest root,
+    # which `_refuse_short` checks is long; no root's weighted height passes
+    # theta's
     if counts[-1][0] != highest:
         raise InvariantViolationError(
             f"{lie_type}: weighted height {counts[-1][0]} above the highest root's, {highest}"
@@ -581,8 +682,8 @@ def _walk(lie_type):
         raise InvariantViolationError(
             f"{lie_type}: weighted height {counts[0][0]} escapes (0, {denom * h_vee})"
         )
-    _refuse_short(lie_type, _coordinates(keys[-1] >> width, rank))
-    return keys, width, HeightCounts(lie_type, h_vee, counts, 2 * denom * h_vee)
+    _refuse_short(lie_type, theta)
+    return HeightCounts(lie_type, h_vee, counts, 2 * denom * h_vee)
 
 
 def minimal_pairing(lie_type: SimpleLieType, u, v) -> int | Fraction:
@@ -622,7 +723,7 @@ def rho_pairings_killing(lie_type: SimpleLieType) -> tuple[Fraction, ...]:
     """
     from fractions import Fraction
 
-    keys, width, heights = _walk(lie_type)
+    keys, width, records = _walk(lie_type, (lie_type,))
     mask = (1 << width) - 1
-    den = heights.height_denominator
-    return tuple(Fraction(key & mask, den) for key in keys)
+    den = _raised(records[lie_type]).height_denominator
+    return tuple(Fraction(key & mask, den) for key in sorted(keys))

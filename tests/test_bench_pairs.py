@@ -71,3 +71,53 @@ def test_failed_requests_and_unpaired_runs():
     assert _line(lines, "failed requests, change") == "failed requests, change: 4 in 2 runs"
     _, held = bench_pairs.summarize(runs, "setup_s")
     assert not held
+
+
+def test_bounds_are_read_from_the_benchmark():
+    assert bench_pairs.BOUNDS == {
+        "setup_s": 0.25, "latency_p50_s": 0.25, "latency_tail_s": 0.25, "items_per_s": 0.25,
+        "peak_rss_mb": 0.1, "accuracy_digits": 0.05, "success_rate": 0.01,
+    }
+    assert [name for name, lower in bench_pairs.LOWER_IS_BETTER.items() if not lower] == [
+        "items_per_s", "accuracy_digits", "success_rate"
+    ]
+
+
+def test_unclaimed_metrics_within_their_bounds():
+    # p50 5% worse, the rate 5% lower, the RSS equal: every spread is 2%
+    parent = [10.0 + 0.05 * i for i in range(10)]
+    lines, held = bench_pairs.summarize(_runs(parent, [1.05 * p for p in parent]))
+    assert held
+    assert _line(lines, "bound latency_p50_s").endswith(": within bound")
+    assert "+5.00% worse" in _line(lines, "bound latency_p50_s")
+    assert _line(lines, "bound items_per_s").endswith(": within bound")
+    assert _line(lines, "bound peak_rss_mb") == (
+        "bound peak_rss_mb: +0.00% worse, parent IQR 0.00%, bound 10%: within bound"
+    )
+
+
+def test_unclaimed_metric_worse_than_its_bound_fails():
+    # p50 30% worse against a 25% bound, though the claim on the rate is
+    # judged apart: the run fails on the bound alone
+    parent = [10.0 + 0.05 * i for i in range(10)]
+    lines, held = bench_pairs.summarize(_runs(parent, [1.3 * p for p in parent]))
+    assert not held
+    assert _line(lines, "bound latency_p50_s").endswith(": WORSE")
+    assert _line(lines, "bound items_per_s").endswith(": within bound")  # 23% lower
+    # the claimed metric takes the claim's verdict, not the bound's
+    lines, held = bench_pairs.summarize(_runs(parent, [1.3 * p for p in parent]), "latency_p50_s")
+    assert not held
+    assert not any(line.startswith("bound latency_p50_s") for line in lines)
+
+
+def test_unclaimed_metric_unresolved_when_the_parent_spreads_past_its_bound():
+    # the parent's p50 spreads 8.0-13.7, an IQR of 2.85 against a median of
+    # 10.85 (26%): a change 1% worse cannot be told from it
+    parent = [8.0 + 0.6 * i + (0.3 if i % 2 else 0.0) for i in range(10)]
+    lines, held = bench_pairs.summarize(_runs(parent, [1.01 * p for p in parent]))
+    assert held
+    assert _line(lines, "bound latency_p50_s").endswith(": unresolved")
+    # unless every change run beats every parent run
+    lines, held = bench_pairs.summarize(_runs(parent, [p - 7.0 for p in parent]))
+    assert held
+    assert _line(lines, "bound latency_p50_s").endswith(": within bound")

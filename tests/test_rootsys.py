@@ -25,6 +25,7 @@ from lievol.rootsys import (
     sp,
     spin,
     su,
+    walk_chain,
 )
 
 
@@ -90,10 +91,10 @@ def build_with_keys(lie_type):
     walk = rootsys._positive_roots
     seen = {}
 
-    def capture(lie_type, rows, steps, width, limit):
-        keys, sums = walk(lie_type, rows, steps, width, limit)
+    def capture(lie_type, rows, steps, width, limit, last):
+        keys, buckets, sums = walk(lie_type, rows, steps, width, limit, last)
         seen.update(keys=list(keys), width=width)
-        return keys, sums
+        return keys, buckets, sums
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rootsys, "_positive_roots", capture)
@@ -374,8 +375,9 @@ def test_coordinate_above_seven_rejected(monkeypatch):
 # B2 has 2 rho = (3, 4) and D = 2, B3 2 rho = (5, 8, 9) and D = 2; each list
 # keeps the root count (4 or 9) with distinct roots, and all but the first keep
 # the half sum, so the later checks are reached. The stand-in walk returns
-# what the real one does: the root keys sum_i mu_i steps[i], and the pairing
-# sums sum_beta <beta, a_j^vee>.
+# what the real one does: the root keys sum_i mu_i steps[i], the keys of
+# each node (a root's first nonzero coordinate; 0 for the zero vector), and
+# the pairing sums sum_beta <beta, a_j^vee> per node.
 @pytest.mark.parametrize(
     "roots, match",
     [
@@ -393,14 +395,18 @@ def test_coordinate_above_seven_rejected(monkeypatch):
     ],
 )
 def test_corrupted_roots_rejected(monkeypatch, roots, match):
-    def walk(lie_type, rows, steps, width, limit):
+    def walk(lie_type, rows, steps, width, limit, last):
+        assert not last
         keys = [sum(map(operator.mul, mu, steps)) for mu in roots]
-        sums = [0] * len(rows)
-        for mu in roots:
+        buckets = [[] for _ in rows]
+        sums = [[0] * len(rows) for _ in rows]
+        for mu, key in zip(roots, keys):
+            node = next((i for i, m in enumerate(mu) if m), 0)
+            buckets[node].append(key)
             for i, row in enumerate(rows):
                 for j, c in row:
-                    sums[j] += mu[i] * c
-        return keys, sums
+                    sums[node][j] += mu[i] * c
+        return keys, buckets, sums
 
     monkeypatch.setattr(rootsys, "_positive_roots", walk)
     with pytest.raises(InvariantViolationError, match=match):
@@ -500,6 +506,93 @@ def test_height_counts_match_walk_on_e_types(family):
     exps = exponents(lie_type)
     dual = tuple((k, sum(m >= k for m in exps)) for k in range(1, exps[-1] + 1))
     assert (heights.counts == dual) == (family in (Family.E6, Family.E7, Family.E8))
+
+
+E6, E7, E8 = (SimpleLieType(f, EXCEPTIONAL_RANK[f]) for f in (Family.E6, Family.E7, Family.E8))
+CLASSICAL = (Family.A, Family.B, Family.C, Family.D)
+
+
+def test_chain_members_equal_their_own_walks():
+    # every group of default_groups(40) but G2 and F4, read off its chain's
+    # one walk (each classical family at rank 40, E6 and E7 at E8), is the
+    # record its own walk gives; a type outside the chains, or E6 and E7
+    # taken as the top, is its own one member
+    read = {}
+    for top in [*(SimpleLieType(f, 40) for f in CLASSICAL), E8]:
+        read.update(walk_chain(top))
+    groups = default_groups(40)
+    assert list(read) == [g for g in groups if g.family not in (Family.G2, Family.F4)]
+    for lie_type, record in read.items():
+        assert record == build_root_system(lie_type), lie_type
+    for lie_type in (SimpleLieType(Family.G2, 2), SimpleLieType(Family.F4, 4), E6, E7):
+        assert walk_chain(lie_type) == {lie_type: build_root_system(lie_type)}
+
+
+def test_chain_walk_error_goes_to_every_member(monkeypatch):
+    # one exponent too few for the top SU_4 stops its walk past the root
+    # limit: every member maps to that error, and none is read
+    true_exponents = rootsys.exponents
+    monkeypatch.setattr(
+        rootsys, "exponents", lambda t: true_exponents(t)[:-1] if t == su(4) else true_exponents(t)
+    )
+    read = walk_chain(su(4))
+    assert list(read) == [su(2), su(3), su(4)]
+    assert {str(err) for err in read.values()} == {
+        "SU_4: more than 3 positive roots, the exponent sum"
+    }
+    assert all(isinstance(err, InvariantViolationError) for err in read.values())
+
+
+@pytest.mark.parametrize("family", CLASSICAL)
+def test_chain_at_the_cap_equals_its_members_walks(family):
+    floor = rootsys._RANK_FLOOR[family]
+    read = walk_chain(SimpleLieType(family, 256))
+    assert list(read) == [SimpleLieType(family, r) for r in range(floor, 257)]
+    for rank in (floor, 130, 255, 256):
+        lie_type = SimpleLieType(family, rank)
+        assert read[lie_type] == build_root_system(lie_type), lie_type
+
+
+@pytest.mark.parametrize("family", CLASSICAL)
+def test_chain_members_keep_their_cartan_entries_and_weights(family):
+    # the last m nodes of X_256 in the numbering of the Cartan matrix carry
+    # X_m's own Cartan matrix and symmetrizer weights, at every rank m of
+    # the chain; the first 6 and 7 nodes of E8 carry E6's and E7's
+    top = SimpleLieType(family, 256)
+    cartan, weights = cartan_matrix(top), rootsys._symmetrizer(top)
+    for rank in range(rootsys._RANK_FLOOR[family], 257):
+        lie_type, lo = SimpleLieType(family, rank), 256 - rank
+        assert tuple(row[lo:] for row in cartan[lo:]) == cartan_matrix(lie_type), lie_type
+        assert weights[lo:] == rootsys._symmetrizer(lie_type), lie_type
+    cartan, weights = cartan_matrix(E8), rootsys._symmetrizer(E8)
+    for lie_type in (E6, E7):
+        hi = lie_type.rank
+        assert tuple(row[:hi] for row in cartan[:hi]) == cartan_matrix(lie_type), lie_type
+        assert weights[:hi] == rootsys._symmetrizer(lie_type), lie_type
+
+
+@pytest.mark.parametrize(
+    "top", [su(10), spin(19), sp(18), spin(18), E8], ids=lambda t: t.compact_name
+)
+def test_walk_buckets_each_root_by_its_first_or_last_nonzero_coordinate(monkeypatch, top):
+    # a member's roots are the keys of its nodes: A-D bucket a root by its
+    # first nonzero coordinate, E8 (whose members keep its first nodes) by
+    # its last one; every key lands in exactly one bucket
+    walk, seen = rootsys._positive_roots, {}
+
+    def capture(lie_type, rows, steps, width, limit, last):
+        keys, buckets, sums = walk(lie_type, rows, steps, width, limit, last)
+        seen.update(keys=keys, buckets=buckets, width=width, last=last)
+        return keys, buckets, sums
+
+    monkeypatch.setattr(rootsys, "_positive_roots", capture)
+    walk_chain(top)
+    assert seen["last"] == (top == E8)
+    assert sorted(seen["keys"]) == sorted(k for bucket in seen["buckets"] for k in bucket)
+    for node, bucket in enumerate(seen["buckets"]):
+        for key in bucket:
+            support = [i for i, d in enumerate(key_digits(key, seen["width"], top.rank)) if d]
+            assert node == support[-1 if seen["last"] else 0], (node, support)
 
 
 def test_default_groups_refuse_max_rank_above_cap(monkeypatch):

@@ -330,6 +330,48 @@ def test_check_suite_reports_faulty_build(monkeypatch):
     assert [(i.name, i.detail) for i in failed] == [("structure G2", f"error: {err.value}")]
 
 
+def test_check_suite_fails_every_member_of_a_chain_whose_walk_raises(monkeypatch):
+    # one exponent too few for SU_4, the top of the A chain at max rank 3,
+    # makes its walk raise past its root limit: the structure items of
+    # SU_2, SU_3 and SU_4, all read off that walk, fail with that error, and
+    # no other item does
+    import lievol.rootsys as rootsys_mod
+
+    true_exponents = rootsys_mod.exponents
+
+    def corrupted(lie_type):
+        exps = true_exponents(lie_type)
+        return exps[:-1] if lie_type == su(4) else exps
+
+    monkeypatch.setattr(rootsys_mod, "exponents", corrupted)
+    with pytest.raises(InvariantViolationError, match="^SU_4: more than 3 positive roots") as err:
+        build_root_system(su(4))
+    items = run_check_suite(max_rank=3)
+    failed = {i.name: i.detail for i in items if not i.passed}
+    assert failed == {f"structure SU_{n}": f"error: {err.value}" for n in (2, 3, 4)}
+
+
+def test_check_suite_fails_only_the_member_whose_own_check_fails(monkeypatch):
+    # one exponent too many for SU_3, below the top SU_4: the walk passes,
+    # and SU_3's three roots miss its exponent sum; only its structure item
+    # fails, with the error its own walk raises
+    import lievol.rootsys as rootsys_mod
+
+    true_exponents = rootsys_mod.exponents
+
+    def corrupted(lie_type):
+        exps = true_exponents(lie_type)
+        return exps + (3,) if lie_type == su(3) else exps
+
+    monkeypatch.setattr(rootsys_mod, "exponents", corrupted)
+    message = "^SU_3: 3 positive roots but exponent sum 6$"
+    with pytest.raises(InvariantViolationError, match=message) as err:
+        build_root_system(su(3))
+    items = run_check_suite(max_rank=3)
+    failed = {i.name: i.detail for i in items if not i.passed}
+    assert failed == {"structure SU_3": f"error: {err.value}"}
+
+
 def _traced_peak(fn):
     """The tracemalloc peak while fn() runs, above what is traced at its start."""
     tracemalloc.start()
@@ -355,32 +397,36 @@ def test_check_suite_memory_stays_near_one_walk():
     assert suite <= 4 * walk, (suite, walk)
 
 
-@pytest.mark.parametrize("max_rank, builds, integrals", [(2, 10, 16), (0, 5, 14)])
-def test_check_suite_makes_each_root_system_once(monkeypatch, max_rank, builds, integrals):
-    # max rank 2 has ten groups, each walked once by its structure item; the
-    # SU_2, Sp_2 and SU_4 reports of the isomorphism items read closed-form
-    # counts and walk nothing. Each distinct point is one phi integral: each
-    # group's report, the six unitary-line points less those at z = 2 and 3
-    # (SU_2's and SU_3's rows), and the Spin_6 row
+@pytest.mark.parametrize("max_rank, walks, integrals", [(2, 6, 16), (0, 3, 14)])
+def test_check_suite_makes_each_root_system_once(monkeypatch, max_rank, walks, integrals):
+    # max rank 2 has ten groups in six Dynkin chains, each walked once at
+    # its top: A_2, B_2, C_2, G2, F4 and E8 (for E6 and E7 too); max rank 0
+    # has the five exceptionals in three. The SU_2, Sp_2 and SU_4 reports of
+    # the isomorphism items read closed-form counts and walk nothing. Each
+    # distinct point is one phi integral: each group's report, the six
+    # unitary-line points less those at z = 2 and 3 (SU_2's and SU_3's
+    # rows), and the Spin_6 row
     import lievol.quad as quad_mod
     import lievol.rootsys as rootsys_mod
 
-    calls = {"build": 0, "phi": 0}
+    calls = {"walk": [], "phi": 0}
+    walk, integrate_phi = rootsys_mod._positive_roots, quad_mod.integrate_phi
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted_walk(lie_type, *args):
+        calls["walk"].append(lie_type.compact_name)
+        return walk(lie_type, *args)
 
-        return wrapper
+    def counted_phi(*args, **kwargs):
+        calls["phi"] += 1
+        return integrate_phi(*args, **kwargs)
 
-    monkeypatch.setattr(
-        rootsys_mod, "build_root_system", counted("build", rootsys_mod.build_root_system)
-    )
-    monkeypatch.setattr(quad_mod, "integrate_phi", counted("phi", quad_mod.integrate_phi))
+    monkeypatch.setattr(rootsys_mod, "_positive_roots", counted_walk)
+    monkeypatch.setattr(quad_mod, "integrate_phi", counted_phi)
     items = run_check_suite(max_rank=max_rank)
     assert all(i.passed for i in items)
-    assert calls == {"build": builds, "phi": integrals}
+    assert len(calls["walk"]) == walks and len(set(calls["walk"])) == walks
+    assert calls["walk"][-3:] == ["G2", "F4", "E8"]
+    assert calls["phi"] == integrals
 
 
 def test_check_suite_computes_each_thing_once(monkeypatch):

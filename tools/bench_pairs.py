@@ -16,10 +16,15 @@ pairs the change wins (better by the metric's direction; a tie counts for
 neither side), and each side's failed requests. With --claim METRIC it
 prints the verdict on that metric: the change must win at least 9 of 10
 pairs, and its median must beat the parent's by more than the parent's
-interquartile range. --out FILE writes every run as a JSON object
-(workload, seed, tree, failed, attempted and the metrics) to FILE's "runs"
-list, added to the runs already there. Exit status: 0, or 1 if a claim
-fails or a run ends without a report, 2 on bad usage.
+interquartile range. Every other metric gets a verdict against its bound
+in BENCHMARK.json, a share of the parent's median: "WORSE" if the change's
+median is worse than the parent's by more than the bound; else "unresolved"
+if the parent's interquartile range is wider than the bound, unless every
+change run is better than every parent run; else "within bound".
+--out FILE writes every run as a JSON object (workload, seed, tree, failed,
+attempted and the metrics) to FILE's "runs" list, added to the runs already
+there. Exit status: 0, or 1 if a claim fails, a metric is WORSE or a run
+ends without a report, 2 on bad usage.
 """
 
 from __future__ import annotations
@@ -34,16 +39,11 @@ import subprocess
 import sys
 
 HERE = pathlib.Path(__file__).resolve().parent.parent
-# the end-to-end metrics of perfbench/run.py and the direction that is better
-LOWER_IS_BETTER = {
-    "setup_s": True,
-    "latency_p50_s": True,
-    "latency_tail_s": True,
-    "items_per_s": False,
-    "peak_rss_mb": True,
-    "accuracy_digits": False,
-    "success_rate": False,
-}
+# the end-to-end metrics of perfbench/run.py, whether lower is better, and
+# the largest share of the parent's median by which the change may be worse
+END_TO_END = json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]
+LOWER_IS_BETTER = {m["name"]: m["better"] == "lower" for m in END_TO_END}
+BOUNDS = {m["name"]: m["bound"] for m in END_TO_END}
 # the share of pairs a claimed metric must win
 CLAIM_WIN_SHARE = 0.9
 
@@ -74,16 +74,36 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def bound_verdict(parent: list[float], change: list[float], lower: bool, bound: float
+                  ) -> tuple[float, float, str]:
+    """How much worse the change's median is than the parent's, and the
+    parent's interquartile range, both as shares of the parent's median,
+    and the verdict against the bound: "WORSE", "unresolved" or "within
+    bound" (see the module docstring)."""
+    pq1, pmed, pq3 = quartiles(parent)
+    cmed = statistics.median(change)
+    scale = abs(pmed) or 1.0
+    worse = (cmed - pmed if lower else pmed - cmed) / scale
+    spread = (pq3 - pq1) / scale
+    if worse > bound:
+        return worse, spread, "WORSE"
+    all_better = max(change) < min(parent) if lower else min(change) > max(parent)
+    if spread > bound and not all_better:
+        return worse, spread, "unresolved"
+    return worse, spread, "within bound"
+
+
 def summarize(runs: list[dict], claim: str | None = None) -> tuple[list[str], bool]:
     """The summary lines of the runs, which pair by seed, and whether the
-    claim on the metric `claim` holds (True where there is no claim)."""
+    claim on the metric `claim` holds (True where there is no claim) and no
+    other metric is WORSE than its bound."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["seed"], {})[run["tree"]] = run
     pairs = [p for _, p in sorted(pairs.items()) if len(p) == 2]
     n = len(pairs)
     lines = [f"{n} pairs"]
-    held, judged = claim is None, False
+    held, judged, worse_seen = claim is None, False, False
     for name, lower in LOWER_IS_BETTER.items():
         if not all(name in p["parent"] and name in p["change"] for p in pairs) or not n:
             continue
@@ -107,12 +127,22 @@ def summarize(runs: list[dict], claim: str | None = None) -> tuple[list[str], bo
                 f"claim {name}: {wins}/{n} wins (need {CLAIM_WIN_SHARE * n:g}), median gap "
                 f"{gap:.6g} against a parent IQR of {iqr:.6g}: {'MET' if held else 'NOT MET'}"
             )
+        else:
+            worse, spread, verdict = bound_verdict(
+                [p["parent"][name] for p in pairs], [p["change"][name] for p in pairs], lower,
+                BOUNDS[name],
+            )
+            worse_seen |= verdict == "WORSE"
+            lines.append(
+                f"bound {name}: {worse:+.2%} worse, parent IQR {spread:.2%}, "
+                f"bound {BOUNDS[name]:.0%}: {verdict}"
+            )
     if claim is not None and not judged:
         lines.append(f"claim {claim}: no pair reports it: NOT MET")
     for tree in ("parent", "change"):
         failed = [p[tree]["failed"] for p in pairs]
         lines.append(f"failed requests, {tree}: {sum(failed)} in {sum(map(bool, failed))} runs")
-    return lines, held
+    return lines, held and not worse_seen
 
 
 def main(argv: list[str] | None = None) -> int:
