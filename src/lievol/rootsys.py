@@ -11,9 +11,8 @@ positive roots other than a_i, so the simple reflections that raise height
 generate the positive roots from the simple ones. A root is one integer
 key, with its height, its coordinates as base-8 digits and its d-weighted
 height in separate bit fields: the walk deduplicates on it and sums the
-pairings <beta, a_i^vee> as it reads them. Sorted keys order the roots by
-height, then coordinates, and their low bits are the weighted heights;
-`positive_roots` reads the coordinates off the digits of those keys. The
+pairings <beta, a_i^vee> as it reads them. The low bits of a key are its
+root's weighted height, and the walk decodes only the highest root. The
 Weyl vector rho is the half sum of the positive roots, checked against
 (rho, a_i^vee) = 1 through the pairing sums, which gives (rho, a_i) = d_i:
 pairings (rho, mu) are d-weighted heights sum_i d_i mu_i (Humphreys, Lie
@@ -22,8 +21,8 @@ Algebras, 10.1-10.2). All of this runs on Python integers, and
 and their one denominator 2 D h_vee, as a `HeightCounts`: no root outlives
 the walk. Two exact helpers stay: `minimal_pairing`, which every build and
 every set of A-D counts calls once to check that the highest root is long,
-and `rho_pairings_killing`, which no command calls and which reads the low
-bits of the keys. `fractions.Fraction` is loaded only by
+and `rho_pairings_killing`, which no command calls and which reads the
+walk's record. `fractions.Fraction` is loaded only by
 `rho_pairings_killing` and for a non-integral pairing, never on that check.
 Floating point enters only in the downstream volume/quadrature modules, so
 the transcendental evaluation is the sole numerical error source.
@@ -47,7 +46,7 @@ from __future__ import annotations
 import enum
 import operator
 from collections import Counter
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 
 from ._record import Record
 from .errors import InvariantViolationError, ParameterDomainError, UnsupportedGroupError
@@ -62,7 +61,6 @@ __all__ = [
     "exponents",
     "height_counts",
     "minimal_pairing",
-    "positive_roots",
     "rho_pairings_killing",
     "su",
     "spin",
@@ -453,8 +451,8 @@ def _positive_roots(lie_type, rows, steps, width, limit, last):
     coordinate, or of its last one if `last` is set. a_i's node is i, and a
     raise by a_i moves the node to min(node, i), or max(node, i). The walk
     sums the pairings as it reads them, per node: sums[k][j] is the sum of
-    <beta, a_j^vee> over the roots beta of node k. Returns the keys in walk
-    order, the keys of each node, and those sums.
+    <beta, a_j^vee> over the roots beta of node k. Returns the keys of each
+    node and those sums.
     """
     rank = len(rows)
     shifts = [width + 3 * (rank - 1 - i) for i in range(rank)]
@@ -495,7 +493,7 @@ def _positive_roots(lie_type, rows, steps, width, limit, last):
                 nodes.append(up_node)
                 buckets[up_node].append(up)
                 pairings.append(raised)
-    return keys, buckets, sums
+    return buckets, sums
 
 
 def _check_cartan(lie_type, cartan, rows, weights):
@@ -542,7 +540,10 @@ def build_root_system(lie_type: SimpleLieType) -> HeightCounts:
     zero on the dropped nodes: `walk_chain` reads the lower members of a
     chain off this same walk.
     """
-    return _raised(_walk(lie_type, (lie_type,))[2][lie_type])
+    record = _walk(lie_type, (lie_type,))[lie_type]
+    if isinstance(record, InvariantViolationError):
+        raise record
+    return record
 
 
 def walk_chain(top: SimpleLieType) -> dict[SimpleLieType, HeightCounts | InvariantViolationError]:
@@ -576,33 +577,17 @@ def walk_chain(top: SimpleLieType) -> dict[SimpleLieType, HeightCounts | Invaria
     else:
         members = [top]
     try:
-        return _walk(top, members)[2]
+        return _walk(top, members)
     except InvariantViolationError as exc:
         return dict.fromkeys(members, exc)
 
 
-def positive_roots(lie_type: SimpleLieType) -> tuple[tuple[int, ...], ...]:
-    """The coordinate vectors of the positive roots, by height, then
-    coordinates: the walk's sorted keys, decoded."""
-    keys, width, records = _walk(lie_type, (lie_type,))
-    _raised(records[lie_type])
-    rank = lie_type.rank
-    return tuple(_coordinates(key >> width, rank) for key in sorted(keys))
-
-
-def _raised(record):
-    if isinstance(record, InvariantViolationError):
-        raise record
-    return record
-
-
 def _walk(top, members):
-    """The keys of top's positive roots in walk order (see
-    `_positive_roots`), the width W of their weighted-height field, and a
-    dict of each member's `HeightCounts`, or of the InvariantViolationError
-    its checks raised. The members are types of top's chain (see
-    `walk_chain`), by increasing rank; each is checked as the walk of that
-    type alone would be."""
+    """A dict of each member's `HeightCounts`, or of the
+    InvariantViolationError its checks raised, from one walk of top's
+    positive roots (see `_positive_roots`). The members are types of top's
+    chain (see `walk_chain`), by increasing rank; each is checked as the
+    walk of that type alone would be."""
     _refuse_above_cap(top)
     rank = top.rank
     cartan = cartan_matrix(top)
@@ -619,7 +604,7 @@ def _walk(top, members):
     steps = [step + (1 << width + 3 * (rank - 1 - i)) + w for i, w in enumerate(weights)]
     # E6 and E7 keep the first nodes of E8, every other member the last ones
     last = top.family is Family.E8
-    keys, buckets, sums = _positive_roots(top, rows, steps, width, sum(exponents(top)), last)
+    buckets, sums = _positive_roots(top, rows, steps, width, sum(exponents(top)), last)
 
     # each member's roots, pairing sums and highest key, smallest member
     # first: a member has the nodes of the one before it and adds its own
@@ -647,7 +632,7 @@ def _walk(top, members):
             )
         except InvariantViolationError as exc:
             records[member] = exc
-    return keys, width, records
+    return records
 
 
 def _member_record(lie_type, count, sums, heights, highest, theta, denom):
@@ -713,17 +698,17 @@ def minimal_pairing(lie_type: SimpleLieType, u, v) -> int | Fraction:
 
 
 def rho_pairings_killing(lie_type: SimpleLieType) -> tuple[Fraction, ...]:
-    """<rho, mu> under the Cartan-Killing normalization, one per positive root.
+    """<rho, mu> under the Cartan-Killing normalization, one per positive
+    root, in increasing order.
 
     The Killing form on the algebra is 2 h_vee times the minimal form, so the
     induced form on the dual Cartan subalgebra divides by 2 h_vee. Every value
-    lies strictly inside (0, 1/2). The numerators are the D-weighted heights
-    sum_i D d_i mu_i, the low W bits of the walk's sorted keys, so the values
-    come in the order of `positive_roots`, over height_denominator = 2 D h_vee.
+    lies strictly inside (0, 1/2). The values are the walk's record: each
+    distinct D-weighted height sum_i D d_i mu_i over height_denominator =
+    2 D h_vee, repeated by its count.
     """
     from fractions import Fraction
 
-    keys, width, records = _walk(lie_type, (lie_type,))
-    mask = (1 << width) - 1
-    den = _raised(records[lie_type]).height_denominator
-    return tuple(Fraction(key & mask, den) for key in sorted(keys))
+    heights = build_root_system(lie_type)
+    den = heights.height_denominator
+    return tuple(chain.from_iterable(repeat(Fraction(h, den), c) for h, c in heights.counts))

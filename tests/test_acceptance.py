@@ -17,7 +17,6 @@ from lievol.rootsys import (
     build_root_system,
     default_groups,
     exponents,
-    positive_roots,
     sp,
     spin,
     su,
@@ -35,6 +34,7 @@ from lievol.vogel import (
     vogel_point,
 )
 from lievol.volume import LOG_VOLUME_BASE, cross_check
+from roots import positive_roots
 
 EXCEPTIONALS = [
     SimpleLieType(Family.G2, 2),

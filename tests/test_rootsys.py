@@ -20,13 +20,13 @@ from lievol.rootsys import (
     exponents,
     height_counts,
     minimal_pairing,
-    positive_roots,
     rho_pairings_killing,
     sp,
     spin,
     su,
     walk_chain,
 )
+from roots import build_with_keys, key_digits, positive_roots
 
 
 def _reflect(root, cartan, i):
@@ -83,29 +83,6 @@ def symmetrized_form(lie_type):
         tuple(Fraction(w * c, denom) for w, c in zip(weights, row))
         for row in cartan_matrix(lie_type)
     )
-
-
-def build_with_keys(lie_type):
-    """build_root_system(lie_type), the raw keys its walk returned, in walk
-    order, and W, the width of their weighted-height field."""
-    walk = rootsys._positive_roots
-    seen = {}
-
-    def capture(lie_type, rows, steps, width, limit, last):
-        keys, buckets, sums = walk(lie_type, rows, steps, width, limit, last)
-        seen.update(keys=list(keys), width=width)
-        return keys, buckets, sums
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rootsys, "_positive_roots", capture)
-        heights = build_root_system(lie_type)
-    return heights, seen["keys"], seen["width"]
-
-
-def key_digits(key, width, rank):
-    """The coordinates of a raw key: its rank base-8 digits above the low W
-    bits, mu_0 the most significant."""
-    return tuple(key >> width + 3 * (rank - 1 - i) & 7 for i in range(rank))
 
 
 def assert_key_fields(lie_type, heights, keys, width):
@@ -261,11 +238,11 @@ def test_pairings_inside_open_interval(lie_type):
     h_vee = build_root_system(lie_type).dual_coxeter
     top = Fraction(h_vee - 1, 2 * h_vee)
     assert max(pairings) == top
-    # the weighted heights agree with the Gram-matrix contraction, in root
-    # order
+    # the weighted heights agree with the Gram-matrix contraction, one per
+    # root, in increasing order
     rho = weyl_vector(lie_type)
     assert pairings == tuple(
-        Fraction(minimal_pairing(lie_type, rho, mu), 2 * h_vee) for mu in roots
+        sorted(Fraction(minimal_pairing(lie_type, rho, mu), 2 * h_vee) for mu in roots)
     )
 
 
@@ -375,9 +352,9 @@ def test_coordinate_above_seven_rejected(monkeypatch):
 # B2 has 2 rho = (3, 4) and D = 2, B3 2 rho = (5, 8, 9) and D = 2; each list
 # keeps the root count (4 or 9) with distinct roots, and all but the first keep
 # the half sum, so the later checks are reached. The stand-in walk returns
-# what the real one does: the root keys sum_i mu_i steps[i], the keys of
-# each node (a root's first nonzero coordinate; 0 for the zero vector), and
-# the pairing sums sum_beta <beta, a_j^vee> per node.
+# what the real one does: the keys sum_i mu_i steps[i] of each node (a
+# root's first nonzero coordinate; 0 for the zero vector), and the pairing
+# sums sum_beta <beta, a_j^vee> per node.
 @pytest.mark.parametrize(
     "roots, match",
     [
@@ -397,16 +374,15 @@ def test_coordinate_above_seven_rejected(monkeypatch):
 def test_corrupted_roots_rejected(monkeypatch, roots, match):
     def walk(lie_type, rows, steps, width, limit, last):
         assert not last
-        keys = [sum(map(operator.mul, mu, steps)) for mu in roots]
         buckets = [[] for _ in rows]
         sums = [[0] * len(rows) for _ in rows]
-        for mu, key in zip(roots, keys):
+        for mu in roots:
             node = next((i for i, m in enumerate(mu) if m), 0)
-            buckets[node].append(key)
+            buckets[node].append(sum(map(operator.mul, mu, steps)))
             for i, row in enumerate(rows):
                 for j, c in row:
                     sums[node][j] += mu[i] * c
-        return keys, buckets, sums
+        return buckets, sums
 
     monkeypatch.setattr(rootsys, "_positive_roots", walk)
     with pytest.raises(InvariantViolationError, match=match):
@@ -577,18 +553,19 @@ def test_chain_members_keep_their_cartan_entries_and_weights(family):
 def test_walk_buckets_each_root_by_its_first_or_last_nonzero_coordinate(monkeypatch, top):
     # a member's roots are the keys of its nodes: A-D bucket a root by its
     # first nonzero coordinate, E8 (whose members keep its first nodes) by
-    # its last one; every key lands in exactly one bucket
+    # its last one; every root lands in exactly one bucket
     walk, seen = rootsys._positive_roots, {}
 
     def capture(lie_type, rows, steps, width, limit, last):
-        keys, buckets, sums = walk(lie_type, rows, steps, width, limit, last)
-        seen.update(keys=keys, buckets=buckets, width=width, last=last)
-        return keys, buckets, sums
+        buckets, sums = walk(lie_type, rows, steps, width, limit, last)
+        seen.update(buckets=buckets, width=width, last=last)
+        return buckets, sums
 
     monkeypatch.setattr(rootsys, "_positive_roots", capture)
     walk_chain(top)
     assert seen["last"] == (top == E8)
-    assert sorted(seen["keys"]) == sorted(k for bucket in seen["buckets"] for k in bucket)
+    keys = [k for bucket in seen["buckets"] for k in bucket]
+    assert len(set(keys)) == len(keys) == sum(exponents(top))
     for node, bucket in enumerate(seen["buckets"]):
         for key in bucket:
             support = [i for i, d in enumerate(key_digits(key, seen["width"], top.rank)) if d]

@@ -15,7 +15,6 @@ from lievol.rootsys import (
     SimpleLieType,
     build_root_system,
     default_groups,
-    positive_roots,
     sp,
     spin,
     su,
@@ -33,6 +32,7 @@ from lievol.vogel import (
     vogel_point,
 )
 from phi_reference import PhiReference
+from roots import positive_roots
 
 
 def test_table_rows_match_published_values():

@@ -57,7 +57,8 @@ def test_phi_kp_refuses_a_sinc_factor_out_of_range():
 
 def _phi_kp_from_fractions(lie_type):
     # the product route on exact Fraction pairings, one per root, as it read
-    # before the record kept integer heights
+    # before the record kept integer heights; fsum rounds the exact sum once,
+    # so the order of the pairings does not move a bit
     terms = []
     for pairing in rho_pairings_killing(lie_type):
         s = 2 * pairing
