@@ -33,9 +33,10 @@ second model of the roots (the epsilon basis), on A-D in O(rank) steps,
 and on E6-E8 from the exponents by Kostant's height partition. `volume`,
 `table`, `phi` and `scan` read only it and walk nothing; the walk is the
 independent check on the counts, which the tests run on every group and
-`check` reads for every group off one walk per Dynkin chain
-(`walk_chain`): a classical family's lower ranks, and E6 and E7, are
-sub-diagrams of its top's, so their roots are among the top's. The A-D
+`check` reads for every group of `default_groups` off one walk per Dynkin
+chain (`walk_groups`): in the numbering of `cartan_matrix`, a classical
+family's lower ranks, and E6 and E7 under E8, are the last nodes of the
+chain's top, so their roots are among the top's. The A-D
 counts also hold their top height and h_vee to the highest root in
 simple-root coordinates, long under the Cartan form, in O(rank) steps as
 well. Both refuse a rank above the cap with the same message.
@@ -65,7 +66,7 @@ __all__ = [
     "su",
     "spin",
     "sp",
-    "walk_chain",
+    "walk_groups",
 ]
 
 
@@ -189,7 +190,16 @@ def default_groups(max_rank: int = 8) -> list[SimpleLieType]:
 
 
 def cartan_matrix(lie_type: SimpleLieType) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix with the convention C[i][j] = 2(a_i, a_j)/(a_j, a_j)."""
+    """Cartan matrix with the convention C[i][j] = 2(a_i, a_j)/(a_j, a_j).
+
+    Node k is Bourbaki's simple root a_(k+1) on A_r-D_r, G2 and F4, so the
+    last node of B_r is short and that of C_r long, and D_r's node r - 1
+    hangs on node r - 3; on E6-E8 node k is a_(r-k), Bourbaki's order
+    reversed: the path 0-1-...-(r-3)-(r-1), with node r - 2 on node r - 4
+    (Lie Groups and Lie Algebras, ch. VI, Planches I-IX). In this numbering
+    A_r-D_r less their first node are the family one rank down, and E8 less
+    its first one or two nodes is E7 or E6.
+    """
     r = lie_type.rank
     c = [[0] * r for _ in range(r)]
     for i in range(r):
@@ -228,9 +238,9 @@ def _cartan_off_diagonal(lie_type):
         chain([(0, 1), (2, 3)])
         off[1, 2] = -2
         off[2, 1] = -1
-    else:  # E6, E7, E8: chain 0-2-3-4-... with node 1 attached to node 3
-        chain([(0, 2), (1, 3)])
-        chain((i, i + 1) for i in range(2, r - 1))
+    else:  # E6, E7, E8: path 0-1-...-(r-3)-(r-1), node r-2 on node r-4
+        chain((i, i + 1) for i in range(r - 3))
+        chain([(r - 3, r - 1), (r - 4, r - 2)])
     return off
 
 
@@ -421,7 +431,7 @@ def _coordinates(code, rank):
     return tuple(map(int, format(code, "o")[-rank:]))
 
 
-def _positive_roots(lie_type, rows, steps, width, limit, last):
+def _positive_roots(lie_type, rows, steps, width, limit):
     """The positive roots, found by raising the simple roots with reflections.
 
     C has passed `_check_cartan`, so s_i permutes the positive roots other
@@ -448,11 +458,10 @@ def _positive_roots(lie_type, rows, steps, width, limit, last):
     type, or a wrong exponent table), which would otherwise never stop.
 
     Each root also keeps its node: the index of its first nonzero
-    coordinate, or of its last one if `last` is set. a_i's node is i, and a
-    raise by a_i moves the node to min(node, i), or max(node, i). The walk
-    sums the pairings as it reads them, per node: sums[k][j] is the sum of
-    <beta, a_j^vee> over the roots beta of node k. Returns the keys of each
-    node and those sums.
+    coordinate. a_i's node is i, and a raise by a_i moves the node to
+    min(node, i). The walk sums the pairings as it reads them, per node:
+    sums[k][j] is the sum of <beta, a_j^vee> over the roots beta of node k.
+    Returns the keys of each node and those sums.
     """
     rank = len(rows)
     shifts = [width + 3 * (rank - 1 - i) for i in range(rank)]
@@ -486,8 +495,7 @@ def _positive_roots(lie_type, rows, steps, width, limit, last):
                     q = raised.pop(j, 0) - p * c
                     if q:
                         raised[j] = q
-                # max(node, i) if last, else min(node, i)
-                up_node = i if (i > node) == last else node
+                up_node = i if i < node else node  # min(node, i)
                 seen.add(up)
                 keys.append(up)
                 nodes.append(up_node)
@@ -537,7 +545,7 @@ def build_root_system(lie_type: SimpleLieType) -> HeightCounts:
     linear cost. This is the walk of a chain whose one member is the type
     itself. The roots in the span of part of a base are the root system of
     that part, so the roots of a sub-diagram are the type's roots that are
-    zero on the dropped nodes: `walk_chain` reads the lower members of a
+    zero on the dropped nodes: `walk_groups` reads the lower members of a
     chain off this same walk.
     """
     record = _walk(lie_type, (lie_type,))[lie_type]
@@ -546,48 +554,45 @@ def build_root_system(lie_type: SimpleLieType) -> HeightCounts:
     return record
 
 
-def walk_chain(top: SimpleLieType) -> dict[SimpleLieType, HeightCounts | InvariantViolationError]:
-    """The `HeightCounts` of every member of top's Dynkin chain, from one
-    walk of top's positive roots.
+def walk_groups(max_rank: int) -> dict[SimpleLieType, HeightCounts | InvariantViolationError]:
+    """The `HeightCounts` of every group of `default_groups(max_rank)`, in
+    its order, from one walk per Dynkin chain: a family, with E6 and E7
+    joining E8, walked at its last group.
 
-    In the numbering of the Cartan matrix, A_r, B_r, C_r and D_r less their
-    first simple root are A_(r-1), B_(r-1), C_(r-1) and D_(r-1), with the
-    same Cartan entries and symmetrizer weights on the kept nodes; E8 less
-    its last simple root is E7, and less its last two E6. The members are
-    top's family from its rank floor up to top, or E6, E7 and E8 under E8;
-    any other type is its own one member. The roots in the span of a subset
-    of a base form the root system with that base (Bourbaki, Lie Groups and
-    Lie Algebras, ch. VI, 1.7), so a member's positive roots are top's
-    whose coordinates on the dropped nodes are zero: the roots whose first
-    nonzero coordinate (A-D), or last one (E), lies on a kept node. The
-    walk files its roots under those nodes and sums their pairings per node,
-    so each member's record, and each check `build_root_system` makes of
-    one type (root count, Weyl vector over the member's nodes, top and
-    lowest weighted height, highest root long), is read off the nodes it
-    keeps. A member whose check fails maps to its InvariantViolationError,
-    and every member to the one the walk itself raised (on a Cartan matrix,
-    a coordinate or a root count of top's). Walking A_r once reads all r
-    members in O(r^2) roots, where a walk per member takes O(r^3).
+    A chain's members are its top less its first nodes in the numbering of
+    `cartan_matrix`, with the same Cartan entries and symmetrizer weights on
+    the kept nodes. The roots in the span of a subset of a base form the
+    root system with that base (Bourbaki, Lie Groups and Lie Algebras,
+    ch. VI, 1.7), so a member's positive roots are the top's whose first
+    nonzero coordinate lies on a kept node. The walk files each root under
+    that node and sums the pairings per node, so each member's record, and
+    each check `build_root_system` makes of one type (root count, Weyl
+    vector over the member's nodes, top and lowest weighted height, highest
+    root long), is read off the nodes it keeps. A member whose check fails
+    maps to its InvariantViolationError, and every member of a chain to the
+    one its walk itself raised (on a Cartan matrix, a coordinate or a root
+    count of the top's). Walking A_r once reads all r members in O(r^2)
+    roots, where a walk per member takes O(r^3).
     """
-    fam = top.family
-    if fam in _RANK_FLOOR:
-        members = [SimpleLieType(fam, m) for m in range(_RANK_FLOOR[fam], top.rank + 1)]
-    elif fam is Family.E8:
-        members = [SimpleLieType(Family.E6, 6), SimpleLieType(Family.E7, 7), top]
-    else:
-        members = [top]
-    try:
-        return _walk(top, members)
-    except InvariantViolationError as exc:
-        return dict.fromkeys(members, exc)
+    chains = {}
+    for lie_type in default_groups(max_rank):
+        fam = lie_type.family
+        chains.setdefault(Family.E8 if fam in (Family.E6, Family.E7) else fam, []).append(lie_type)
+    records = {}
+    for members in chains.values():
+        try:
+            records.update(_walk(members[-1], members))
+        except InvariantViolationError as exc:
+            records.update(dict.fromkeys(members, exc))
+    return records
 
 
 def _walk(top, members):
     """A dict of each member's `HeightCounts`, or of the
     InvariantViolationError its checks raised, from one walk of top's
     positive roots (see `_positive_roots`). The members are types of top's
-    chain (see `walk_chain`), by increasing rank; each is checked as the
-    walk of that type alone would be."""
+    chain (see `walk_groups`), by increasing rank, each the last nodes of
+    top; each is checked as the walk of that type alone would be."""
     _refuse_above_cap(top)
     rank = top.rank
     cartan = cartan_matrix(top)
@@ -602,33 +607,31 @@ def _walk(top, members):
     width = (7 * denom * rank).bit_length()
     step = 1 << 3 * rank + width
     steps = [step + (1 << width + 3 * (rank - 1 - i)) + w for i, w in enumerate(weights)]
-    # E6 and E7 keep the first nodes of E8, every other member the last ones
-    last = top.family is Family.E8
-    buckets, sums = _positive_roots(top, rows, steps, width, sum(exponents(top)), last)
+    buckets, sums = _positive_roots(top, rows, steps, width, sum(exponents(top)))
 
     # each member's roots, pairing sums and highest key, smallest member
     # first: a member has the nodes of the one before it and adds its own
     mask = (1 << width) - 1
     heights = Counter()
     total = [0] * rank
-    count = highest_key = read = 0
+    count = highest_key = 0
+    read = rank  # the first node read so far
     records = {}
     for member in members:
-        m = member.rank
-        # the member's nodes lo to hi - 1, and those it adds
-        lo, hi = (0, m) if last else (rank - m, rank)
-        added = range(read, m) if last else range(lo, rank - read)
-        read = m
+        # the member's nodes are lo to rank - 1; it adds lo to read - 1
+        lo = rank - member.rank
+        added = range(lo, read)
+        read = lo
         new = list(chain.from_iterable(map(buckets.__getitem__, added)))
         heights.update(map(mask.__and__, new))
         count += len(new)
         highest_key = max(highest_key, max(new, default=0))
         total = list(map(sum, zip(total, *map(sums.__getitem__, added))))
-        # its coordinates are the digits of its nodes
-        theta = _coordinates(highest_key >> width + 3 * (rank - hi), m)
+        # its coordinates are the last digits, those of its nodes
+        theta = _coordinates(highest_key >> width, member.rank)
         try:
             records[member] = _member_record(
-                member, count, total[lo:hi], heights, highest_key & mask, theta, denom
+                member, count, total[lo:], heights, highest_key & mask, theta, denom
             )
         except InvariantViolationError as exc:
             records[member] = exc

@@ -10,8 +10,8 @@ Route 2 and the dimension read one `rootsys.HeightCounts` record, from
 `rootsys.height_counts`, so a report walks no roots; on A-D it raises, of
 the walk's invariant errors, only "highest root is not long", which the
 counts check too, in O(rank). `check` reads every group's walk record off
-one walk per Dynkin chain and fails its structure item unless the record
-equals the walk's.
+`rootsys.walk_groups`, one walk per Dynkin chain, and fails its structure
+item unless the record equals the walk's.
 """
 
 from __future__ import annotations
@@ -185,43 +185,34 @@ def run_check_suite(max_rank: int = 8, tol: Tolerance | None = None) -> list[Che
 
     Each group's height record and report are made once, on first use, and
     shared by every item that reads them, the isomorphism items included.
-    So is each walk, once per Dynkin chain (`rootsys.walk_chain`): each
-    classical family is walked at max_rank and E6-E8 at E8, since the roots
-    in the span of part of a base are the root system of that part, and a
-    lower member's `HeightCounts` is read off its nodes of the top's walk.
-    G2 and F4 are walked alone. A walk is kept as its members' records, so
-    no roots outlive it. So is each phi integral, once per distinct point:
-    the unitary-line items at z = 2, 3 and 9 read the reports' integrals of
+    So are the walks, by the first structure item, one per Dynkin chain
+    (`rootsys.walk_groups`), each kept as its members' records, so no roots
+    outlive it. So is each phi integral, once per distinct point: the
+    unitary-line items at z = 2, 3 and 9 read the reports' integrals of
     SU_2, SU_3 and SU_9. The reports read the record `volume` reads; the
     structure item also requires it to equal the walk's. An item that
     reads an integral fails if that integral did not converge, whatever its
     value. A member whose own check in the walk fails fails its structure
     item with that error; an error of a chain's walk itself fails the
     structure item of every member, with that error. Any other step that
-    raised is run again, with the same error, by each item that needs it."""
+    raised, `walk_groups` included, is run again, with the same error, by
+    each item that needs it."""
     tol = tol or Tolerance()
     items: list[CheckItem] = []
     groups = rootsys.default_groups(max_rank)
-    # the top of each chain: each family's last group, and E8 for E6 and E7
-    tops = {lie_type.family: lie_type for lie_type in groups}
-    tops[Family.E6] = tops[Family.E7] = tops[Family.E8]
-    chains = functools.cache(rootsys.walk_chain)
+    walks = functools.cache(lambda: rootsys.walk_groups(max_rank))
     heights = functools.cache(rootsys.height_counts)
     integrate = functools.cache(quad.integrate_phi)
     report = functools.cache(lambda lie_type: _report(heights(lie_type), tol, integrate))
-
-    def walk(lie_type):
-        record = chains(tops[lie_type.family])[lie_type]
-        if isinstance(record, InvariantViolationError):
-            raise record
-        return record
 
     for lie_type in groups:
         name = lie_type.compact_name
 
         def structural(lie_type=lie_type):
-            record = heights(lie_type)
-            if record != walk(lie_type):
+            record, walked = heights(lie_type), walks()[lie_type]
+            if isinstance(walked, InvariantViolationError):
+                raise walked
+            if record != walked:
                 raise InvariantViolationError(
                     f"{lie_type}: height counts, m or h_vee differ from the walk's"
                 )

@@ -6,7 +6,8 @@ The keys are captured where `rootsys._positive_roots` returns them and are
 decoded here, digit by digit, not by the walk's own decoder. Sorting the keys
 orders the roots by height, then coordinates (see `rootsys._positive_roots`).
 `test_rootsys.test_positive_roots_match_orbit_closure` holds these roots to
-the Weyl orbit of the simple roots, an independent construction.
+the Weyl orbit of the simple roots, an independent construction. The same
+patch point guards the paths that must walk nothing (`forbid_walks`).
 """
 
 import pytest
@@ -20,8 +21,8 @@ def build_with_keys(lie_type):
     walk = rootsys._positive_roots
     seen = {}
 
-    def capture(lie_type, rows, steps, width, limit, last):
-        buckets, sums = walk(lie_type, rows, steps, width, limit, last)
+    def capture(lie_type, rows, steps, width, limit):
+        buckets, sums = walk(lie_type, rows, steps, width, limit)
         seen.update(keys=[key for bucket in buckets for key in bucket], width=width)
         return buckets, sums
 
@@ -29,6 +30,17 @@ def build_with_keys(lie_type):
         patch.setattr(rootsys, "_positive_roots", capture)
         heights = rootsys.build_root_system(lie_type)
     return heights, seen["keys"], seen["width"]
+
+
+def forbid_walks(patch):
+    """Make any walk of positive roots fail the test from here on: patch
+    `rootsys._positive_roots`, which `build_root_system`, `walk_groups` and
+    every other walk run through."""
+
+    def no_walk(lie_type, *args):
+        raise AssertionError(f"positive roots of {lie_type} walked")
+
+    patch.setattr(rootsys, "_positive_roots", no_walk)
 
 
 def key_digits(key, width, rank):

@@ -19,6 +19,7 @@ from lievol import quad, rootsys, special
 from lievol.cli import _COMMANDS, _build_parser, _parse, main
 from lievol.rootsys import Family
 from lievol.vogel import VogelPoint
+from roots import forbid_walks
 
 
 def run_cli(capsys, *argv):
@@ -426,11 +427,7 @@ def test_table_walks_nothing(capsys, monkeypatch):
     # every row reads the height counts, so a table needs no walk
     code, want, err = run_cli(capsys, "table", "--max-rank", "2", "--format", "json")
     assert (code, err) == (0, "")
-
-    def no_build(lie_type):
-        raise AssertionError(f"build_root_system called at {lie_type}")
-
-    monkeypatch.setattr(rootsys, "build_root_system", no_build)
+    forbid_walks(monkeypatch)
     assert run_cli(capsys, "table", "--max-rank", "2", "--format", "json") == (0, want, "")
 
 
@@ -562,12 +559,9 @@ def test_help_and_usage_ignore_columns(monkeypatch, argv):
 @pytest.mark.parametrize("command", ["table", "check"])
 @pytest.mark.parametrize("max_rank", ["257", "1000000000"])
 def test_max_rank_above_cap_is_usage_error(monkeypatch, command, max_rank):
-    # refused before any root system is built: 257 used to build every group
-    # up to rank 256 first, and 10^9 ended in a MemoryError traceback
-    def no_build(lie_type):
-        raise AssertionError(f"build_root_system called at {lie_type}")
-
-    monkeypatch.setattr(rootsys, "build_root_system", no_build)
+    # refused before any root system is walked: 257 used to build every
+    # group up to rank 256 first, and 10^9 ended in a MemoryError traceback
+    forbid_walks(monkeypatch)
     code, err = exit_code([command, "--max-rank", max_rank])
     assert code == 2, err
     assert err.endswith(f"error: max rank {max_rank} is above 256, the cap\n")

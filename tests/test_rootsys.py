@@ -24,9 +24,9 @@ from lievol.rootsys import (
     sp,
     spin,
     su,
-    walk_chain,
+    walk_groups,
 )
-from roots import build_with_keys, key_digits, positive_roots
+from roots import build_with_keys, forbid_walks, key_digits, positive_roots
 
 
 def _reflect(root, cartan, i):
@@ -372,8 +372,7 @@ def test_coordinate_above_seven_rejected(monkeypatch):
     ],
 )
 def test_corrupted_roots_rejected(monkeypatch, roots, match):
-    def walk(lie_type, rows, steps, width, limit, last):
-        assert not last
+    def walk(lie_type, rows, steps, width, limit):
         buckets = [[] for _ in rows]
         sums = [[0] * len(rows) for _ in rows]
         for mu in roots:
@@ -488,97 +487,114 @@ E6, E7, E8 = (SimpleLieType(f, EXCEPTIONAL_RANK[f]) for f in (Family.E6, Family.
 CLASSICAL = (Family.A, Family.B, Family.C, Family.D)
 
 
-def test_chain_members_equal_their_own_walks():
-    # every group of default_groups(40) but G2 and F4, read off its chain's
-    # one walk (each classical family at rank 40, E6 and E7 at E8), is the
-    # record its own walk gives; a type outside the chains, or E6 and E7
-    # taken as the top, is its own one member
-    read = {}
-    for top in [*(SimpleLieType(f, 40) for f in CLASSICAL), E8]:
-        read.update(walk_chain(top))
-    groups = default_groups(40)
-    assert list(read) == [g for g in groups if g.family not in (Family.G2, Family.F4)]
+@pytest.fixture(scope="module")
+def at_the_cap():
+    # every group's record off one walk per chain at the cap, walked once
+    # for the module
+    return walk_groups(256)
+
+
+@pytest.mark.parametrize("max_rank", [0, 1, 3, 4, 9, 40])
+def test_walk_groups_reads_every_default_group_as_its_own_walk(max_rank):
+    # one record per group of default_groups, in its order, read off its
+    # chain's one walk (each classical family at max_rank, E6 and E7 at
+    # E8, G2 and F4 alone): the record its own walk gives
+    read = walk_groups(max_rank)
+    assert list(read) == default_groups(max_rank)
     for lie_type, record in read.items():
         assert record == build_root_system(lie_type), lie_type
-    for lie_type in (SimpleLieType(Family.G2, 2), SimpleLieType(Family.F4, 4), E6, E7):
-        assert walk_chain(lie_type) == {lie_type: build_root_system(lie_type)}
 
 
 def test_chain_walk_error_goes_to_every_member(monkeypatch):
     # one exponent too few for the top SU_4 stops its walk past the root
-    # limit: every member maps to that error, and none is read
+    # limit: every member of its chain maps to that error, and none is
+    # read; every other chain is read as before
     true_exponents = rootsys.exponents
     monkeypatch.setattr(
         rootsys, "exponents", lambda t: true_exponents(t)[:-1] if t == su(4) else true_exponents(t)
     )
-    read = walk_chain(su(4))
-    assert list(read) == [su(2), su(3), su(4)]
-    assert {str(err) for err in read.values()} == {
+    read = walk_groups(3)
+    failed = {t: err for t, err in read.items() if isinstance(err, InvariantViolationError)}
+    assert list(failed) == [su(2), su(3), su(4)]
+    assert {str(err) for err in failed.values()} == {
         "SU_4: more than 3 positive roots, the exponent sum"
     }
-    assert all(isinstance(err, InvariantViolationError) for err in read.values())
+    rest = [record for t, record in read.items() if t not in failed]
+    assert all(isinstance(record, rootsys.HeightCounts) for record in rest)
 
 
 @pytest.mark.parametrize("family", CLASSICAL)
-def test_chain_at_the_cap_equals_its_members_walks(family):
+def test_chain_at_the_cap_equals_its_members_walks(at_the_cap, family):
     floor = rootsys._RANK_FLOOR[family]
-    read = walk_chain(SimpleLieType(family, 256))
-    assert list(read) == [SimpleLieType(family, r) for r in range(floor, 257)]
+    assert [t for t in at_the_cap if t.family is family] == [
+        SimpleLieType(family, r) for r in range(floor, 257)
+    ]
     for rank in (floor, 130, 255, 256):
         lie_type = SimpleLieType(family, rank)
-        assert read[lie_type] == build_root_system(lie_type), lie_type
+        assert at_the_cap[lie_type] == build_root_system(lie_type), lie_type
 
 
-@pytest.mark.parametrize("family", CLASSICAL)
+@pytest.mark.parametrize("family", [*CLASSICAL, Family.E8])
 def test_chain_members_keep_their_cartan_entries_and_weights(family):
-    # the last m nodes of X_256 in the numbering of the Cartan matrix carry
-    # X_m's own Cartan matrix and symmetrizer weights, at every rank m of
-    # the chain; the first 6 and 7 nodes of E8 carry E6's and E7's
-    top = SimpleLieType(family, 256)
+    # each member of a chain is the last m nodes of its top in the
+    # numbering of the Cartan matrix, with the member's own Cartan matrix
+    # and symmetrizer weights there: X_m in X_256 at every rank m of the
+    # family, and E6 and E7 in E8
+    if family is Family.E8:
+        top, members = E8, (E6, E7, E8)
+    else:
+        top = SimpleLieType(family, 256)
+        members = [SimpleLieType(family, m) for m in range(rootsys._RANK_FLOOR[family], 257)]
     cartan, weights = cartan_matrix(top), rootsys._symmetrizer(top)
-    for rank in range(rootsys._RANK_FLOOR[family], 257):
-        lie_type, lo = SimpleLieType(family, rank), 256 - rank
+    for lie_type in members:
+        lo = top.rank - lie_type.rank
         assert tuple(row[lo:] for row in cartan[lo:]) == cartan_matrix(lie_type), lie_type
         assert weights[lo:] == rootsys._symmetrizer(lie_type), lie_type
-    cartan, weights = cartan_matrix(E8), rootsys._symmetrizer(E8)
-    for lie_type in (E6, E7):
-        hi = lie_type.rank
-        assert tuple(row[:hi] for row in cartan[:hi]) == cartan_matrix(lie_type), lie_type
-        assert weights[:hi] == rootsys._symmetrizer(lie_type), lie_type
+
+
+def test_e_types_follow_bourbaki_in_reverse():
+    # node k of E_r is Bourbaki's a_(r-k): the path 0-1-...-(r-3)-(r-1),
+    # with node r-2 on node r-4; E6's highest root, Bourbaki's
+    # (1, 2, 2, 3, 2, 1), reads backwards, and so do E7's and E8's
+    for lie_type, theta in [
+        (E6, (1, 2, 3, 2, 2, 1)), (E7, (1, 2, 3, 4, 3, 2, 2)), (E8, (2, 3, 4, 5, 6, 4, 3, 2)),
+    ]:
+        r = lie_type.rank
+        edges = {(i, i + 1) for i in range(r - 3)} | {(r - 3, r - 1), (r - 4, r - 2)}
+        cartan = cartan_matrix(lie_type)
+        assert {(i, j) for i in range(r) for j in range(i + 1, r) if cartan[i][j]} == edges
+        assert {cartan[i][j] for i, j in edges} == {-1}
+        assert positive_roots(lie_type)[-1] == theta
 
 
 @pytest.mark.parametrize(
     "top", [su(10), spin(19), sp(18), spin(18), E8], ids=lambda t: t.compact_name
 )
-def test_walk_buckets_each_root_by_its_first_or_last_nonzero_coordinate(monkeypatch, top):
-    # a member's roots are the keys of its nodes: A-D bucket a root by its
-    # first nonzero coordinate, E8 (whose members keep its first nodes) by
-    # its last one; every root lands in exactly one bucket
+def test_walk_buckets_each_root_by_its_first_nonzero_coordinate(monkeypatch, top):
+    # a member's roots are the keys of its nodes: the walk buckets a root by
+    # its first nonzero coordinate, on A-D and E8 alike, since each member
+    # keeps its top's last nodes; every root lands in exactly one bucket
     walk, seen = rootsys._positive_roots, {}
 
-    def capture(lie_type, rows, steps, width, limit, last):
-        buckets, sums = walk(lie_type, rows, steps, width, limit, last)
-        seen.update(buckets=buckets, width=width, last=last)
+    def capture(lie_type, rows, steps, width, limit):
+        buckets, sums = walk(lie_type, rows, steps, width, limit)
+        seen.update(buckets=buckets, width=width)
         return buckets, sums
 
     monkeypatch.setattr(rootsys, "_positive_roots", capture)
-    walk_chain(top)
-    assert seen["last"] == (top == E8)
+    build_root_system(top)
     keys = [k for bucket in seen["buckets"] for k in bucket]
     assert len(set(keys)) == len(keys) == sum(exponents(top))
     for node, bucket in enumerate(seen["buckets"]):
         for key in bucket:
             support = [i for i, d in enumerate(key_digits(key, seen["width"], top.rank)) if d]
-            assert node == support[-1 if seen["last"] else 0], (node, support)
+            assert node == support[0], (node, support)
 
 
 def test_default_groups_refuse_max_rank_above_cap(monkeypatch):
-    # refused before the list is made, so no root system is built: a max rank
-    # of 10^9 used to ask for ~4 * 10^9 group records
-    def no_build(lie_type):
-        raise AssertionError(f"build_root_system called at {lie_type}")
-
-    monkeypatch.setattr(rootsys, "build_root_system", no_build)
+    # refused before the list is made, so no root system is walked: a max
+    # rank of 10^9 used to ask for ~4 * 10^9 group records
+    forbid_walks(monkeypatch)
     assert len(default_groups(256)) == 256 + 255 + 256 + 253 + 5
     for max_rank in (257, 10**9):
         with pytest.raises(UnsupportedGroupError, match=f"^max rank {max_rank} is above 256"):

@@ -23,6 +23,7 @@ from lievol.rootsys import (
 from lievol.special import phi_unitary_closed_form
 from lievol.vogel import VogelPoint, key_relation_residual, sinh_product_excess, vogel_point
 from lievol.volume import LOG_VOLUME_BASE, VolumeReport, cross_check, phi_kp, run_check_suite
+from roots import forbid_walks
 
 SU2_VOLUME = 32.0 * math.sqrt(2.0) * math.pi**2
 
@@ -467,14 +468,24 @@ def test_check_suite_computes_each_thing_once(monkeypatch):
     assert vogel_point(su(9)) is vogel_point(su(9))
 
 
-def test_cross_check_reads_counts_on_every_type(monkeypatch):
-    # every report reads the height counts and walks nothing
+def test_check_suite_fails_every_structure_item_on_an_error_of_the_walks(monkeypatch):
+    # an error other than InvariantViolationError inside rootsys.walk_groups
+    # is no crash: every structure item fails with it, and no other item
     import lievol.rootsys as rootsys_mod
 
-    def no_build(lie_type):
-        raise AssertionError(f"build_root_system called at {lie_type}")
+    def broken(lie_type, *args):
+        raise ValueError(f"walk of {lie_type} broke")
 
-    monkeypatch.setattr(rootsys_mod, "build_root_system", no_build)
+    monkeypatch.setattr(rootsys_mod, "_positive_roots", broken)
+    failed = {i.name: i.detail for i in run_check_suite(max_rank=2) if not i.passed}
+    assert failed == {
+        f"structure {g.compact_name}": "error: walk of SU_3 broke" for g in default_groups(2)
+    }
+
+
+def test_cross_check_reads_counts_on_every_type(monkeypatch):
+    # every report reads the height counts and walks nothing
+    forbid_walks(monkeypatch)
     groups = default_groups(6) + [su(257), sp(512), spin(513), spin(512)]
     for lie_type in groups:
         report = cross_check(lie_type)
